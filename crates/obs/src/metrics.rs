@@ -545,10 +545,41 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Serializes the tests that set the process-wide `ENABLED` flag: the
+    /// harness runs tests on parallel threads, and one test turning
+    /// counting off midway through another would break its counts.
+    static FLAG_GATE: Mutex<()> = Mutex::new(());
+
+    /// Holds [`FLAG_GATE`] with the flag set to `on`; dropping it
+    /// restores the previous value before releasing the gate, also when
+    /// the test panics.
+    struct FlagGuard {
+        was: bool,
+        _gate: MutexGuard<'static, ()>,
+    }
+
+    impl FlagGuard {
+        fn set(on: bool) -> FlagGuard {
+            // The gate guards no data, and a panicking test's guard has
+            // already restored the flag, so a poisoned gate is fine.
+            let gate = FLAG_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+            let was = is_enabled();
+            set_enabled(on);
+            FlagGuard { was, _gate: gate }
+        }
+    }
+
+    impl Drop for FlagGuard {
+        fn drop(&mut self) {
+            set_enabled(self.was);
+        }
+    }
 
     #[test]
     fn disabled_counters_do_not_move() {
-        set_enabled(false);
+        let _flag = FlagGuard::set(false);
         let c = Counter::default();
         c.incr();
         c.add(10);
@@ -561,12 +592,11 @@ mod tests {
 
     #[test]
     fn enabled_counters_accumulate() {
-        set_enabled(true);
+        let _flag = FlagGuard::set(true);
         let c = Counter::default();
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
-        set_enabled(false);
     }
 
     #[test]
@@ -596,7 +626,7 @@ mod tests {
 
     #[test]
     fn histogram_records_count_and_sum() {
-        set_enabled(true);
+        let _flag = FlagGuard::set(true);
         let h = Histogram::new();
         for v in [1u64, 2, 3, 1000] {
             h.record(v);
@@ -608,12 +638,11 @@ mod tests {
         assert!((snap.mean() - 251.5).abs() < 1e-9);
         let total: u64 = snap.buckets.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 4);
-        set_enabled(false);
     }
 
     #[test]
     fn quantiles_return_bucket_bounds() {
-        set_enabled(true);
+        let _flag = FlagGuard::set(true);
         let h = Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
@@ -626,12 +655,11 @@ mod tests {
         let empty = Histogram::new().snapshot("e");
         assert_eq!(empty.p50(), 0);
         assert_eq!(empty.p99(), 0);
-        set_enabled(false);
     }
 
     #[test]
     fn scoped_registries_are_stable_and_isolated() {
-        set_enabled(true);
+        let _flag = FlagGuard::set(true);
         scoped(1001).reset();
         scoped(1002).reset();
         scoped(1001).lease_renewals.incr();
@@ -649,7 +677,6 @@ mod tests {
                     .iter()
                     .any(|c| c.name == "lease_renewals" && c.value == 2)
         }));
-        set_enabled(false);
     }
 
     #[test]

@@ -27,11 +27,24 @@
 //!   finishing must never double-count as a request departure.
 //!
 //! Two engines share every arithmetic expression but keep state
-//! differently: [`Cloning::run`] maintains slot occupancy, sprint drain
-//! and the live-clone sets incrementally, while [`Cloning::run_reference`]
-//! recomputes all of them from scratch at every event. Their outputs
-//! must match bit-for-bit — the differential oracle that guards the
-//! incremental bookkeeping (see the conformance crate).
+//! differently. Their outputs must match bit-for-bit — the differential
+//! oracle that guards the incremental bookkeeping (the scenario
+//! catalog's `bit-identity` invariant and the tests below).
+//!
+//! - [`Cloning::run`] maintains per-slot resident counts and the set of
+//!   sprinting requests across events. An event costs O(live clones),
+//!   and an arrival also sorts the slots.
+//! - [`Cloning::run_reference`] recounts slot occupancy from the live
+//!   table, and finds sprint drain and charging by scanning every
+//!   arrived request, at every event; it reads neither the resident
+//!   counts nor the sprinting set. That keeps it O(requests so far +
+//!   live clones + slots) per event on purpose: an oracle that trusted
+//!   the incremental state could not catch its bugs.
+//!
+//! Both engines find the next completion in one scan of the live table,
+//! copy each clone's pre-drawn cancel-loss flag into its live entry at
+//! spawn, so cancelling siblings needs no lookup in the plan, and cancel
+//! in place, keeping the live table's order.
 
 use simcore::dist::Dist;
 use simcore::stats::Percentiles;
@@ -50,6 +63,21 @@ const BUDGET_EPS: f64 = 1e-6;
 /// Hard cap on processed events; exceeding it means the simulation is
 /// stuck and a typed error is returned instead of looping forever.
 const MAX_EVENTS: u64 = 50_000_000;
+
+/// Most clones a run plans (`num_queries × clones`, so also most
+/// requests): half the 50M-event cap. Every request needs its own
+/// arrival and winning-completion events, so a run of more requests
+/// exhausts the cap before its last departure, and the pre-drawn plan
+/// holds every clone before the first event, so bounding the product
+/// bounds what a run allocates up front.
+pub const MAX_QUERIES: usize = (MAX_EVENTS / 2) as usize;
+
+/// Widest slot pool a run accepts. Every arrival sorts the slots by
+/// occupancy and the reference engine recounts every slot at each
+/// event, so the slot count is part of the per-event cost; a thousand
+/// processor-sharing slots is far past the racing regime this engine
+/// models.
+pub const MAX_SLOTS: usize = 1024;
 
 /// Cloning-specific fault classes. All probabilities are per-clone and
 /// drawn up-front from the seed, so a plan's randomness is independent
@@ -182,12 +210,30 @@ impl CloningConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SprintError::InvalidConfig`] on out-of-range sizing,
-    /// rates, probabilities, or `clones > slots`.
+    /// Returns [`SprintError::InvalidConfig`] on out-of-range sizing
+    /// (including `num_queries × clones` above [`MAX_QUERIES`] or
+    /// `slots` above [`MAX_SLOTS`]), rates, probabilities, or
+    /// `clones > slots`.
     pub fn validate(&self) -> Result<(), SprintError> {
         SprintError::require_positive("CloningConfig::arrival_rate", self.arrival_rate.qps())?;
         SprintError::require_nonzero("CloningConfig::clones", self.clones)?;
         SprintError::require_nonzero("CloningConfig::slots", self.slots)?;
+        if self.slots > MAX_SLOTS {
+            return Err(SprintError::invalid(
+                "CloningConfig::slots",
+                format!("at most {MAX_SLOTS} slots, got {}", self.slots),
+            ));
+        }
+        if self.num_queries.saturating_mul(self.clones) > MAX_QUERIES {
+            return Err(SprintError::invalid(
+                "CloningConfig::num_queries",
+                format!(
+                    "{} requests x {} clones: a run plans at most {MAX_QUERIES} clones, \
+                     and at most {MAX_QUERIES} requests fit the {MAX_EVENTS}-event budget",
+                    self.num_queries, self.clones
+                ),
+            ));
+        }
         if self.clones > self.slots {
             return Err(SprintError::invalid(
                 "CloningConfig::clones",
@@ -382,6 +428,9 @@ struct LiveClone {
     slot: usize,
     remaining_secs: f64,
     initial_secs: f64,
+    /// The clone's pre-drawn cancel-loss flag, copied from its plan at
+    /// spawn: whether it ghosts on when a sibling wins.
+    cancel_lost: bool,
     /// A ghost's request already departed; it drains at sustained speed
     /// and its completion is not a departure.
     ghost: bool,
@@ -396,7 +445,6 @@ struct ReqState {
     sprinted: bool,
     sprint_secs: f64,
     departed: bool,
-    live_clones: usize,
 }
 
 /// The next event the engine will process, in deterministic priority
@@ -432,6 +480,17 @@ impl Ev {
 #[inline]
 fn clone_rate(factor: f64, residents: usize) -> f64 {
     factor / residents as f64
+}
+
+/// The sprint factor of a clone: the speedup while its request sprints,
+/// sustained speed otherwise (ghosts always drain at sustained speed).
+#[inline]
+fn sprint_factor(c: &LiveClone, reqs: &[ReqState], speedup: f64) -> f64 {
+    if !c.ghost && reqs[c.req].sprinting {
+        speedup
+    } else {
+        1.0
+    }
 }
 
 /// Request-cloning simulator with processor-sharing slots.
@@ -510,9 +569,14 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
     // iterate identically.
     let mut live: Vec<(u64, LiveClone)> = Vec::new();
     let mut next_key: u64 = 0;
-    // Incremental state (the fast path's bookkeeping under test).
+    // Incremental state (the fast path's bookkeeping under test): both
+    // engines keep it current, only the incremental engine reads it.
     let mut slot_residents = vec![0usize; cfg.slots];
-    let mut sprinting_reqs: usize = 0;
+    let mut sprinting: Vec<usize> = Vec::new();
+    // Scratch reused by every event: the reference's recounted
+    // occupancy and the least-loaded slot order of an arrival.
+    let mut recount = vec![0usize; cfg.slots];
+    let mut order: Vec<usize> = Vec::with_capacity(cfg.slots);
 
     let mut depart_secs = vec![0.0_f64; cfg.num_queries];
     let mut budget = cfg.budget_capacity_secs;
@@ -542,57 +606,32 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
         }
 
         // The reference engine recomputes occupancy and drain from
-        // scratch; the incremental engine trusts its counters.
-        let (residents_of, drain_reqs): (Vec<usize>, usize) = if reference {
-            let mut res = vec![0usize; cfg.slots];
+        // scratch; the incremental engine trusts its own state.
+        let residents_of: &[usize] = if reference {
+            recount.fill(0);
             for (_, c) in &live {
-                res[c.slot] += 1;
+                recount[c.slot] += 1;
             }
-            let drains = reqs.iter().filter(|r| r.sprinting && !r.departed).count();
-            (res, drains)
+            &recount
         } else {
-            (slot_residents.clone(), sprinting_reqs)
+            &slot_residents
+        };
+        let drain_reqs = if reference {
+            reqs.iter().filter(|r| r.sprinting && !r.departed).count()
+        } else {
+            sprinting.len()
         };
         let drain_rate = drain_reqs as f64;
 
-        // Candidate: next completion. The incremental engine scans per
-        // slot (per-slot minimum, then global minimum of the minima);
-        // the reference engine scans the flat table. Identical
-        // candidate sets and the shared `clone_rate` expression make
-        // the winning (time, key) bit-identical.
+        // Candidate: next completion, the earliest (time, key) over the
+        // live table; on equal times the lower key wins.
         let mut best: Option<(f64, u64)> = None;
-        let mut consider = |t: f64, key: u64| match best {
-            Some((bt, bk)) if (bt, bk) <= (t, key) => {}
-            _ => best = Some((t, key)),
-        };
-        if reference {
-            for (key, c) in &live {
-                let factor = if !c.ghost && reqs[c.req].sprinting {
-                    cfg.sprint_speedup
-                } else {
-                    1.0
-                };
-                let t = now + c.remaining_secs / clone_rate(factor, residents_of[c.slot]);
-                consider(t, *key);
-            }
-        } else {
-            for slot in 0..cfg.slots {
-                let mut slot_best: Option<(f64, u64)> = None;
-                for (key, c) in live.iter().filter(|(_, c)| c.slot == slot) {
-                    let factor = if !c.ghost && reqs[c.req].sprinting {
-                        cfg.sprint_speedup
-                    } else {
-                        1.0
-                    };
-                    let t = now + c.remaining_secs / clone_rate(factor, residents_of[c.slot]);
-                    match slot_best {
-                        Some((bt, bk)) if (bt, bk) <= (t, *key) => {}
-                        _ => slot_best = Some((t, *key)),
-                    }
-                }
-                if let Some((t, key)) = slot_best {
-                    consider(t, key);
-                }
+        for (key, c) in &live {
+            let factor = sprint_factor(c, &reqs, cfg.sprint_speedup);
+            let t = now + c.remaining_secs / clone_rate(factor, residents_of[c.slot]);
+            match best {
+                Some((bt, bk)) if (bt, bk) <= (t, *key) => {}
+                _ => best = Some((t, *key)),
             }
         }
 
@@ -635,21 +674,25 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
         let dt = at - now;
 
         // Advance every live clone by its PS progress over dt, charge
-        // sprinting requests, and move the budget.
+        // sprinting requests, and move the budget. The incremental
+        // engine charges its sprinting set; the reference finds the
+        // sprinting requests by scanning every arrived one.
         if dt > 0.0 {
             for (_, c) in &mut live {
-                let factor = if !c.ghost && reqs[c.req].sprinting {
-                    cfg.sprint_speedup
-                } else {
-                    1.0
-                };
+                let factor = sprint_factor(c, &reqs, cfg.sprint_speedup);
                 c.remaining_secs -= dt * clone_rate(factor, residents_of[c.slot]);
                 if c.remaining_secs < 0.0 {
                     c.remaining_secs = 0.0;
                 }
             }
-            for r in reqs.iter_mut().filter(|r| r.sprinting && !r.departed) {
-                r.sprint_secs += dt;
+            if reference {
+                for r in reqs.iter_mut().filter(|r| r.sprinting && !r.departed) {
+                    r.sprint_secs += dt;
+                }
+            } else {
+                for &i in &sprinting {
+                    reqs[i].sprint_secs += dt;
+                }
             }
             if drain_rate > 0.0 {
                 budget = (budget - dt * drain_rate).max(0.0);
@@ -670,14 +713,14 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                     sprinted: false,
                     sprint_secs: 0.0,
                     departed: false,
-                    live_clones: 0,
                 });
                 // Clones race on the least-loaded distinct slots
                 // (lowest index on ties) — chosen once, at spawn.
-                let mut order: Vec<usize> = (0..cfg.slots).collect();
-                order.sort_by_key(|&s| (residents_of[s], s));
+                order.clear();
+                order.extend(0..cfg.slots);
+                order.sort_unstable_by_key(|&s| (residents_of[s], s));
                 let mut placed = 0usize;
-                for (c, cp) in rp.clones.iter().enumerate() {
+                for cp in &rp.clones {
                     if cp.straggler {
                         stragglers += 1;
                     }
@@ -692,14 +735,14 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                         LiveClone {
                             req: req_idx,
                             slot,
-                            remaining_secs: rp.clones[c].work_secs,
-                            initial_secs: rp.clones[c].work_secs,
+                            remaining_secs: cp.work_secs,
+                            initial_secs: cp.work_secs,
+                            cancel_lost: cp.cancel_lost,
                             ghost: false,
                         },
                     ));
                     next_key += 1;
                     spawned += 1;
-                    reqs[req_idx].live_clones += 1;
                     slot_residents[slot] += 1;
                 }
                 next_arrival += 1;
@@ -710,7 +753,7 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                 if budget > BUDGET_EPS {
                     r.sprinting = true;
                     r.sprinted = true;
-                    sprinting_reqs += 1;
+                    sprinting.push(idx);
                 }
             }
             Ev::BudgetEmpty => {
@@ -718,10 +761,16 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                 // Force-unsprint everyone; starved requests never
                 // re-engage (the pool refills only once nothing
                 // sprints, and sprint engagement is at-timeout-only).
-                for r in reqs.iter_mut().filter(|r| r.sprinting) {
-                    r.sprinting = false;
+                if reference {
+                    for r in reqs.iter_mut().filter(|r| r.sprinting) {
+                        r.sprinting = false;
+                    }
+                } else {
+                    for &i in &sprinting {
+                        reqs[i].sprinting = false;
+                    }
                 }
-                sprinting_reqs = 0;
+                sprinting.clear();
             }
             Ev::Completion(key) => {
                 let pos = live
@@ -742,33 +791,26 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                 r.departed = true;
                 if r.sprinting {
                     r.sprinting = false;
-                    sprinting_reqs -= 1;
+                    sprinting.retain(|&i| i != req_idx);
                 }
-                r.live_clones -= 1;
                 // Cancel-on-first-complete: siblings either leave now
-                // or ghost on if their cancellation was lost.
-                let mut keep: Vec<(u64, LiveClone)> = Vec::with_capacity(live.len());
-                for (k, mut c) in live.drain(..) {
+                // or ghost on if their pre-drawn cancellation was lost.
+                // `retain_mut` keeps the live table in spawn order, and
+                // with it the order `wasted` is summed in.
+                live.retain_mut(|(_, c)| {
                     if c.req != req_idx {
-                        keep.push((k, c));
-                        continue;
-                    }
-                    // The clone's pre-drawn cancel-loss flag decides.
-                    let clone_plan_idx = usize::try_from(k - first_key_of(req_idx, &plan, cfg))
-                        .expect("sibling key offset fits");
-                    let lost = sibling_cancel_lost(&plan[req_idx], clone_plan_idx);
-                    if lost {
+                        true
+                    } else if c.cancel_lost {
                         c.ghost = true;
                         ghosts += 1;
-                        keep.push((k, c));
+                        true
                     } else {
                         cancelled += 1;
                         wasted += c.initial_secs - c.remaining_secs;
                         slot_residents[c.slot] -= 1;
+                        false
                     }
-                }
-                live = keep;
-                reqs[req_idx].live_clones = 0;
+                });
             }
         }
     }
@@ -803,28 +845,6 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
     })
 }
 
-/// The live-table key of request `req`'s first *launched* clone: keys
-/// are assigned in spawn order, so it equals the number of clones
-/// launched by all earlier requests.
-fn first_key_of(req: usize, plan: &[RequestPlan], cfg: &CloningConfig) -> u64 {
-    let _ = cfg;
-    plan[..req]
-        .iter()
-        .flat_map(|r| r.clones.iter())
-        .filter(|c| !c.spawn_fails)
-        .count() as u64
-}
-
-/// Whether the `launched_idx`-th *launched* clone of a request had its
-/// cancellation pre-drawn as lost.
-fn sibling_cancel_lost(rp: &RequestPlan, launched_idx: usize) -> bool {
-    rp.clones
-        .iter()
-        .filter(|c| !c.spawn_fails)
-        .nth(launched_idx)
-        .is_some_and(|c| c.cancel_lost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -849,6 +869,42 @@ mod tests {
         c.warmup = c.num_queries;
         assert!(Cloning::new(c).is_err());
         assert!(Cloning::new(base(1)).is_ok());
+    }
+
+    /// Sizes that could never finish, or whose pre-drawn plan would take
+    /// hundreds of gigabytes, fail validation with a typed error; the
+    /// bounds themselves are accepted (`new` allocates nothing, so
+    /// probing them is cheap).
+    #[test]
+    fn validation_bounds_run_sizes() {
+        let rejected = |c: CloningConfig| match Cloning::new(c) {
+            Err(SprintError::InvalidConfig { what, .. }) => what,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        for (queries, clones, slots, what) in [
+            (10_000_000_000, 2, 4, "CloningConfig::num_queries"),
+            (MAX_QUERIES + 1, 1, 4, "CloningConfig::num_queries"),
+            (MAX_QUERIES / 4 + 1, 4, 8, "CloningConfig::num_queries"),
+            (2_000, 2, 100_000_000_000, "CloningConfig::slots"),
+            (2_000, 2, MAX_SLOTS + 1, "CloningConfig::slots"),
+        ] {
+            let mut c = base(1);
+            c.num_queries = queries;
+            c.clones = clones;
+            c.slots = slots;
+            assert_eq!(
+                rejected(c),
+                what,
+                "{queries} requests x {clones} clones on {slots} slots"
+            );
+        }
+        for (queries, clones, slots) in [(MAX_QUERIES, 1, MAX_SLOTS), (MAX_QUERIES / 4, 4, 8)] {
+            let mut c = base(1);
+            c.num_queries = queries;
+            c.clones = clones;
+            c.slots = slots;
+            assert!(Cloning::new(c).is_ok(), "{queries} x {clones} on {slots}");
+        }
     }
 
     #[test]
@@ -1009,6 +1065,122 @@ mod tests {
                 "fault class {i}: incremental vs reference diverged"
             );
         }
+    }
+
+    /// A seeded random configuration for the differential test. The
+    /// per-slot offered load `λ · clones · m / slots` spans 5%–90%, so at
+    /// the top many clones share a processor-sharing slot, and each
+    /// fault class is on or off at random. Even-numbered configs sprint
+    /// with timeouts below the mean service time and a budget of a few
+    /// service times that refills slowly: it runs dry while several
+    /// requests sprint, then refills and lets later timeouts sprint.
+    fn generated_config(rng: &mut simcore::rng::SimRng, i: usize) -> CloningConfig {
+        let mean_secs = 60.0;
+        let mut prob = |hi: f64| {
+            if rng.chance(0.5) {
+                rng.uniform(0.0, hi)
+            } else {
+                0.0
+            }
+        };
+        let faults = CloningFaults {
+            spawn_fail_prob: prob(0.5),
+            cancel_loss_prob: prob(0.8),
+            straggler_prob: prob(0.5),
+            straggler_factor: rng.uniform(1.0, 5.0),
+        };
+        let clones = 1 + rng.index(4);
+        let slots = clones + rng.index(9 - clones);
+        let load = rng.uniform(0.05, 0.9);
+        let num_queries = 200 + rng.index(201);
+        let mut c = CloningConfig {
+            arrival_rate: Rate::per_sec(load * slots as f64 / (clones as f64 * mean_secs)),
+            service: Dist::exponential(SimDuration::from_secs_f64(mean_secs)),
+            clones,
+            slots,
+            sprint_speedup: 1.0,
+            timeout: SimDuration::MAX,
+            budget_capacity_secs: 0.0,
+            refill_secs: 1.0,
+            num_queries,
+            warmup: rng.index(num_queries / 5),
+            seed: rng.next_u64(),
+            faults,
+        };
+        if i.is_multiple_of(2) {
+            c.sprint_speedup = rng.uniform(1.5, 3.0);
+            c.timeout = SimDuration::from_secs_f64(rng.uniform(0.0, 0.5) * mean_secs);
+            c.budget_capacity_secs = rng.uniform(0.5, 3.0) * mean_secs;
+            c.refill_secs = rng.uniform(2.0, 10.0) * mean_secs;
+        }
+        c
+    }
+
+    /// Most requests sprinting at one instant. A sprint engages when its
+    /// request's timeout fires and runs unbroken until the request
+    /// departs or the budget runs dry, so it spans
+    /// `[arrival + timeout, arrival + timeout + sprint_secs]`.
+    fn peak_concurrent_sprints(r: &CloningResult, timeout_secs: f64) -> i32 {
+        let mut edges: Vec<(f64, i32)> = Vec::new();
+        for q in r.queries.iter().filter(|q| q.sprinted) {
+            let start = q.arrival_secs + timeout_secs;
+            edges.push((start, 1));
+            edges.push((start + q.sprint_secs, -1));
+        }
+        // Ends sort before starts at equal instants.
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut sprinting = 0;
+        let mut peak = 0;
+        for (_, step) in edges {
+            sprinting += step;
+            peak = peak.max(sprinting);
+        }
+        peak
+    }
+
+    /// Whether the budget ran dry and then refilled: some sprint ended
+    /// before its request departed (the pool emptied and unsprinted
+    /// everyone), and a later sprint engaged after that instant.
+    fn ran_dry_and_refilled(r: &CloningResult, timeout_secs: f64) -> bool {
+        let start = |q: &SimQuery| q.arrival_secs + timeout_secs;
+        let dry_at = r
+            .queries
+            .iter()
+            .filter(|q| q.sprinted && start(q) + q.sprint_secs < q.depart_secs - 1e-6)
+            .map(|q| start(q) + q.sprint_secs)
+            .reduce(f64::min);
+        dry_at.is_some_and(|t| r.queries.iter().any(|q| q.sprinted && start(q) > t))
+    }
+
+    /// The differential oracle on generated inputs rather than the
+    /// hand-picked grid above: every generated config must be
+    /// bit-identical between the engines and conserve clones, and enough
+    /// of the sprinting half must drain the budget under concurrent
+    /// sprints and refill it, the bookkeeping the sprinting set carries.
+    #[test]
+    fn reference_engine_is_bit_identical_on_generated_configs() {
+        let mut rng = simcore::rng::SimRng::new(0xC10E_D1FF);
+        let mut stressed_budgets = 0;
+        for i in 0..64 {
+            let c = generated_config(&mut rng, i);
+            let sim = Cloning::new(c.clone()).unwrap();
+            let fast = sim.run().unwrap();
+            let reference = sim.run_reference().unwrap();
+            assert!(
+                results_bit_identical(&fast, &reference),
+                "config {i}: incremental vs reference diverged: {c:?}"
+            );
+            assert!(fast.conserves_clones(), "config {i}: {c:?}");
+            let t = c.timeout.as_secs_f64();
+            if peak_concurrent_sprints(&fast, t) >= 3 && ran_dry_and_refilled(&fast, t) {
+                stressed_budgets += 1;
+            }
+        }
+        assert!(
+            stressed_budgets >= 16,
+            "only {stressed_budgets} of 32 sprinting configs ran the budget dry under \
+             three or more concurrent sprints and refilled it"
+        );
     }
 
     #[test]

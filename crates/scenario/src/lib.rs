@@ -318,6 +318,34 @@ value = 0.0
         }
     }
 
+    /// A well-formed cloning plan sized past the engine's bounds (too
+    /// many requests or slots) parses, then `execute` returns a typed
+    /// error instead of aborting on an allocation of hundreds of
+    /// gigabytes.
+    #[test]
+    fn oversized_cloning_plans_fail_typed_in_execute() {
+        for (queries, slots, what) in [
+            (10_000_000_000_u64, 4_u64, "CloningConfig::num_queries"),
+            (2_000, 100_000_000_000, "CloningConfig::slots"),
+        ] {
+            let doc = format!(
+                "name = \"oversized\"\ntopology = \"cloning\"\n\
+                 [cloning]\nclones = 2\nslots = {slots}\nmean_service_secs = 60.0\n\
+                 [run]\nqueries = {queries}\nwarmup = 0\n\
+                 [[invariant]]\nkind = \"conservation\"\n"
+            );
+            let plan = ScenarioPlan::from_toml_str(&doc).expect("plan is well-formed");
+            let case = format!("{queries} requests on {slots} slots");
+            match execute(&plan, plan.seed) {
+                Err(SprintError::InvalidConfig { what: got, .. }) => {
+                    assert_eq!(got, what, "{case}")
+                }
+                Err(e) => panic!("{case}: wrong error {e}"),
+                Ok(_) => panic!("{case} ran"),
+            }
+        }
+    }
+
     /// Seeded random-plan fuzzing: generate randomized plans (valid
     /// ranges and garbage alike); every one must either decode+run or
     /// return a typed `SprintError` — never panic.

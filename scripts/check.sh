@@ -17,6 +17,12 @@ run cargo test -q --workspace --offline
 run cargo fmt --all -- --check
 run cargo clippy --all-targets --workspace --offline -- -D warnings
 
+# The benchmark package has a [workspace] of its own, so the --workspace
+# steps above skip it: run its unit tests, lints and format check here.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
+run cargo clippy --all-targets --offline --manifest-path perfbench/Cargo.toml -- -D warnings
+run cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+
 # Reactor record/replay smoke: fixed-seed journal determinism (with and
 # without message faults), a file round-trip through the journal format,
 # and a tamper-detection self-test. Exits non-zero on any divergence.
