@@ -11,23 +11,24 @@
 //!    timeout must agree bit-for-bit.
 //! 2. **Batch throughput**: cold-batch predictions/minute through the
 //!    persistent pool vs the spawn-per-call reference, plus the gated
-//!    *warm* leg — steady-state model predictions through the shared
-//!    CRN trace cache (distinct policy conditions replaying one
-//!    cached trace), the rate that bounds candidate evaluation in
-//!    policy search. Gate: >= 1M preds/min.
-//! 3. **Forest inference**: batched SoA arena (`predict_many`) vs
-//!    scalar SoA vs pointer-chasing predictions (bit-identical;
-//!    nanoseconds per call; min-of-K). Gate: batched flat must not be
-//!    slower than pointer.
+//!    *warm* leg — steady-state model predictions through a CRN trace
+//!    cache warmed by one prediction (distinct policy conditions
+//!    replaying one cached trace), the rate that bounds candidate
+//!    evaluation in policy search. Each measurement gets its own
+//!    trace cache and memo, so a re-measurement simulates as much as
+//!    the first. Gate: >= 1M preds/min.
+//! 3. **Forest inference**: `RandomForest::predict`, the boxed-tree
+//!    walk `HybridModel` calls, one row per call (nanoseconds per
+//!    call; min-of-K). Gated by its baseline band only.
 //! 4. **Telemetry overhead**: the same explorer search with the
 //!    metrics registry enabled vs disabled, interleaved, scored as
-//!    the median per-repetition ratio clamped at zero (overhead
+//!    the ratio of the per-side minima clamped at zero (overhead
 //!    cannot truly be negative). The results must agree bit-for-bit
 //!    and the overhead may be at most 5%.
 //! 5. **Tracing overhead**: the faulted recorder run with causal
-//!    tracing enabled vs the identically-recorded untraced run, same
-//!    interleaved-median scoring and the same 5% ceiling; records and
-//!    counters must agree bit-for-bit.
+//!    tracing enabled vs the identically-recorded untraced run, scored
+//!    as the ratio of summed per-seed minima with the same 5% ceiling;
+//!    records and counters must agree bit-for-bit.
 //!
 //! Methodology: everything is synthetic and seeded — a fixed workload
 //! profile (µ = 50 qph, µₘ = 75 qph, 100 empirical service samples),
@@ -139,13 +140,13 @@ fn main() -> Result<(), SprintError> {
     );
     explorer.check()?;
 
-    eprintln!("perf_smoke: throughput leg (warm shared-cache model path + cold pool vs spawn) ...");
+    eprintln!("perf_smoke: throughput leg (warm model path + cold pool vs spawn) ...");
     let queries = args.get_usize("queries", 5_000)?;
     let predictions = args.get_usize("predictions", 24)?;
     let mut t = perf::bench_throughput(&p, &c, queries, predictions, cores)?;
     let fmt = |t: &ThroughputPoint| format!("{:.0} preds/min", t.predictions_per_minute);
     println!(
-        "throughput: cold @{queries} q/pred pool(1t) {}  spawn(1t) {}  warm @{} q/pred shared-cache {}",
+        "throughput: cold @{queries} q/pred pool(1t) {}  spawn(1t) {}  warm @{} q/pred {}",
         fmt(&t.pool_1t),
         fmt(&t.spawn_1t),
         perf::WARM_QUERIES_PER_PREDICTION,
@@ -153,25 +154,9 @@ fn main() -> Result<(), SprintError> {
     );
     t.check()?;
 
-    eprintln!("perf_smoke: forest leg (batched/scalar flat vs pointer inference) ...");
-    let mut forest_leg = perf::bench_forest()?;
-    println!(
-        "forest: batched flat {:.0} ns/pred  scalar flat {:.0} ns/pred  pointer {:.0} ns/pred",
-        forest_leg.flat_ns, forest_leg.flat_scalar_ns, forest_leg.pointer_ns
-    );
-    // Both sides are ~70 ns/pred, so a strict comparison trips on
-    // sub-nanosecond timer ties under load; a real batched-flat
-    // regression shows up tens of percent slower, far past this band.
-    if forest_leg.flat_ns > forest_leg.pointer_ns * 1.05 {
-        return Err(SprintError::runtime(
-            "perf::forest",
-            format!(
-                "batched flat inference must not be slower than the pointer walk \
-                 (flat {:.0} ns vs pointer {:.0} ns)",
-                forest_leg.flat_ns, forest_leg.pointer_ns
-            ),
-        ));
-    }
+    eprintln!("perf_smoke: forest leg (boxed-tree inference) ...");
+    let mut forest_leg = perf::bench_forest();
+    println!("forest: {:.0} ns/pred", forest_leg.pointer_ns);
 
     eprintln!("perf_smoke: telemetry leg (explorer with metrics enabled vs disabled) ...");
     let telemetry = perf::bench_telemetry(&p)?;
@@ -213,7 +198,6 @@ fn main() -> Result<(), SprintError> {
                 let base_pool_1t = base_field("throughput", "pool_1t_preds_per_min")?;
                 let base_spawn_1t = base_field("throughput", "spawn_1t_preds_per_min")?;
                 let base_speedup = base_field("explorer", "speedup")?;
-                let base_flat_ns = base_field("forest", "flat_ns_per_pred")?;
                 let base_pointer_ns = base_field("forest", "pointer_ns_per_pred")?;
                 /// Measurement rounds before a band violation is
                 /// believed: the first pass plus two retries.
@@ -259,16 +243,8 @@ fn main() -> Result<(), SprintError> {
                             band: 0.40,
                             higher_is_better: true,
                         },
-                        // ns-scale forest legs: min-of-K but sensitive
-                        // to frequency scaling; the absolute flat <=
-                        // pointer gate above is the real invariant.
-                        LegDiff {
-                            name: "forest.flat_ns_per_pred",
-                            current: forest_leg.flat_ns,
-                            baseline: base_flat_ns,
-                            band: 0.50,
-                            higher_is_better: false,
-                        },
+                        // ns-scale forest leg: min-of-K but sensitive
+                        // to frequency scaling.
                         LegDiff {
                             name: "forest.pointer_ns_per_pred",
                             current: forest_leg.pointer_ns,
@@ -325,11 +301,7 @@ fn main() -> Result<(), SprintError> {
                         }
                     }
                     if failed.iter().any(|n| n.starts_with("forest.")) {
-                        let fresh = perf::bench_forest()?;
-                        if fresh.flat_ns < forest_leg.flat_ns {
-                            forest_leg.flat_ns = fresh.flat_ns;
-                            forest_leg.flat_scalar_ns = fresh.flat_scalar_ns;
-                        }
+                        let fresh = perf::bench_forest();
                         if fresh.pointer_ns < forest_leg.pointer_ns {
                             forest_leg.pointer_ns = fresh.pointer_ns;
                         }
@@ -389,20 +361,10 @@ fn main() -> Result<(), SprintError> {
         ),
         (
             "forest".to_string(),
-            Json::Obj(vec![
-                (
-                    "flat_ns_per_pred".to_string(),
-                    Json::Num(forest_leg.flat_ns),
-                ),
-                (
-                    "flat_scalar_ns_per_pred".to_string(),
-                    Json::Num(forest_leg.flat_scalar_ns),
-                ),
-                (
-                    "pointer_ns_per_pred".to_string(),
-                    Json::Num(forest_leg.pointer_ns),
-                ),
-            ]),
+            Json::Obj(vec![(
+                "pointer_ns_per_pred".to_string(),
+                Json::Num(forest_leg.pointer_ns),
+            )]),
         ),
         (
             "telemetry".to_string(),

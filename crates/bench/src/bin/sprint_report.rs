@@ -9,8 +9,9 @@
 //!    crashes/restarts, admission changes, queue-depth samples).
 //! 2. **Metrics registry** — a model-driven prediction workload
 //!    (annealing search, memoized predictions, CRN trace replay,
-//!    pooled batch throughput, flat vs boxed forest inference) with
-//!    the registry enabled; the report prints every metric family.
+//!    pooled batch throughput, forest inference, fleet planning and a
+//!    faulted fleet run) with the registry enabled; the report prints
+//!    every metric family.
 //!
 //! ```text
 //! cargo run --release -p bench --bin sprint_report [-- --seed N] [--jsonl]

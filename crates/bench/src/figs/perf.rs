@@ -333,30 +333,20 @@ pub fn bench_tracing() -> Result<TracingLeg, SprintError> {
     })
 }
 
-/// The forest leg: flattened SoA arena (batched and scalar) vs
-/// pointer-chasing inference.
+/// The forest leg: boxed-tree inference through
+/// [`RandomForest::predict`], the path `HybridModel` calls.
 #[derive(Debug, Clone, Copy)]
 pub struct ForestLeg {
-    /// Batched SoA inference cost via `predict_many` (nanoseconds per
-    /// prediction) — the hot-path number the gate compares against
-    /// `pointer_ns`.
-    pub flat_ns: f64,
-    /// Scalar (one row per call) SoA inference cost (ns/pred).
-    pub flat_scalar_ns: f64,
-    /// Pointer-chasing inference cost (nanoseconds per prediction).
+    /// Inference cost (nanoseconds per prediction), recorded as
+    /// `forest.pointer_ns_per_pred` in the baseline.
     pub pointer_ns: f64,
 }
 
-/// Runs the forest leg: trains a 400-row forest, checks the flattened
-/// SoA arena predicts bit-identically over 2 000 rows — scalar and
-/// batched, including a ragged tail — then times pointer, scalar-flat,
-/// and batched-flat inference. Each timing is min-of-K over identical
-/// passes, so one scheduler hiccup can't invert the comparison.
-///
-/// # Errors
-///
-/// [`SprintError::Runtime`] when the flattened forest diverges.
-pub fn bench_forest() -> Result<ForestLeg, SprintError> {
+/// Runs the forest leg: trains a 400-row forest and times one
+/// `predict` call per row over 2 001 fixed rows. The timing is
+/// min-of-K over identical passes, so one scheduler hiccup cannot
+/// inflate it.
+pub fn bench_forest() -> ForestLeg {
     let mut data = Dataset::new(vec!["mu_m", "lambda", "budget"]);
     for i in 0..400 {
         let x = (i % 40) as f64;
@@ -366,9 +356,6 @@ pub fn bench_forest() -> Result<ForestLeg, SprintError> {
         data.push(vec![x, l, b], 0.9 * x + 1.0 + noise);
     }
     let forest = RandomForest::train(&data, 0, ForestConfig::default());
-    let flat = forest.flatten();
-    // 2 001 rows: not a multiple of the lane width, so the batched
-    // path's ragged tail is exercised by the timed loop itself.
     let rows: Vec<[f64; 3]> = (0..2_001)
         .map(|i| {
             [
@@ -378,25 +365,11 @@ pub fn bench_forest() -> Result<ForestLeg, SprintError> {
             ]
         })
         .collect();
-    let packed: Vec<f64> = rows.iter().flatten().copied().collect();
-    let batched = flat.predict_many(&packed);
-    for (row, &b) in rows.iter().zip(&batched) {
-        let p = forest.predict(row);
-        if p.to_bits() != flat.predict(row).to_bits() || p.to_bits() != b.to_bits() {
-            return Err(SprintError::runtime(
-                "perf::forest",
-                format!("flattened forest must be bit-identical (row {row:?})"),
-            ));
-        }
-    }
     const PASSES: usize = 5;
     const REPS: usize = 10;
     let mut pointer_secs = f64::MAX;
-    let mut flat_scalar_secs = f64::MAX;
-    let mut flat_batch_secs = f64::MAX;
-    let mut sinks = (0.0f64, 0.0f64, 0.0f64);
     for _ in 0..PASSES {
-        let (sink_p, p_secs) = time(|| {
+        let (sink, secs) = time(|| {
             let mut acc = 0.0;
             for _ in 0..REPS {
                 for row in &rows {
@@ -405,47 +378,17 @@ pub fn bench_forest() -> Result<ForestLeg, SprintError> {
             }
             acc
         });
-        let (sink_s, s_secs) = time(|| {
-            let mut acc = 0.0;
-            for _ in 0..REPS {
-                for row in &rows {
-                    acc += flat.predict(row);
-                }
-            }
-            acc
-        });
-        let (sink_b, b_secs) = time(|| {
-            let mut acc = 0.0;
-            for _ in 0..REPS {
-                // Element-wise accumulation in row order, so the sink
-                // matches the scalar loops bit-for-bit.
-                for &v in &flat.predict_many(&packed) {
-                    acc += v;
-                }
-            }
-            acc
-        });
-        pointer_secs = pointer_secs.min(p_secs);
-        flat_scalar_secs = flat_scalar_secs.min(s_secs);
-        flat_batch_secs = flat_batch_secs.min(b_secs);
-        sinks = (sink_p, sink_s, sink_b);
-    }
-    if sinks.0.to_bits() != sinks.1.to_bits() || sinks.0.to_bits() != sinks.2.to_bits() {
-        return Err(SprintError::runtime(
-            "perf::forest",
-            "timed flat, batched, and pointer sums diverged",
-        ));
+        std::hint::black_box(sink);
+        pointer_secs = pointer_secs.min(secs);
     }
     let calls = (REPS * rows.len()) as f64;
-    Ok(ForestLeg {
-        flat_ns: flat_batch_secs / calls * 1e9,
-        flat_scalar_ns: flat_scalar_secs / calls * 1e9,
+    ForestLeg {
         pointer_ns: pointer_secs / calls * 1e9,
-    })
+    }
 }
 
-/// Queries per prediction for the warm shared-cache model leg (the
-/// gated `pool_multi_preds_per_min` number).
+/// Queries per prediction for the warm model leg (the gated
+/// `pool_multi_preds_per_min` number).
 pub const WARM_QUERIES_PER_PREDICTION: usize = 1_000;
 
 /// Predictions timed per pass of the warm model leg.
@@ -454,20 +397,20 @@ pub const WARM_PREDICTIONS: usize = 400;
 /// Min-of-K passes for the warm model leg.
 pub const WARM_REPS: usize = 5;
 
-/// Gate: the warm shared-cache model leg must sustain at least this
-/// many predictions per minute.
+/// Gate: the warm model leg must sustain at least this many
+/// predictions per minute.
 pub const MIN_WARM_PREDS_PER_MIN: f64 = 1_000_000.0;
 
-/// The batch-throughput leg: warm shared-cache model predictions,
-/// plus persistent pool vs spawn-per-call cold batches.
+/// The batch-throughput leg: warm model predictions, plus
+/// persistent pool vs spawn-per-call cold batches.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputLeg {
     /// Pool backend at 1 thread (cold batch, distinct seeds).
     pub pool_1t: ThroughputPoint,
     /// Spawn-per-call reference at 1 thread (cold batch).
     pub spawn_1t: ThroughputPoint,
-    /// Warm steady-state model predictions through the shared CRN
-    /// trace cache (distinct policy conditions, one replayed trace) —
+    /// Steady-state model predictions through a warmed CRN trace
+    /// cache (distinct policy conditions, one replayed trace) —
     /// the rate that bounds candidate evaluation in policy search and
     /// per-node evaluation at fleet scale.
     pub pool_warm: ThroughputPoint,
@@ -487,7 +430,7 @@ impl ThroughputLeg {
             return Err(SprintError::runtime(
                 "perf::throughput",
                 format!(
-                    "warm shared-cache prediction throughput must be >= {MIN_WARM_PREDS_PER_MIN} \
+                    "warm model prediction throughput must be >= {MIN_WARM_PREDS_PER_MIN} \
                      preds/min, measured {:.0}",
                     self.pool_warm.predictions_per_minute
                 ),
@@ -498,7 +441,7 @@ impl ThroughputLeg {
 }
 
 /// Runs the throughput leg: the cold batch points at `queries`
-/// simulated queries/prediction, and the warm shared-cache model point
+/// simulated queries/prediction, and the warm model point
 /// at [`WARM_QUERIES_PER_PREDICTION`].
 ///
 /// # Errors

@@ -106,14 +106,13 @@ pub fn traced_run(seed: u64) -> Result<testbed::RunResult, SprintError> {
 
 /// Drives every registered metric family at least once: an annealing
 /// search, a guaranteed memo hit, a guaranteed trace-cache hit, pooled
-/// batch predictions, flat-vs-boxed forest inference, and a fleet
-/// planning pass (per-node prediction timings).
+/// batch predictions, forest inference, and a fleet planning pass
+/// (per-node prediction timings).
 ///
 /// # Errors
 ///
 /// Propagates search/measurement failures; [`SprintError::Runtime`]
-/// when a transparency contract (memo, CRN replay, flat forest) is
-/// violated.
+/// when a transparency contract (memo, CRN replay) is violated.
 pub fn prediction_workload() -> Result<(), SprintError> {
     let p = profile();
     let c = cond();
@@ -149,7 +148,7 @@ pub fn prediction_workload() -> Result<(), SprintError> {
     // histograms.
     measure_throughput_with(&p, &c, 500, 2, 4, qsim::Backend::Pool)?;
 
-    // Flat vs boxed forest inference timings.
+    // Forest inference timings.
     let mut data = Dataset::new(vec!["mu_m", "lambda", "budget"]);
     for i in 0..200 {
         let x = (i % 40) as f64;
@@ -159,15 +158,8 @@ pub fn prediction_workload() -> Result<(), SprintError> {
         );
     }
     let forest = RandomForest::train(&data, 0, ForestConfig::default());
-    let flat = forest.flatten();
     for i in 0..50 {
-        let row = [(i % 40) as f64, (i % 10) as f64, (i % 5) as f64];
-        if forest.predict(&row).to_bits() != flat.predict(&row).to_bits() {
-            return Err(SprintError::runtime(
-                "report::prediction",
-                "flat forest must stay bit-identical",
-            ));
-        }
+        forest.predict(&[(i % 40) as f64, (i % 10) as f64, (i % 5) as f64]);
     }
 
     // Fleet planning pass: per-node prediction-path timings

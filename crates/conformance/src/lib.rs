@@ -11,8 +11,8 @@
 //!   tolerance band (`golden/anchors.json`; regenerate with
 //!   `UPDATE_GOLDEN=1`).
 //! - [`oracles`] — differential bit-identity checks between fast and
-//!   reference code paths (qsim backends, CRN traces, the direct k=1
-//!   engine, flat forests, the flight recorder), which need no golden
+//!   reference code paths (the qsim batch backends, the direct
+//!   engines, CRN traces, the flight recorder), which need no golden
 //!   file at all.
 //!
 //! The `paper_parity` bin runs all three, prints a JSON report, and

@@ -7,8 +7,6 @@
 //! and reference paths is caught even when both move together relative
 //! to the paper.
 
-use forest::{ForestConfig, RandomForest};
-use mlcore::Dataset;
 use qsim::{
     predict_mean_response, predict_mean_response_reference, predict_mean_response_traced, Backend,
     Qsim, QsimConfig, TraceCache,
@@ -120,15 +118,8 @@ fn check_backend_identity(seed: u64) -> Result<String, SprintError> {
     let configs = config_matrix(seed);
     let n = configs.len();
     let pool = qsim::run_batch_with(configs.clone(), 2, Backend::Pool)?;
-    let scoped = qsim::run_batch_with(configs.clone(), 2, Backend::Scoped)?;
     let reference = qsim::run_batch_with(configs, 2, Backend::Reference)?;
-    for (i, ((p, s), r)) in pool.iter().zip(&scoped).zip(&reference).enumerate() {
-        if p.queries != s.queries {
-            return Err(diverged(
-                "oracle::backends",
-                format!("config {i}: Pool and Scoped disagree"),
-            ));
-        }
+    for (i, (p, r)) in pool.iter().zip(&reference).enumerate() {
         if p.queries != r.queries {
             return Err(diverged(
                 "oracle::backends",
@@ -136,7 +127,7 @@ fn check_backend_identity(seed: u64) -> Result<String, SprintError> {
             ));
         }
     }
-    Ok(format!("{n} configs bit-identical across 3 backends"))
+    Ok(format!("{n} configs bit-identical across both backends"))
 }
 
 fn check_direct_vs_calendar(seed: u64) -> Result<String, SprintError> {
@@ -195,73 +186,6 @@ fn check_traced_vs_live(seed: u64) -> Result<String, SprintError> {
     ))
 }
 
-fn check_flat_forest(seed: u64) -> Result<String, SprintError> {
-    let mut data = Dataset::new(vec!["x", "y", "z"]);
-    let mut state = seed | 1;
-    let mut next = move || {
-        // xorshift64*: cheap deterministic pseudo-noise for the rows.
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-    };
-    for _ in 0..300 {
-        let (x, y, z) = (next() * 40.0, next() * 10.0, next() * 5.0);
-        data.push(vec![x, y, z], 0.8 * x - 0.5 * y + next());
-    }
-    let forest = RandomForest::train(&data, 0, ForestConfig::default());
-    let flat = forest.flatten();
-    let rows: Vec<[f64; 3]> = (0..500)
-        .map(|_| [next() * 50.0, next() * 12.0, next() * 6.0])
-        .collect();
-    for (i, row) in rows.iter().enumerate() {
-        if forest.predict(row).to_bits() != flat.predict(row).to_bits() {
-            return Err(diverged(
-                "oracle::flat_forest",
-                format!("row {i}: boxed and flat predictions disagree"),
-            ));
-        }
-    }
-    let concat: Vec<f64> = rows.iter().flatten().copied().collect();
-    let many = flat.predict_many(&concat);
-    for (i, (row, batched)) in rows.iter().zip(&many).enumerate() {
-        if flat.predict(row).to_bits() != batched.to_bits() {
-            return Err(diverged(
-                "oracle::flat_forest",
-                format!("row {i}: predict and predict_many disagree"),
-            ));
-        }
-    }
-    // Every batch size from empty through several multiples of the
-    // lane width: full lane groups, ragged tails of every residue, and
-    // the empty batch must all match the scalar walk bit-for-bit.
-    let width = 3;
-    let mut batch_sizes = 0usize;
-    for n in 0..=19.min(rows.len()) {
-        let out = flat.predict_many(&concat[..n * width]);
-        if out.len() != n {
-            return Err(diverged(
-                "oracle::flat_forest",
-                format!("batch size {n}: predict_many returned {} values", out.len()),
-            ));
-        }
-        for (i, (row, batched)) in rows[..n].iter().zip(&out).enumerate() {
-            if flat.predict(row).to_bits() != batched.to_bits() {
-                return Err(diverged(
-                    "oracle::flat_forest",
-                    format!("batch size {n}, row {i}: batched prediction diverged"),
-                ));
-            }
-        }
-        batch_sizes += 1;
-    }
-    Ok(format!(
-        "{} rows bit-identical: boxed, flat, and batched inference ({batch_sizes} batch \
-         sizes incl. ragged tails)",
-        rows.len()
-    ))
-}
-
 fn check_recorder_purity(seed: u64) -> Result<String, SprintError> {
     let mech = mechanisms::Dvfs::new();
     let cfg = ServerConfig {
@@ -299,7 +223,7 @@ pub fn run_all(seed: u64) -> Vec<OracleOutcome> {
     vec![
         OracleOutcome::from(
             "oracle/backend_identity",
-            "Pool, Scoped and Reference batch backends produce bit-identical \
+            "the Pool and Reference batch backends produce bit-identical \
              per-query results on shared seeds",
             check_backend_identity(seed),
         ),
@@ -315,13 +239,6 @@ pub fn run_all(seed: u64) -> Vec<OracleOutcome> {
             "CRN trace replay and the frozen reference path reproduce live \
              predictions bit-for-bit",
             check_traced_vs_live(seed),
-        ),
-        OracleOutcome::from(
-            "oracle/flat_forest",
-            "SoA-arena forest inference (scalar and lane-batched, every \
-             batch size incl. ragged tails) matches pointer-chasing \
-             inference bit-for-bit",
-            check_flat_forest(seed),
         ),
         OracleOutcome::from(
             "oracle/recorder_purity",

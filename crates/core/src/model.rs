@@ -1,7 +1,7 @@
 //! Response-time models (Table 1A) and the simulator bridge.
 
 use ann::Mlp;
-use forest::{FlatForest, RandomForest};
+use forest::RandomForest;
 use profiler::{Condition, WorkloadProfile};
 use qsim::{
     predict_mean_response, predict_mean_response_reference, predict_mean_response_traced,
@@ -341,9 +341,6 @@ impl ResponseTimeModel for NoMlModel {
 pub struct HybridModel {
     profile: WorkloadProfile,
     forest: RandomForest,
-    /// Arena-flattened copy of `forest` used for hot-path inference;
-    /// bit-identical predictions, contiguous memory.
-    flat: FlatForest,
     sim: SimOptions,
     traces: TraceCache,
     memo: PredictionMemo,
@@ -359,12 +356,10 @@ impl HybridModel {
     /// collide — see [`PredictionMemo`]); use
     /// [`HybridModel::with_private_caches`] to opt out.
     pub fn new(profile: WorkloadProfile, forest: RandomForest, sim: SimOptions) -> HybridModel {
-        let flat = forest.flatten();
         let context_fp = context_fingerprint(&profile, &sim);
         HybridModel {
             profile,
             forest,
-            flat,
             sim,
             traces: TraceCache::shared(),
             memo: PredictionMemo::shared(),
@@ -386,14 +381,14 @@ impl HybridModel {
     /// Effective sprint rate (qph) inferred for a condition.
     pub fn effective_rate_qph(&self, cond: &Condition) -> f64 {
         let features = cond.features(self.profile.mu, self.profile.mu_m);
-        self.flat
+        self.forest
             .predict(&features)
             // The effective rate may dip below µ (negative runtime
             // correction) but never wildly outside the physical band.
             .clamp(self.profile.mu.qph() * 0.6, self.profile.mu_m.qph() * 1.5)
     }
 
-    /// The source (pointer-based) forest the model was built with.
+    /// The forest the model was built with.
     pub fn forest(&self) -> &RandomForest {
         &self.forest
     }

@@ -100,17 +100,21 @@ pub fn measure_throughput_with(
 }
 
 /// Measures steady-state *model* prediction throughput on the full
-/// fast path: predictions flow through [`NoMlModel`] with the
-/// process-global shared CRN trace cache warm, exactly as the
-/// annealing explorer and the fleet's per-node evaluations consume
-/// them. Each prediction uses a *distinct* timeout (so the prediction
-/// memo cannot short-circuit the simulation — every call pays for a
-/// real `queries_per_prediction`-query run) but the *same* seed and
+/// fast path: predictions flow through [`NoMlModel`] with a warm CRN
+/// trace cache, exactly as the annealing explorer and the fleet's
+/// per-node evaluations consume them. Each prediction uses a
+/// *distinct* timeout (so the prediction memo cannot short-circuit
+/// the simulation — every call pays for a real
+/// `queries_per_prediction`-query run) but the *same* seed and
 /// arrival/service process (so every call replays the one cached
 /// trace — the common-random-numbers design). This is the number that
 /// bounds candidate-evaluation rate in policy search; the
 /// spawn-per-call / cold-cache batch legs measure first-touch cost
 /// instead.
+///
+/// The model runs on private caches: the timeouts repeat from one
+/// call to the next, so on the process-wide memo a second call would
+/// time memo hits instead of simulations.
 ///
 /// Min-of-`reps` wall-clock over identical passes filters scheduler
 /// noise (single measurement runs swing tens of percent on a busy
@@ -139,9 +143,9 @@ pub fn measure_model_throughput(
         threads: 1,
         ..SimOptions::default()
     };
-    let model = NoMlModel::new(profile.clone(), sim);
-    // Warm the shared trace cache: materialize the one CRN trace every
-    // timed prediction will replay.
+    let model = NoMlModel::new(profile.clone(), sim).with_private_caches();
+    // Warm the trace cache: materialize the one CRN trace every timed
+    // prediction will replay.
     let _ = model.predict_response_secs(cond);
     let mut best_elapsed = f64::MAX;
     let mut stats = StreamingStats::new();

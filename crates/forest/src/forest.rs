@@ -74,18 +74,13 @@ impl RandomForest {
     pub fn predict(&self, row: &[f64]) -> f64 {
         let timer = obs::start_timer();
         let out = self.trees.iter().map(|t| t.predict(row)).sum::<f64>() / self.trees.len() as f64;
-        obs::global().forest_boxed_infer_ns.record_elapsed_ns(timer);
+        obs::global().forest_infer_ns.record_elapsed_ns(timer);
         out
     }
 
     /// Number of trees.
     pub fn num_trees(&self) -> usize {
         self.trees.len()
-    }
-
-    /// The trained trees, for flattening.
-    pub(crate) fn trees(&self) -> &[RegressionTree] {
-        &self.trees
     }
 
     /// The base feature index leaves regress on.

@@ -40,10 +40,10 @@
 //! assert!(light > heavy, "heavy load lowers the effective rate");
 //! ```
 
-pub mod flat;
+#![forbid(unsafe_code)]
+
 pub mod forest;
 pub mod tree;
 
-pub use flat::FlatForest;
 pub use forest::{ForestConfig, RandomForest};
 pub use tree::{RegressionTree, TreeConfig};

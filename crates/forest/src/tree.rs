@@ -179,50 +179,6 @@ impl RegressionTree {
         }
         c(&self.root)
     }
-
-    /// Feature-row width the tree was trained on.
-    pub(crate) fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// Appends this tree's split nodes and leaf models to the flat
-    /// arenas (pre-order, left child first) and returns the encoded
-    /// root reference. See [`crate::flat`].
-    pub(crate) fn flatten_into(
-        &self,
-        nodes: &mut Vec<crate::flat::FlatNode>,
-        leaves: &mut Vec<LeafModel>,
-    ) -> u32 {
-        flatten_node(&self.root, nodes, leaves)
-    }
-}
-
-fn flatten_node(
-    n: &Node,
-    nodes: &mut Vec<crate::flat::FlatNode>,
-    leaves: &mut Vec<LeafModel>,
-) -> u32 {
-    match n {
-        Node::Leaf(m) => {
-            let i = leaves.len() as u32;
-            leaves.push(*m);
-            i | crate::flat::LEAF_BIT
-        }
-        Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => {
-            let i = nodes.len();
-            nodes.push(crate::flat::FlatNode::split(*feature as u32, *threshold));
-            let l = flatten_node(left, nodes, leaves);
-            let r = flatten_node(right, nodes, leaves);
-            nodes[i].left = l;
-            nodes[i].right = r;
-            i as u32
-        }
-    }
 }
 
 fn variance(data: &Dataset, idx: &[usize]) -> f64 {

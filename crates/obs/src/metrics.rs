@@ -195,8 +195,7 @@ pub const FAMILY_NAMES: &[&str] = &[
     "sim_evals",
     "anneal_searches",
     "anneal_candidates",
-    "forest_flat_infer_ns",
-    "forest_boxed_infer_ns",
+    "forest_infer_ns",
     "fleet_predict_us",
     "sprints_engaged",
     "lease_renewals",
@@ -233,10 +232,8 @@ pub struct MetricsRegistry {
     /// `sim_evals / anneal_candidates` is the evals-per-candidate rate
     /// (below 1.0 once the memo starts hitting).
     pub anneal_candidates: Counter,
-    /// Flattened-arena forest inference time (ns per call).
-    pub forest_flat_infer_ns: Histogram,
-    /// Pointer-chasing (boxed-walk) forest inference time (ns per call).
-    pub forest_boxed_infer_ns: Histogram,
+    /// Random-forest inference time (ns per call).
+    pub forest_infer_ns: Histogram,
     /// Per-node prediction-path time (µs) spent in the fleet planning
     /// pass's model evaluations — proves fleet-scale runs ride the
     /// pooled/shared-cache fast path.
@@ -263,8 +260,7 @@ impl MetricsRegistry {
             sim_evals: Counter::default(),
             anneal_searches: Counter::default(),
             anneal_candidates: Counter::default(),
-            forest_flat_infer_ns: Histogram::new(),
-            forest_boxed_infer_ns: Histogram::new(),
+            forest_infer_ns: Histogram::new(),
             fleet_predict_us: Histogram::new(),
             sprints_engaged: Counter::default(),
             lease_renewals: Counter::default(),
@@ -285,8 +281,7 @@ impl MetricsRegistry {
         self.sim_evals.reset();
         self.anneal_searches.reset();
         self.anneal_candidates.reset();
-        self.forest_flat_infer_ns.reset();
-        self.forest_boxed_infer_ns.reset();
+        self.forest_infer_ns.reset();
         self.fleet_predict_us.reset();
         self.sprints_engaged.reset();
         self.lease_renewals.reset();
@@ -349,8 +344,7 @@ impl MetricsRegistry {
             histograms: vec![
                 self.pool_queue_wait_us.snapshot("pool_queue_wait_us"),
                 self.pool_task_run_us.snapshot("pool_task_run_us"),
-                self.forest_flat_infer_ns.snapshot("forest_flat_infer_ns"),
-                self.forest_boxed_infer_ns.snapshot("forest_boxed_infer_ns"),
+                self.forest_infer_ns.snapshot("forest_infer_ns"),
                 self.fleet_predict_us.snapshot("fleet_predict_us"),
             ],
         }

@@ -6,22 +6,19 @@
 //! averages a handful of replicated runs with different seeds; a batch
 //! fans independent configurations out over workers.
 //!
-//! Three interchangeable backends execute a batch:
+//! Two interchangeable backends execute a batch:
 //!
 //! - [`Backend::Pool`] (the default) reuses the process-wide
 //!   [`SimPool`](crate::pool::SimPool) — no thread spawns per call, and
 //!   configurations are shared by `Arc` instead of deep-cloned per
 //!   task.
-//! - [`Backend::Scoped`] spawns a fresh `thread::scope` per call but
-//!   still `Arc`-shares configurations. Kept as an independent
-//!   implementation for determinism cross-checks.
 //! - [`Backend::Reference`] is the frozen pre-fast-path code: scoped
 //!   threads, a deep `QsimConfig` clone per task (including any
 //!   empirical service table), and the event-calendar engine. It exists
 //!   as the perf baseline and bit-identity oracle for `perf_smoke`.
 //!
-//! All three return input-ordered, bit-identical results for any
-//! thread count.
+//! Both return input-ordered, bit-identical results for any thread
+//! count.
 
 use crate::config::{QsimConfig, QsimResult};
 use crate::pool::SimPool;
@@ -38,8 +35,6 @@ pub enum Backend {
     /// Persistent process-wide worker pool, `Arc`-shared configs.
     #[default]
     Pool,
-    /// Fresh scoped threads per call, `Arc`-shared configs.
-    Scoped,
     /// Pre-fast-path baseline: scoped threads, deep config clone per
     /// task, event-calendar engine. Slow on purpose — do not use
     /// outside benchmarks and oracle tests.
@@ -157,61 +152,8 @@ pub fn run_batch_with(
                 })
                 .collect()
         }
-        Backend::Scoped => run_batch_scoped(configs, threads),
         Backend::Reference => run_batch_reference(configs, threads),
     }
-}
-
-/// Scoped-thread backend: spawns per call, `Arc`-shares configs.
-fn run_batch_scoped(
-    configs: Vec<QsimConfig>,
-    threads: usize,
-) -> Result<Vec<QsimResult>, SprintError> {
-    let configs: Vec<Arc<QsimConfig>> = configs.into_iter().map(Arc::new).collect();
-    if threads == 1 || configs.len() <= 1 {
-        return configs
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| run_one_shared(c, i))
-            .collect();
-    }
-    let n = configs.len();
-    let slots: Vec<Mutex<Option<Result<QsimResult, SprintError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let configs = &configs;
-    let slots_ref = &slots;
-    let next_ref = &next;
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let out = run_one_shared(Arc::clone(&configs[i]), i);
-                // run_one_shared cannot unwind, so the mutex is never
-                // poisoned by this worker; recover defensively anyway.
-                let mut slot = slots_ref[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                *slot = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    Err(SprintError::runtime(
-                        "qsim::run_batch_shared",
-                        "worker exited before filling its result slot",
-                    ))
-                })
-        })
-        .collect()
 }
 
 /// The frozen pre-fast-path batch: deep clones and the event calendar.
@@ -432,10 +374,8 @@ mod tests {
     fn backends_are_bit_identical() {
         let configs: Vec<QsimConfig> = (0..6).map(small_cfg).collect();
         let pool = run_batch_with(configs.clone(), 4, Backend::Pool).unwrap();
-        let scoped = run_batch_with(configs.clone(), 4, Backend::Scoped).unwrap();
         let reference = run_batch_with(configs, 4, Backend::Reference).unwrap();
-        for ((p, s), r) in pool.iter().zip(scoped.iter()).zip(reference.iter()) {
-            assert_eq!(p.queries, s.queries, "pool vs scoped");
+        for (p, r) in pool.iter().zip(reference.iter()) {
             assert_eq!(p.queries, r.queries, "pool vs reference");
         }
     }
@@ -498,7 +438,7 @@ mod tests {
         // mid-run worker panic, not a config-validation failure. The
         // batch must finish the healthy configs and report the panic as
         // a typed error instead of poisoning shared state.
-        for backend in [Backend::Pool, Backend::Scoped, Backend::Reference] {
+        for backend in [Backend::Pool, Backend::Reference] {
             let mut poisoned = small_cfg(2);
             poisoned.service = Dist::Empirical { samples: vec![] };
             let configs = vec![small_cfg(1), poisoned, small_cfg(3)];

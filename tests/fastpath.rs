@@ -63,13 +63,13 @@ fn sim_options(fast_path: bool) -> SimOptions {
 }
 
 /// Batches are bit-identical across thread counts and across the
-/// persistent-pool, scoped-thread, and frozen reference backends.
+/// persistent-pool and frozen reference backends.
 #[test]
 fn run_batch_is_bit_identical_across_threads_and_backends() {
     let configs: Vec<QsimConfig> = (0..6).map(|i| batch_cfg(100 + i)).collect();
     let baseline = run_batch_with(configs.clone(), 1, Backend::Pool).unwrap();
     for threads in [2, 8] {
-        for backend in [Backend::Pool, Backend::Scoped, Backend::Reference] {
+        for backend in [Backend::Pool, Backend::Reference] {
             let out = run_batch_with(configs.clone(), threads, backend).unwrap();
             for (i, (a, b)) in baseline.iter().zip(out.iter()).enumerate() {
                 assert_eq!(

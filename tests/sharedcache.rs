@@ -13,11 +13,12 @@ use model_sprint::obs;
 use model_sprint::profiler::{Condition, WorkloadProfile};
 use model_sprint::simcore::dist::DistKind;
 use model_sprint::simcore::time::Rate;
+use model_sprint::sprint_core::throughput::measure_model_throughput;
 use model_sprint::sprint_core::{NoMlModel, ResponseTimeModel, SimOptions};
 use model_sprint::workloads::{QueryMix, WorkloadKind};
 
-/// Serializes the tests in this binary: both touch the global metrics
-/// registry and the shared caches.
+/// Serializes the tests in this binary: all of them touch the global
+/// metrics registry and the shared caches.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn profile() -> WorkloadProfile {
@@ -115,5 +116,28 @@ fn shared_caches_raise_hit_rate_over_private_baseline() {
         shared_trace_misses < private_trace_misses,
         "shared caches must re-materialize fewer traces: {shared_trace_misses} \
          vs private {private_trace_misses}"
+    );
+}
+
+/// The warm throughput measurement must simulate as much on a repeat
+/// call as on the first: its timeouts repeat from call to call, so a
+/// measurement sharing the process-wide memo would time memo hits the
+/// second time round (a re-measurement that cannot fail).
+#[test]
+fn warm_throughput_remeasurement_runs_the_simulator_again() {
+    let _gate = GATE.lock().unwrap();
+    obs::set_enabled(true);
+    let sim_evals_of_one_measurement = || {
+        let before = obs::global().sim_evals.get();
+        measure_model_throughput(&profile(), &cond(80.0), 100, 8, 2).unwrap();
+        obs::global().sim_evals.get() - before
+    };
+    let first = sim_evals_of_one_measurement();
+    let second = sim_evals_of_one_measurement();
+    obs::set_enabled(false);
+    assert!(first > 0, "the first measurement must run the simulator");
+    assert_eq!(
+        second, first,
+        "a repeat measurement ran {second} simulator evaluations, the first {first}"
     );
 }
