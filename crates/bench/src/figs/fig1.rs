@@ -4,7 +4,7 @@
 use mechanisms::CpuThrottle;
 use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
-use testbed::{ArrivalSpec, BudgetSpec, ServerConfig, SprintPolicy};
+use testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig, SprintPolicy};
 use workloads::{QueryMix, WorkloadKind};
 
 /// Sizing knobs for the Fig. 1 computation.
@@ -120,10 +120,11 @@ fn mean_rt(cfg: &Fig1Config, timeout_secs: f64, base_seed: u64) -> Result<f64, S
     let mech = CpuThrottle::new(0.2);
     let mut total = 0.0;
     for i in 0..cfg.reps {
-        total += testbed::server::run(
+        total += Server::new(
             scenario(timeout_secs, base_seed + i, cfg.num_queries),
             &mech,
         )?
+        .run()?
         .mean_response_secs();
     }
     Ok(total / cfg.reps as f64)

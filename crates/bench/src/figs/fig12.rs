@@ -11,7 +11,7 @@ use simcore::dist::DistKind;
 use simcore::time::Rate;
 use simcore::SprintError;
 use sprint_core::{train_hybrid, HybridModel, ResponseTimeModel, SimOptions};
-use testbed::{ArrivalSpec, BudgetSpec, ServerConfig, SprintPolicy};
+use testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig, SprintPolicy};
 use workloads::{QueryMix, WorkloadKind};
 
 /// Throttling grid: long refills and small budget fractions match the
@@ -127,7 +127,7 @@ pub fn observe(setup: &Setup, cond: &Condition, mu: Rate, seed: u64) -> Result<f
             warmup: 40,
             seed: seed.wrapping_add(r * 0x9E37),
         };
-        total += testbed::server::run(cfg, &setup.mech)?.mean_response_secs();
+        total += Server::new(cfg, &setup.mech)?.run()?.mean_response_secs();
     }
     Ok(total / 3.0)
 }

@@ -8,7 +8,7 @@ use cloud::{colocate, BurstablePolicy, SloOptions, Strategy, PRICE_PER_WORKLOAD_
 use mechanisms::CpuThrottle;
 use simcore::time::SimDuration;
 use simcore::SprintError;
-use testbed::{ArrivalSpec, BudgetSpec, ServerConfig, SprintPolicy};
+use testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig, SprintPolicy};
 use workloads::{QueryMix, WorkloadKind};
 
 /// One colocation outcome row.
@@ -174,7 +174,7 @@ pub fn tail_comparison(seed: u64, queries: usize) -> Result<TailResult, SprintEr
             warmup: queries / 10,
             seed,
         };
-        testbed::server::run(cfg, &mech)
+        Server::new(cfg, &mech)?.run()
     };
     let aws_run = observe(&budget)?;
     let md_run = observe(&md)?;

@@ -15,10 +15,7 @@ use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
 use sprint_core::throughput::measure_throughput_with;
 use sprint_core::{NoMlModel, ResponseTimeModel, SimOptions};
-use testbed::{
-    run_supervised_recorded, run_supervised_traced, ArrivalSpec, BudgetSpec, ServerConfig,
-    SprintPolicy, SupervisorConfig,
-};
+use testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig, SprintPolicy, SupervisorConfig};
 use workloads::{QueryMix, WorkloadKind};
 
 /// The synthetic Jacobi/DVFS profile the prediction workload uses.
@@ -76,14 +73,7 @@ pub fn recorded_setup(seed: u64) -> (ServerConfig, testbed::FaultPlan) {
 ///
 /// Propagates testbed or fault-plan failures.
 pub fn recorded_run(seed: u64) -> Result<testbed::RunResult, SprintError> {
-    let (scfg, plan) = recorded_setup(seed);
-    run_supervised_recorded(
-        scfg,
-        &Dvfs::new(),
-        Some(plan),
-        SupervisorConfig::default(),
-        obs::FlightRecorder::DEFAULT_CAPACITY,
-    )
+    observed_run(seed, false)
 }
 
 /// [`recorded_run`] with causal tracing enabled: identical scenario,
@@ -94,14 +84,21 @@ pub fn recorded_run(seed: u64) -> Result<testbed::RunResult, SprintError> {
 ///
 /// Propagates testbed or fault-plan failures.
 pub fn traced_run(seed: u64) -> Result<testbed::RunResult, SprintError> {
+    observed_run(seed, true)
+}
+
+/// The supervised [`recorded_setup`] run with a default-capacity flight
+/// recorder attached, plus causal tracing (as node 0) when `traced`.
+fn observed_run(seed: u64, traced: bool) -> Result<testbed::RunResult, SprintError> {
     let (scfg, plan) = recorded_setup(seed);
-    run_supervised_traced(
-        scfg,
-        &Dvfs::new(),
-        Some(plan),
-        SupervisorConfig::default(),
-        obs::FlightRecorder::DEFAULT_CAPACITY,
-    )
+    let mech = Dvfs::new();
+    let mut server =
+        Server::with_supervision(scfg, &mech, Some(plan), SupervisorConfig::default())?;
+    server.attach_recorder(obs::FlightRecorder::DEFAULT_CAPACITY);
+    if traced {
+        server.enable_tracing(0);
+    }
+    server.run()
 }
 
 /// Drives every registered metric family at least once: an annealing

@@ -10,21 +10,18 @@
 //! Prints a JSON report to stdout — including per-cell model-health
 //! breaker dwell times and the flight-recorder tail of any violating
 //! run — and exits non-zero if any invariant was violated or
-//! supervision failed to improve SLO attainment in every cell. Before
-//! the sweep it runs the fleet chaos scenarios (coordinator crash mid
-//! sprint wave, split-brain partition, lease-renewal storm), swept
-//! across `--seeds` root seeds with the four fleet invariants checked
-//! on every run. Scenario lines include a per-class message-fault
-//! breakdown (partitioned/dropped/duplicated/delayed). The fixed-seed
-//! single-node message-fault scenarios live in the declarative TOML
-//! catalog now (`scenarios/*.toml`, run by `scenario_run`).
+//! supervision failed to improve SLO attainment in every cell. The
+//! fixed-seed scenarios — the single-node message-fault ones and the
+//! fleet coordinator crash, split-brain and renewal storm — live in
+//! the TOML catalog (`scenarios/*.toml`); `scenario_run --seeds N`
+//! sweeps them across seeds.
 //!
 //! `--replay` skips the sweep and re-runs the single case a violation
 //! named (under the same `--seed`/`--seeds`/sizing flags as the sweep
 //! that reported it), re-checking its invariants and printing the
 //! run's flight-recorder tail.
 
-use chaos::{replay_case, run_fleet_scenarios, sweep, SweepConfig};
+use chaos::{replay_case, sweep, SweepConfig};
 use faults::FaultCounters;
 use workloads::WorkloadKind;
 
@@ -117,42 +114,6 @@ fn main() -> std::process::ExitCode {
 
     if let Some(case) = arg_value("--replay") {
         return replay(&cfg, &case);
-    }
-
-    match run_fleet_scenarios(cfg.seeds_per_cell) {
-        Ok(reports) => {
-            let mut bad = 0;
-            for r in &reports {
-                eprintln!(
-                    "fleet scenario {} ({} nodes x {} seeds): {} grants, \
-                     {} renewals, {} expiries, {} elections, {} step-downs, \
-                     {} forced unsprints, {} violation(s)",
-                    r.name,
-                    r.nodes,
-                    r.seeds,
-                    r.grants,
-                    r.renewals,
-                    r.expiries,
-                    r.elections,
-                    r.step_downs,
-                    r.forced_unsprints,
-                    r.violations.len(),
-                );
-                eprintln!("  {}", message_class_line(&r.counters));
-                for v in &r.violations {
-                    eprintln!("  [{}] {}: {}", v.case, v.invariant, v.details);
-                }
-                bad += r.violations.len();
-            }
-            if bad > 0 {
-                eprintln!("{bad} fleet scenario violation(s)");
-                return std::process::ExitCode::FAILURE;
-            }
-        }
-        Err(e) => {
-            eprintln!("fleet scenarios failed: {e}");
-            return std::process::ExitCode::FAILURE;
-        }
     }
 
     let report = match sweep(&cfg) {

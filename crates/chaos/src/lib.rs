@@ -30,35 +30,34 @@
 //! per-cell breaker dwell times, and the last few recorder events of a
 //! violating run are attached to its cell. The `chaos_sweep` binary
 //! emits the whole report as JSON.
+//!
+//! This crate owns only the randomized sweep. The fixed-seed scenarios
+//! (lost, delayed and partitioned control messages on one node; the
+//! fleet's coordinator crash, split-brain and lease-renewal storm) are
+//! TOML plans in the scenario catalog (`scenarios/*.toml`), executed
+//! and checked by the `scenario` crate.
 
 #![deny(unreachable_pub)]
 
 use faults::FaultPlan;
-use mechanisms::MechanismKind;
+use mechanisms::{Mechanism, MechanismKind};
 use obs::{Event, FlightRecorder, RunTelemetry};
 use simcore::rng::SimRng;
 use simcore::time::{Rate, SimDuration, SimTime};
 use simcore::SprintError;
 use sprint_core::{BreakerConfig, ModelHealthMonitor};
 use testbed::{
-    run_supervised, run_supervised_recorded, run_with_faults, ArrivalSpec, RecoveryCounters,
-    RunResult, ServerConfig, SprintPolicy, SupervisorConfig,
+    ArrivalSpec, RecoveryCounters, RunResult, Server, ServerConfig, SprintPolicy, SupervisorConfig,
 };
 use workloads::{QueryMix, WorkloadKind};
 
-mod fleet_scenarios;
 mod plan;
 mod replay;
 mod report;
-mod scenarios;
-mod trace;
 
-pub use fleet_scenarios::{run_fleet_scenarios, FleetScenarioReport};
 pub use plan::random_plan;
 pub use replay::{replay_case, CaseReplay};
 pub use report::{CellReport, SweepReport, Violation};
-pub use scenarios::{scenario_setups, ScenarioSetup};
-pub use trace::{run_traced_scenarios, TraceScenarioReport};
 
 /// Everything a sweep needs: grid axes, run sizing, and invariant
 /// tolerances.
@@ -251,6 +250,21 @@ fn check_invariants(
     }
 }
 
+/// One supervised sweep run of `cfg` under `plan`, with a
+/// [`RECORDER_CAPACITY`] flight recorder attached. The sweep, its replay
+/// check and `replay_case` all run cases through here, so a replayed
+/// case is the same run the sweep made.
+pub(crate) fn recorded_run(
+    cfg: ServerConfig,
+    mech: &dyn Mechanism,
+    plan: FaultPlan,
+    sup: SupervisorConfig,
+) -> Result<RunResult, SprintError> {
+    let mut server = Server::with_supervision(cfg, mech, Some(plan), sup)?;
+    server.attach_recorder(RECORDER_CAPACITY);
+    server.run()
+}
+
 pub(crate) fn runs_identical(a: &RunResult, b: &RunResult) -> bool {
     a.records() == b.records()
         && a.fault_counters() == b.fault_counters()
@@ -327,11 +341,13 @@ pub fn run_cell(
     for (i, policy) in PolicyKind::ALL.iter().enumerate() {
         let base_seed = cell_rng.next_u64();
         let clean_cfg = server_config(cfg, workload, sustained, *policy, base_seed);
-        let clean = run_supervised(clean_cfg.clone(), mech.as_ref(), None, sup)?;
+        let clean = Server::with_supervision(clean_cfg.clone(), mech.as_ref(), None, sup)?.run()?;
         p99_ref[i] = clean.response_quantile_secs(0.99);
         clean_mean[i] = clean.mean_response_secs();
         clean_attainment[i] = clean.slo_attainment(slo_secs);
-        let noop = run_supervised(clean_cfg, mech.as_ref(), Some(FaultPlan::default()), sup)?;
+        let noop =
+            Server::with_supervision(clean_cfg, mech.as_ref(), Some(FaultPlan::default()), sup)?
+                .run()?;
         if !runs_identical(&clean, &noop) {
             violations.push(Violation {
                 case: format!("{}/{}/{}", workload.name(), mechanism.name(), policy.name()),
@@ -363,22 +379,10 @@ pub fn run_cell(
                 s
             );
             let scfg = server_config(cfg, workload, sustained, *policy, run_seed);
-            let on = run_supervised_recorded(
-                scfg.clone(),
-                mech.as_ref(),
-                Some(plan.clone()),
-                sup,
-                RECORDER_CAPACITY,
-            )?;
+            let on = recorded_run(scfg.clone(), mech.as_ref(), plan.clone(), sup)?;
             let before_violations = violations.len();
             check_invariants(cfg, &sup, &label, &on, p99_ref[i], &mut violations);
-            let replay = run_supervised_recorded(
-                scfg.clone(),
-                mech.as_ref(),
-                Some(plan.clone()),
-                sup,
-                RECORDER_CAPACITY,
-            )?;
+            let replay = recorded_run(scfg.clone(), mech.as_ref(), plan.clone(), sup)?;
             if !runs_identical(&on, &replay) {
                 violations.push(Violation {
                     case: label.clone(),
@@ -393,7 +397,7 @@ pub fn run_cell(
                     violation_events = t.last(VIOLATION_EVENT_TAIL).to_vec();
                 }
             }
-            let off = run_with_faults(scfg, mech.as_ref(), plan.clone())?;
+            let off = Server::with_faults(scfg, mech.as_ref(), plan.clone())?.run()?;
             let (breaker, breaker_end) = drive_breaker(clean_mean[i], &on)?;
             let dwell = breaker.breaker_dwell_secs(breaker_end);
             for (acc, d) in breaker_dwell.iter_mut().zip(dwell) {

@@ -13,14 +13,14 @@ use mechanisms::MechanismKind;
 use obs::Event;
 use simcore::rng::SimRng;
 use simcore::SprintError;
-use testbed::{run_supervised_recorded, SupervisorConfig};
+use testbed::{Server, SupervisorConfig};
 use workloads::WorkloadKind;
 
 use crate::plan::random_plan;
 use crate::report::Violation;
 use crate::{
-    check_invariants, horizon_secs, run_supervised, runs_identical, server_config, PolicyKind,
-    SweepConfig, RECORDER_CAPACITY, VIOLATION_EVENT_TAIL,
+    check_invariants, horizon_secs, recorded_run, runs_identical, server_config, PolicyKind,
+    SweepConfig, VIOLATION_EVENT_TAIL,
 };
 
 /// Outcome of replaying one case.
@@ -101,7 +101,7 @@ pub fn replay_case(cfg: &SweepConfig, case: &str) -> Result<CaseReplay, SprintEr
     for (i, pol) in PolicyKind::ALL.iter().enumerate() {
         let base_seed = cell_rng.next_u64();
         let clean_cfg = server_config(cfg, workload, sustained, *pol, base_seed);
-        let clean = run_supervised(clean_cfg, mech.as_ref(), None, sup)?;
+        let clean = Server::with_supervision(clean_cfg, mech.as_ref(), None, sup)?.run()?;
         p99_ref[i] = clean.response_quantile_secs(0.99);
     }
     let mut run_seed = 0;
@@ -124,13 +124,7 @@ pub fn replay_case(cfg: &SweepConfig, case: &str) -> Result<CaseReplay, SprintEr
         seed_idx
     );
     let scfg = server_config(cfg, workload, sustained, policy, run_seed);
-    let run = run_supervised_recorded(
-        scfg.clone(),
-        mech.as_ref(),
-        Some(plan.clone()),
-        sup,
-        RECORDER_CAPACITY,
-    )?;
+    let run = recorded_run(scfg.clone(), mech.as_ref(), plan.clone(), sup)?;
     let mut violations = Vec::new();
     check_invariants(
         cfg,
@@ -140,13 +134,7 @@ pub fn replay_case(cfg: &SweepConfig, case: &str) -> Result<CaseReplay, SprintEr
         p99_ref[policy_idx],
         &mut violations,
     );
-    let rerun = run_supervised_recorded(
-        scfg,
-        mech.as_ref(),
-        Some(plan.clone()),
-        sup,
-        RECORDER_CAPACITY,
-    )?;
+    let rerun = recorded_run(scfg, mech.as_ref(), plan.clone(), sup)?;
     if !runs_identical(&run, &rerun) {
         violations.push(Violation {
             case: label.clone(),

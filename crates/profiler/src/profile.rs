@@ -8,7 +8,7 @@ use simcore::{Json, SprintError};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use testbed::{ArrivalSpec, BudgetSpec, RunResult, ServerConfig, SprintPolicy};
+use testbed::{ArrivalSpec, BudgetSpec, RunResult, Server, ServerConfig, SprintPolicy};
 use workloads::{QueryMix, WorkloadKind};
 
 /// Per-(mix, mechanism) measurements the models consume.
@@ -282,8 +282,9 @@ impl Profiler {
             warmup: self.warmup,
             seed: self.seed ^ 0x5151,
         };
-        let sustained =
-            testbed::server::run(base.clone(), mech).expect("rate-measurement config is valid");
+        let sustained = Server::new(base.clone(), mech)
+            .and_then(Server::run)
+            .expect("rate-measurement config is valid");
         let mu = sustained
             .measured_service_rate()
             .expect("no-sprint run has non-sprinted queries");
@@ -292,8 +293,9 @@ impl Profiler {
         sprint_cfg.policy = SprintPolicy::always();
         sprint_cfg.arrivals = ArrivalSpec::poisson(prior_mu.scale(0.3));
         sprint_cfg.seed = self.seed ^ 0xACED;
-        let sprinted =
-            testbed::server::run(sprint_cfg, mech).expect("rate-measurement config is valid");
+        let sprinted = Server::new(sprint_cfg, mech)
+            .and_then(Server::run)
+            .expect("rate-measurement config is valid");
         let mu_m = sprinted
             .measured_sprinted_rate()
             .expect("always-sprint run has sprinted queries");
@@ -340,7 +342,9 @@ impl Profiler {
                 warmup: self.warmup,
                 seed: seed.wrapping_add(r as u64 * 0x9E37_79B9),
             };
-            let result = testbed::server::run(cfg, mech).expect("replay config is valid");
+            let result = Server::new(cfg, mech)
+                .and_then(Server::run)
+                .expect("replay config is valid");
             total_rt += result.mean_response_secs();
             hours += run_hours(&result);
         }

@@ -4,30 +4,36 @@
 //! Each topology maps to an existing simulator — nothing here simulates
 //! anything itself:
 //!
-//! - `single-node` → [`testbed::run_supervised`] (watchdog attached,
-//!   faults injected when the plan has any);
+//! - `single-node` → a [`Server::with_supervision`] run (watchdog
+//!   attached, faults injected when the plan has any);
 //! - `fleet` → [`fleet::run_fleet`] over a [`FleetSpec::small`] cluster
 //!   with the plan's arrivals, policy, mix and control-plane faults;
 //! - `cloning` → [`qsim::Cloning`] (processor-sharing clone races).
+//!
+//! [`trace_graph`] reruns a single-node or fleet plan with causal
+//! tracing on and reconstructs its span graph; the `root-cause`
+//! invariant and `scenario_run --trace` both read it.
 //!
 //! The module also owns the flat *metric namespace* that `metric`
 //! invariants assert over; [`metric`] resolves a name against an
 //! executed outcome.
 
-use fleet::{run_fleet, FleetResult, FleetSpec};
+use fleet::{run_fleet, run_fleet_traced, FleetResult, FleetSpec};
+use obs::{RunTelemetry, TraceGraph};
 use qsim::{Cloning, CloningConfig, CloningResult};
 use simcore::dist::Dist;
 use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
 use testbed::{
-    run_supervised, ArrivalSpec, BudgetSpec, FaultPlan, QueryRecord, RunResult, ServerConfig,
-    SprintPolicy, SupervisorConfig,
+    ArrivalSpec, BudgetSpec, FaultPlan, QueryRecord, RunResult, Server, ServerConfig, SprintPolicy,
+    SupervisorConfig,
 };
 
 use crate::plan::{ArrivalKind, BudgetPlan, CloningPlan, ScenarioPlan, Topology};
 
-/// Ring capacity for traced scenario runs — matches the chaos trace
-/// suite so no span event of a catalog-sized run is evicted.
+/// Flight-recorder ring capacity for traced single-node runs: large
+/// enough that no span event of a catalog-sized run is evicted, so the
+/// reconstructed graph is complete.
 pub const TRACE_CAPACITY: usize = 16_384;
 
 /// The executed scenario, by topology.
@@ -198,7 +204,7 @@ pub fn execute(plan: &ScenarioPlan, seed: u64) -> Result<ScenarioOutcome, Sprint
         Topology::SingleNode => {
             let (cfg, sup, faults) = build_server(plan, seed)?;
             let mech = plan.workload.mechanism.build();
-            let run = run_supervised(cfg, mech.as_ref(), faults, sup)?;
+            let run = Server::with_supervision(cfg, mech.as_ref(), faults, sup)?.run()?;
             Ok(ScenarioOutcome::SingleNode(Box::new(run)))
         }
         Topology::Fleet => {
@@ -214,8 +220,40 @@ pub fn execute(plan: &ScenarioPlan, seed: u64) -> Result<ScenarioOutcome, Sprint
     }
 }
 
+/// Runs the plan at `seed` with causal tracing on and reconstructs its
+/// span graph: a single-node plan traces its supervised server as node
+/// 0 into a [`TRACE_CAPACITY`] recorder; a fleet plan traces the
+/// control plane and every node server. Tracing is observation-only,
+/// so the traced run is the same run [`execute`] makes. Returns `None`
+/// for cloning plans, which carry no trace.
+///
+/// # Errors
+///
+/// Returns any typed simulator or configuration error.
+pub fn trace_graph(plan: &ScenarioPlan, seed: u64) -> Result<Option<TraceGraph>, SprintError> {
+    match plan.topology {
+        Topology::SingleNode => {
+            let (cfg, sup, faults) = build_server(plan, seed)?;
+            let mech = plan.workload.mechanism.build();
+            let mut server = Server::with_supervision(cfg, mech.as_ref(), faults, sup)?;
+            server.attach_recorder(TRACE_CAPACITY);
+            server.enable_tracing(0);
+            let run = server.run()?;
+            let telemetry = run.telemetry().cloned().unwrap_or_default();
+            Ok(Some(TraceGraph::from_telemetry(&[&telemetry])))
+        }
+        Topology::Fleet => {
+            let run = run_fleet_traced(&build_fleet_spec(plan, seed)?)?;
+            let mut parts: Vec<&RunTelemetry> = vec![&run.telemetry];
+            parts.extend(run.node_telemetries.iter());
+            Ok(Some(TraceGraph::from_telemetry(&parts)))
+        }
+        Topology::Cloning => Ok(None),
+    }
+}
+
 /// Longest per-query sprint engagement in a record set, seconds — the
-/// chaos suite's overrun signal.
+/// watchdog overrun signal.
 pub fn max_sprint_secs(records: &[QueryRecord]) -> f64 {
     records.iter().map(|r| r.sprint_seconds).fold(0.0, f64::max)
 }

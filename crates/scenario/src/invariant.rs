@@ -9,14 +9,15 @@
 //! runs a fault-free twin, `root-cause` re-runs traced, and
 //! `bit-identity` runs the cloning reference engine.
 
-use obs::{CauseReason, RunTelemetry, TraceGraph};
+use fleet::FleetResult;
+use obs::CauseReason;
 use qsim::{results_bit_identical, Cloning};
 use simcore::SprintError;
-use testbed::{run_supervised, run_supervised_traced, RunResult};
+use testbed::{RunResult, Server};
 
 use crate::exec::{
-    self, build_cloning, build_fleet_spec, build_server, execute, max_sprint_secs, metric,
-    ScenarioOutcome, TRACE_CAPACITY,
+    self, build_cloning, build_server, execute, max_sprint_secs, metric, trace_graph,
+    ScenarioOutcome,
 };
 use crate::plan::{InvariantSpec, ScenarioPlan, Topology};
 
@@ -167,6 +168,27 @@ fn single_runs_identical(a: &RunResult, b: &RunResult) -> bool {
         && a.telemetry() == b.telemetry()
 }
 
+/// Whether two fleet runs agree on every field of the result: floats
+/// by bits, counters, lease stats, degradation census, in-run
+/// violations, and (for traced runs) every recorder's telemetry.
+fn fleet_runs_identical(a: &FleetResult, b: &FleetResult) -> bool {
+    a.nodes == b.nodes
+        && a.served == b.served
+        && a.horizon_secs.to_bits() == b.horizon_secs.to_bits()
+        && a.mean_response_secs.to_bits() == b.mean_response_secs.to_bits()
+        && a.sprint_fraction.to_bits() == b.sprint_fraction.to_bits()
+        && a.budget_power == b.budget_power
+        && a.peak_held_power == b.peak_held_power
+        && a.budget_utilization.to_bits() == b.budget_utilization.to_bits()
+        && a.forced_unsprints == b.forced_unsprints
+        && a.stats == b.stats
+        && a.degradation == b.degradation
+        && a.counters == b.counters
+        && a.violations == b.violations
+        && a.telemetry == b.telemetry
+        && a.node_telemetries == b.node_telemetries
+}
+
 fn check_replay(
     plan: &ScenarioPlan,
     outcome: &ScenarioOutcome,
@@ -178,13 +200,7 @@ fn check_replay(
         (ScenarioOutcome::SingleNode(a), ScenarioOutcome::SingleNode(b)) => {
             single_runs_identical(a, b)
         }
-        (ScenarioOutcome::Fleet(a), ScenarioOutcome::Fleet(b)) => {
-            a.served == b.served
-                && a.mean_response_secs.to_bits() == b.mean_response_secs.to_bits()
-                && a.forced_unsprints == b.forced_unsprints
-                && a.telemetry == b.telemetry
-                && a.node_telemetries == b.node_telemetries
-        }
+        (ScenarioOutcome::Fleet(a), ScenarioOutcome::Fleet(b)) => fleet_runs_identical(a, b),
         (ScenarioOutcome::Cloning(a), ScenarioOutcome::Cloning(b)) => results_bit_identical(a, b),
         _ => false,
     };
@@ -212,7 +228,7 @@ fn check_clean_twin(
     }
     let (cfg, sup, _) = build_server(plan, seed)?;
     let mech = plan.workload.mechanism.build();
-    let clean = run_supervised(cfg, mech.as_ref(), None, sup)?;
+    let clean = Server::with_supervision(cfg, mech.as_ref(), None, sup)?.run()?;
     let bound = plan.run.watchdog_secs + slack_secs;
     let max_sprint = max_sprint_secs(clean.records());
     if max_sprint > bound {
@@ -256,23 +272,7 @@ fn check_root_cause(
         fail("root-cause", format!("unknown cause name `{expect}`"));
         return Ok(());
     };
-    let dominant = match plan.topology {
-        Topology::SingleNode => {
-            let (cfg, sup, faults) = build_server(plan, seed)?;
-            let mech = plan.workload.mechanism.build();
-            let run = run_supervised_traced(cfg, mech.as_ref(), faults, sup, TRACE_CAPACITY)?;
-            let telemetry = run.telemetry().cloned().unwrap_or_default();
-            TraceGraph::from_telemetry(&[&telemetry]).dominant_root_cause()
-        }
-        Topology::Fleet => {
-            let spec = build_fleet_spec(plan, seed)?;
-            let run = fleet::run_fleet_traced(&spec)?;
-            let mut parts: Vec<&RunTelemetry> = vec![&run.telemetry];
-            parts.extend(run.node_telemetries.iter());
-            TraceGraph::from_telemetry(&parts).dominant_root_cause()
-        }
-        Topology::Cloning => None,
-    };
+    let dominant = trace_graph(plan, seed)?.and_then(|g| g.dominant_root_cause());
     if dominant != Some(expected) {
         fail(
             "root-cause",
@@ -326,5 +326,22 @@ fn check_budget(
                  (capacity {capacity:.1}, refill every {refill_secs:.0}s over {horizon:.0}s)"
             ),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fleet::{run_fleet, FleetSpec};
+
+    /// The fleet replay check compares the whole result: a copy that
+    /// differs only in one lease counter is a divergence.
+    #[test]
+    fn fleet_replay_compares_lease_stats() {
+        let run = run_fleet(&FleetSpec::small(7, 3).unwrap()).unwrap();
+        assert!(fleet_runs_identical(&run, &run.clone()));
+        let mut diverged = run.clone();
+        diverged.stats.grants += 1;
+        assert!(!fleet_runs_identical(&run, &diverged));
     }
 }

@@ -31,7 +31,7 @@ use std::path::Path;
 use simcore::json::Json;
 use simcore::SprintError;
 
-pub use exec::{execute, metric, ScenarioOutcome};
+pub use exec::{execute, metric, trace_graph, ScenarioOutcome};
 pub use invariant::{check_invariants, Violation};
 pub use plan::{InvariantSpec, ScenarioPlan, Topology};
 
@@ -168,7 +168,8 @@ pub fn run_plan(plan: &ScenarioPlan, seed: u64) -> Result<ScenarioReport, Sprint
 }
 
 /// Runs every plan at its own seed, plus — for plans marked
-/// `cross_seed` — at `seeds - 1` additional offset seeds, mirroring
+/// `cross_seed` — at `seeds - 1` additional offset seeds
+/// (`seed + 1`, `seed + 2`, …, wrapping past `u64::MAX`), mirroring
 /// `paper_parity --seeds`. `seeds == 1` is the plain catalog run.
 ///
 /// # Errors
@@ -180,7 +181,9 @@ pub fn run_catalog(plans: &[ScenarioPlan], seeds: u64) -> Result<CatalogReport, 
         report.scenarios.push(run_plan(plan, plan.seed)?);
         if seeds > 1 && plan.cross_seed {
             for off in 1..seeds {
-                report.scenarios.push(run_plan(plan, plan.seed + off)?);
+                report
+                    .scenarios
+                    .push(run_plan(plan, plan.seed.wrapping_add(off))?);
             }
         }
     }
@@ -197,6 +200,7 @@ pub fn catalog_dir() -> &'static Path {
 mod tests {
     use super::*;
     use crate::plan::{BudgetPlan, MetricOp};
+    use obs::{CauseReason, SpanKind};
     use simcore::rng::SimRng;
 
     fn sample_plan_toml() -> String {
@@ -271,8 +275,10 @@ value = 0.0
             "delayed-budget-telemetry",
             "watchdog-partition",
             "fleet-split-brain",
+            "fleet-coordinator-crash",
+            "fleet-renewal-storm",
         ] {
-            assert!(names.contains(&required), "missing chaos port {required}");
+            assert!(names.contains(&required), "missing scenario {required}");
         }
         assert!(
             plans.iter().any(|p| p.topology == Topology::Cloning),
@@ -287,6 +293,50 @@ value = 0.0
         let mut sorted = names.clone();
         sorted.dedup();
         assert_eq!(sorted.len(), names.len(), "duplicate scenario names");
+    }
+
+    /// The committed split-brain plan, traced at its seed, tells the
+    /// whole fleet story: a chain anchored in the scheduled partition
+    /// window that walks a lease lapse back through timed-out renewals.
+    #[test]
+    fn split_brain_trace_walks_lease_lapse_back_to_the_partition_window() {
+        let plans = load_catalog(catalog_dir()).unwrap();
+        let plan = plans
+            .iter()
+            .find(|p| p.name == "fleet-split-brain")
+            .expect("committed split-brain plan");
+        let graph = trace_graph(plan, plan.seed)
+            .unwrap()
+            .expect("fleet plans carry a trace");
+        assert_eq!(graph.dominant_root_cause(), Some(CauseReason::Partition));
+        let full_story = graph.chains().iter().any(|c| {
+            c.anchor_kind == Some(SpanKind::PartitionWindow)
+                && c.steps.iter().any(|s| s.reason == CauseReason::LeaseLapse)
+                && c.steps
+                    .iter()
+                    .any(|s| s.reason == CauseReason::RenewalTimeout)
+        });
+        assert!(
+            full_story,
+            "no chain tells lease-lapse <- renewal-timeout <- partition-window:\n{}",
+            graph.root_cause_table()
+        );
+    }
+
+    /// Cross-seed offsets wrap past `u64::MAX` instead of overflowing:
+    /// the schema accepts string-encoded seeds up to the maximum.
+    #[test]
+    fn cross_seed_offsets_wrap_past_the_largest_seed() {
+        let doc = "name = \"max-seed\"\nseed = \"18446744073709551615\"\n\
+                   cross_seed = true\ntopology = \"cloning\"\n\
+                   [cloning]\nclones = 2\nslots = 2\nmean_service_secs = 10.0\n\
+                   [run]\nqueries = 4\nwarmup = 0\n\
+                   [[invariant]]\nkind = \"conservation\"\n";
+        let plan = ScenarioPlan::from_toml_str(doc).unwrap();
+        assert_eq!(plan.seed, u64::MAX);
+        let report = run_catalog(&[plan], 2).unwrap();
+        let seeds: Vec<u64> = report.scenarios.iter().map(|s| s.seed).collect();
+        assert_eq!(seeds, [u64::MAX, 0]);
     }
 
     #[test]

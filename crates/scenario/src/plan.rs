@@ -22,7 +22,7 @@ use crate::toml::{parse, to_string, TableReader, TomlValue};
 /// Which simulator executes the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// One supervised server (`testbed::run_supervised`).
+    /// One supervised server (`testbed::Server::with_supervision`).
     SingleNode,
     /// A lease-coordinated fleet (`fleet::run_fleet`).
     Fleet,

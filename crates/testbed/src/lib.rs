@@ -19,20 +19,28 @@
 //! Model code never reads testbed internals — only the per-query
 //! timestamps a real profiler would log.
 //!
-//! The server optionally runs under a [`faults::FaultPlan`] (via
-//! [`Server::with_faults`] or [`server::run_with_faults`]): seeded,
-//! deterministic injection of sprint-engage failures, stuck sprints,
-//! budget-sensor drift, execution crashes with bounded retry, arrival
-//! storms and thermal emergencies. An all-off plan is bit-identical to
-//! running without one.
+//! The server optionally runs under a [`faults::FaultPlan`] (built
+//! with [`Server::with_faults`]): seeded, deterministic injection of
+//! sprint-engage failures, stuck sprints, budget-sensor drift,
+//! execution crashes with bounded retry, arrival storms and thermal
+//! emergencies. An all-off plan is bit-identical to running without
+//! one.
 //!
-//! A [`supervision::Supervisor`] (via [`Server::with_supervision`] or
-//! [`server::run_supervised`]) closes the loop from detecting those
+//! A [`supervision::Supervisor`] (built with
+//! [`Server::with_supervision`]) closes the loop from detecting those
 //! faults to recovering from them: a sprint watchdog force-disengages
 //! stuck sprints, crashed slots restart with capped exponential backoff
 //! and are quarantined after repeated crashes, and a queue-depth
 //! admission ladder sheds or rejects arrivals under overload. Every
 //! intervention is counted in [`supervision::RecoveryCounters`].
+//!
+//! Every run takes one path: build a [`Server`] ([`Server::new`],
+//! [`Server::with_faults`] or [`Server::with_supervision`]), attach
+//! observers ([`Server::attach_recorder`] for a flight recorder,
+//! [`Server::enable_tracing`] for causal spans), then call
+//! [`Server::run`] (or [`Server::run_journaled`] for the reactor's
+//! decision journal). Observers are byte-invisible: records and
+//! counters are bit-identical with or without them.
 
 pub mod budget;
 pub mod engine;
@@ -49,8 +57,6 @@ pub use faults::{FaultCounters, FaultPlan, StormWindow};
 pub use metrics::{RunResult, RunResultBuilder};
 pub use policy::{ArrivalSpec, BudgetSpec, RateSegment, ServerConfig, SprintPolicy};
 pub use query::QueryRecord;
-pub use server::{
-    run_supervised, run_supervised_recorded, run_supervised_traced, run_with_faults, Server,
-};
+pub use server::Server;
 pub use spec::{run_journaled, RunSpec};
 pub use supervision::{RecoveryCounters, Supervisor, SupervisorConfig};

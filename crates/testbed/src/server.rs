@@ -1674,92 +1674,6 @@ impl<'m> Server<'m> {
     }
 }
 
-/// Convenience: run one configuration to completion.
-///
-/// # Errors
-///
-/// Returns an error if the configuration fails validation or a
-/// simulation invariant breaks mid-run.
-pub fn run(cfg: ServerConfig, mech: &dyn Mechanism) -> Result<RunResult, SprintError> {
-    Server::new(cfg, mech)?.run()
-}
-
-/// Convenience: run one configuration to completion with the given
-/// fault plan active. A default (all-off) plan produces output
-/// bit-identical to [`run`].
-///
-/// # Errors
-///
-/// Returns an error if the configuration or the fault plan fails
-/// validation, or a simulation invariant breaks mid-run.
-pub fn run_with_faults(
-    cfg: ServerConfig,
-    mech: &dyn Mechanism,
-    plan: FaultPlan,
-) -> Result<RunResult, SprintError> {
-    Server::with_faults(cfg, mech, plan)?.run()
-}
-
-/// Convenience: run one configuration under supervision, optionally
-/// with a fault plan active.
-///
-/// # Errors
-///
-/// Returns an error if any configuration fails validation, or a
-/// simulation invariant breaks mid-run.
-pub fn run_supervised(
-    cfg: ServerConfig,
-    mech: &dyn Mechanism,
-    plan: Option<FaultPlan>,
-    sup: SupervisorConfig,
-) -> Result<RunResult, SprintError> {
-    Server::with_supervision(cfg, mech, plan, sup)?.run()
-}
-
-/// Convenience: [`run_supervised`] with a flight recorder of the given
-/// capacity attached, so the returned [`RunResult`] carries a
-/// [`obs::RunTelemetry`]. The recorder is a pure observer — records and
-/// counters are bit-identical to the unrecorded run.
-///
-/// # Errors
-///
-/// Returns an error if any configuration fails validation, or a
-/// simulation invariant breaks mid-run.
-pub fn run_supervised_recorded(
-    cfg: ServerConfig,
-    mech: &dyn Mechanism,
-    plan: Option<FaultPlan>,
-    sup: SupervisorConfig,
-    recorder_capacity: usize,
-) -> Result<RunResult, SprintError> {
-    let mut server = Server::with_supervision(cfg, mech, plan, sup)?;
-    server.attach_recorder(recorder_capacity);
-    server.run()
-}
-
-/// Convenience: [`run_supervised_recorded`] with causal tracing
-/// enabled (as node 0), so the returned telemetry carries sprint
-/// spans and cause links alongside the plain event stream. Tracing is
-/// observation-only — records and counters are bit-identical to the
-/// recorded-but-untraced run.
-///
-/// # Errors
-///
-/// Returns an error if any configuration fails validation, or a
-/// simulation invariant breaks mid-run.
-pub fn run_supervised_traced(
-    cfg: ServerConfig,
-    mech: &dyn Mechanism,
-    plan: Option<FaultPlan>,
-    sup: SupervisorConfig,
-    recorder_capacity: usize,
-) -> Result<RunResult, SprintError> {
-    let mut server = Server::with_supervision(cfg, mech, plan, sup)?;
-    server.attach_recorder(recorder_capacity);
-    server.enable_tracing(0);
-    server.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1783,7 +1697,9 @@ mod tests {
     #[test]
     fn no_sprint_run_matches_service_rate() {
         let mech = Dvfs::new();
-        let r = run(base_cfg(SprintPolicy::never(), 0.3, 300, 11), &mech).unwrap();
+        let r = Server::new(base_cfg(SprintPolicy::never(), 0.3, 300, 11), &mech)
+            .and_then(Server::run)
+            .unwrap();
         // Mean processing time should be near 1/µ = 70.6 s (plus small
         // dispatch overhead).
         let proc = r.mean_processing_secs();
@@ -1795,7 +1711,9 @@ mod tests {
     #[test]
     fn always_sprint_approaches_marginal_rate() {
         let mech = Dvfs::new();
-        let r = run(base_cfg(SprintPolicy::always(), 0.3, 300, 12), &mech).unwrap();
+        let r = Server::new(base_cfg(SprintPolicy::always(), 0.3, 300, 12), &mech)
+            .and_then(Server::run)
+            .unwrap();
         let speedup = mech.marginal_speedup(WorkloadKind::Jacobi);
         let expect = 70.6 / speedup;
         let proc = r.mean_processing_secs();
@@ -1814,23 +1732,33 @@ mod tests {
             BudgetSpec::FractionOfRefill(0.2),
             SimDuration::from_secs(200),
         );
-        let a = run(base_cfg(p, 0.7, 200, 99), &mech).unwrap();
-        let b = run(base_cfg(p, 0.7, 200, 99), &mech).unwrap();
+        let a = Server::new(base_cfg(p, 0.7, 200, 99), &mech)
+            .and_then(Server::run)
+            .unwrap();
+        let b = Server::new(base_cfg(p, 0.7, 200, 99), &mech)
+            .and_then(Server::run)
+            .unwrap();
         assert_eq!(a.records(), b.records());
     }
 
     #[test]
     fn different_seeds_differ() {
         let mech = Dvfs::new();
-        let a = run(base_cfg(SprintPolicy::never(), 0.7, 100, 1), &mech).unwrap();
-        let b = run(base_cfg(SprintPolicy::never(), 0.7, 100, 2), &mech).unwrap();
+        let a = Server::new(base_cfg(SprintPolicy::never(), 0.7, 100, 1), &mech)
+            .and_then(Server::run)
+            .unwrap();
+        let b = Server::new(base_cfg(SprintPolicy::never(), 0.7, 100, 2), &mech)
+            .and_then(Server::run)
+            .unwrap();
         assert_ne!(a.records(), b.records());
     }
 
     #[test]
     fn fifo_order_preserved() {
         let mech = Dvfs::new();
-        let r = run(base_cfg(SprintPolicy::never(), 0.9, 200, 5), &mech).unwrap();
+        let r = Server::new(base_cfg(SprintPolicy::never(), 0.9, 200, 5), &mech)
+            .and_then(Server::run)
+            .unwrap();
         let mut dispatches: Vec<(SimTime, SimTime)> = r
             .records()
             .iter()
@@ -1853,7 +1781,7 @@ mod tests {
         );
         let mut cfg = base_cfg(policy, 0.8, 150, 21);
         cfg.arrivals = ArrivalSpec::poisson(Rate::per_hour(14.8 * 0.8));
-        let r = run(cfg, &mech).unwrap();
+        let r = Server::new(cfg, &mech).and_then(Server::run).unwrap();
         // Count *meaningful* sprints: after the 60-second budget drains,
         // later queries can only grab the trickle the slow refill
         // provides, so few queries get substantial sprint time.
@@ -1887,7 +1815,7 @@ mod tests {
         );
         let mut cfg = base_cfg(policy, 0.2, 50, 31);
         cfg.arrivals = ArrivalSpec::poisson(Rate::per_hour(3.0));
-        let r = run(cfg, &mech).unwrap();
+        let r = Server::new(cfg, &mech).and_then(Server::run).unwrap();
         let first = r.records().iter().find(|q| q.sprinted).expect("a sprint");
         assert!(
             (first.sprint_seconds - 10.0).abs() < 0.5,
@@ -1907,7 +1835,9 @@ mod tests {
             BudgetSpec::Unlimited,
             SimDuration::from_secs(100),
         );
-        let r = run(base_cfg(policy, 0.75, 300, 41), &mech).unwrap();
+        let r = Server::new(base_cfg(policy, 0.75, 300, 41), &mech)
+            .and_then(Server::run)
+            .unwrap();
         for q in r.records() {
             if q.response_time().as_secs_f64() < 119.0 {
                 assert!(!q.timed_out, "fast query {} marked timed out", q.id);
@@ -1932,8 +1862,14 @@ mod tests {
             SimDuration::from_secs(200),
         );
         let mech2 = CpuThrottle::new(0.2);
-        let base = run(no_sprint, &mech).unwrap().mean_response_secs();
-        let fast = run(sprint, &mech2).unwrap().mean_response_secs();
+        let base = Server::new(no_sprint, &mech)
+            .and_then(Server::run)
+            .unwrap()
+            .mean_response_secs();
+        let fast = Server::new(sprint, &mech2)
+            .and_then(Server::run)
+            .unwrap()
+            .mean_response_secs();
         assert!(
             fast < base * 0.9,
             "sprinting should help: {fast:.0}s vs {base:.0}s"
@@ -1946,7 +1882,7 @@ mod tests {
         let mut cfg = base_cfg(SprintPolicy::always(), 0.5, 200, 61);
         cfg.slots = 4;
         cfg.arrivals = ArrivalSpec::poisson(Rate::per_hour(51.0 * 2.0));
-        let r = run(cfg, &mech).unwrap();
+        let r = Server::new(cfg, &mech).and_then(Server::run).unwrap();
         assert_eq!(r.records().len(), 200);
         // With 4 slots at 2X the single-server service rate, queueing
         // should be modest: mean response near processing time.
@@ -1972,7 +1908,7 @@ mod tests {
                 },
             ])
             .unwrap();
-        let r = run(cfg, &mech).unwrap();
+        let r = Server::new(cfg, &mech).and_then(Server::run).unwrap();
         let (mut calm, mut spike) = (0usize, 0usize);
         for q in r.records() {
             let t = q.arrival.as_secs_f64() % 2_000.0;
@@ -1994,7 +1930,7 @@ mod tests {
         let mech = Dvfs::new();
         let mut cfg = base_cfg(SprintPolicy::never(), 0.5, 200, 71);
         cfg.arrivals = ArrivalSpec::pareto(Rate::per_hour(25.0), 0.5);
-        let r = run(cfg, &mech).unwrap();
+        let r = Server::new(cfg, &mech).and_then(Server::run).unwrap();
         assert_eq!(r.records().len(), 200);
     }
 
@@ -2028,8 +1964,12 @@ mod tests {
     #[test]
     fn noop_plan_is_bit_identical_to_no_plan() {
         let mech = Dvfs::new();
-        let clean = run(sprint_cfg(200, 99), &mech).unwrap();
-        let faulted = run_with_faults(sprint_cfg(200, 99), &mech, FaultPlan::default()).unwrap();
+        let clean = Server::new(sprint_cfg(200, 99), &mech)
+            .and_then(Server::run)
+            .unwrap();
+        let faulted = Server::with_faults(sprint_cfg(200, 99), &mech, FaultPlan::default())
+            .and_then(Server::run)
+            .unwrap();
         assert_eq!(clean.records(), faulted.records());
         assert_eq!(faulted.fault_counters().total(), 0);
     }
@@ -2042,7 +1982,9 @@ mod tests {
             max_retries: 2,
             ..FaultPlan::default()
         };
-        let r = run_with_faults(sprint_cfg(150, 7), &mech, plan).unwrap();
+        let r = Server::with_faults(sprint_cfg(150, 7), &mech, plan)
+            .and_then(Server::run)
+            .unwrap();
         assert_eq!(r.records().len(), 150, "every query still completes");
         let c = r.fault_counters();
         assert!(c.slot_crashes > 0, "crash_prob 0.3 must fire");
@@ -2064,7 +2006,9 @@ mod tests {
             engage_failure_prob: 1.0,
             ..FaultPlan::default()
         };
-        let r = run_with_faults(sprint_cfg(200, 13), &mech, plan).unwrap();
+        let r = Server::with_faults(sprint_cfg(200, 13), &mech, plan)
+            .and_then(Server::run)
+            .unwrap();
         assert!(r.records().iter().all(|q| !q.sprinted));
         assert!(r.fault_counters().engage_failures > 0);
     }
@@ -2085,7 +2029,9 @@ mod tests {
             stuck_sprint_prob: 1.0,
             ..FaultPlan::default()
         };
-        let r = run_with_faults(cfg, &mech, plan).unwrap();
+        let r = Server::with_faults(cfg, &mech, plan)
+            .and_then(Server::run)
+            .unwrap();
         assert!(r.fault_counters().stuck_sprints > 0);
         let max_sprint = r
             .records()
@@ -2108,7 +2054,9 @@ mod tests {
             thermal_lockout_secs: 100.0,
             ..FaultPlan::default()
         };
-        let r = run_with_faults(cfg, &mech, plan).unwrap();
+        let r = Server::with_faults(cfg, &mech, plan)
+            .and_then(Server::run)
+            .unwrap();
         let c = r.fault_counters();
         assert!(c.thermal_unsprints > 0, "thermal events must fire");
         assert!(c.lockout_refusals > 0, "lockout must refuse engages");
@@ -2126,8 +2074,12 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let clean = run(base_cfg(SprintPolicy::never(), 0.3, 300, 17), &mech).unwrap();
-        let stormy = run_with_faults(cfg, &mech, plan).unwrap();
+        let clean = Server::new(base_cfg(SprintPolicy::never(), 0.3, 300, 17), &mech)
+            .and_then(Server::run)
+            .unwrap();
+        let stormy = Server::with_faults(cfg, &mech, plan)
+            .and_then(Server::run)
+            .unwrap();
         let clean_span = clean.records().last().unwrap().arrival.as_secs_f64();
         let stormy_span = stormy.records().last().unwrap().arrival.as_secs_f64();
         assert!(
@@ -2143,13 +2095,16 @@ mod tests {
         // never reached, watchdog never exceeded) must not perturb the
         // run: its extra watchdog events are pure observers.
         let mech = Dvfs::new();
-        let clean = run(sprint_cfg(200, 99), &mech).unwrap();
-        let supervised = run_supervised(
+        let clean = Server::new(sprint_cfg(200, 99), &mech)
+            .and_then(Server::run)
+            .unwrap();
+        let supervised = Server::with_supervision(
             sprint_cfg(200, 99),
             &mech,
             None,
             crate::supervision::SupervisorConfig::default(),
         )
+        .and_then(Server::run)
         .unwrap();
         assert_eq!(clean.records(), supervised.records());
         assert_eq!(supervised.recovery_counters().total(), 0);
@@ -2174,7 +2129,9 @@ mod tests {
             watchdog_secs: 20.0,
             ..Default::default()
         };
-        let r = run_supervised(cfg, &mech, Some(plan), sup).unwrap();
+        let r = Server::with_supervision(cfg, &mech, Some(plan), sup)
+            .and_then(Server::run)
+            .unwrap();
         assert!(r.recovery_counters().forced_unsprints > 0);
         let max_sprint = r
             .records()
@@ -2212,7 +2169,9 @@ mod tests {
             drain_watermark: 100,
             ..Default::default()
         };
-        let r = run_supervised(cfg, &mech, Some(plan), sup).unwrap();
+        let r = Server::with_supervision(cfg, &mech, Some(plan), sup)
+            .and_then(Server::run)
+            .unwrap();
         let rec = r.recovery_counters();
         assert_eq!(rec.quarantines, 1, "the bad slot must be quarantined");
         assert_eq!(
@@ -2238,7 +2197,9 @@ mod tests {
             ..FaultPlan::default()
         };
         let sup = crate::supervision::SupervisorConfig::default();
-        let r = run_supervised(cfg, &mech, Some(plan), sup).unwrap();
+        let r = Server::with_supervision(cfg, &mech, Some(plan), sup)
+            .and_then(Server::run)
+            .unwrap();
         let rec = r.recovery_counters();
         assert!(
             rec.turned_away() > 0,
@@ -2273,8 +2234,12 @@ mod tests {
             watchdog_secs: 60.0,
             ..Default::default()
         };
-        let a = run_supervised(cfg.clone(), &mech, Some(plan.clone()), sup).unwrap();
-        let b = run_supervised(cfg, &mech, Some(plan), sup).unwrap();
+        let a = Server::with_supervision(cfg.clone(), &mech, Some(plan.clone()), sup)
+            .and_then(Server::run)
+            .unwrap();
+        let b = Server::with_supervision(cfg, &mech, Some(plan), sup)
+            .and_then(Server::run)
+            .unwrap();
         assert_eq!(a.records(), b.records());
         assert_eq!(a.recovery_counters(), b.recovery_counters());
         assert_eq!(a.fault_counters(), b.fault_counters());
@@ -2294,8 +2259,12 @@ mod tests {
             thermal_lockout_secs: 60.0,
             ..FaultPlan::default()
         };
-        let a = run_with_faults(sprint_cfg(200, 3), &mech, plan.clone()).unwrap();
-        let b = run_with_faults(sprint_cfg(200, 3), &mech, plan).unwrap();
+        let a = Server::with_faults(sprint_cfg(200, 3), &mech, plan.clone())
+            .and_then(Server::run)
+            .unwrap();
+        let b = Server::with_faults(sprint_cfg(200, 3), &mech, plan)
+            .and_then(Server::run)
+            .unwrap();
         assert_eq!(a.records(), b.records());
         assert_eq!(a.fault_counters().total(), b.fault_counters().total());
     }

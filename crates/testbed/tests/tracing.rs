@@ -14,8 +14,7 @@ use mechanisms::Dvfs;
 use obs::{FlightRecorder, SpanKind, TraceGraph};
 use simcore::time::{Rate, SimDuration};
 use testbed::{
-    run_supervised, run_supervised_recorded, run_supervised_traced, ArrivalSpec, BudgetSpec,
-    ServerConfig, SprintPolicy, SupervisorConfig,
+    ArrivalSpec, BudgetSpec, RunResult, Server, ServerConfig, SprintPolicy, SupervisorConfig,
 };
 use workloads::{QueryMix, WorkloadKind};
 
@@ -54,27 +53,27 @@ fn setup(seed: u64) -> (ServerConfig, FaultPlan, SupervisorConfig) {
     (cfg, plan, sup)
 }
 
+/// Runs `setup(seed)` supervised, with a flight recorder attached when
+/// `recorded` is set and causal tracing (as node 0) when `traced` is.
+fn observed_run(seed: u64, recorded: bool, traced: bool) -> RunResult {
+    let (cfg, plan, sup) = setup(seed);
+    let mech = Dvfs::new();
+    let mut server = Server::with_supervision(cfg, &mech, Some(plan), sup).unwrap();
+    if recorded {
+        server.attach_recorder(FlightRecorder::DEFAULT_CAPACITY);
+    }
+    if traced {
+        server.enable_tracing(0);
+    }
+    server.run().unwrap()
+}
+
 #[test]
 fn disabled_tracing_is_byte_invisible() {
     for seed in [3u64, 17, 91] {
-        let (cfg, plan, sup) = setup(seed);
-        let plain = run_supervised(cfg.clone(), &Dvfs::new(), Some(plan.clone()), sup).unwrap();
-        let recorded = run_supervised_recorded(
-            cfg.clone(),
-            &Dvfs::new(),
-            Some(plan.clone()),
-            sup,
-            FlightRecorder::DEFAULT_CAPACITY,
-        )
-        .unwrap();
-        let traced = run_supervised_traced(
-            cfg,
-            &Dvfs::new(),
-            Some(plan),
-            sup,
-            FlightRecorder::DEFAULT_CAPACITY,
-        )
-        .unwrap();
+        let plain = observed_run(seed, false, false);
+        let recorded = observed_run(seed, true, false);
+        let traced = observed_run(seed, true, true);
         for (label, run) in [("recorded", &recorded), ("traced", &traced)] {
             assert_eq!(
                 plain.records(),
@@ -102,24 +101,8 @@ fn disabled_tracing_is_byte_invisible() {
 
 #[test]
 fn traced_replay_is_bit_identical_and_carries_spans() {
-    let (cfg, plan, sup) = setup(17);
-    let mech = Dvfs::new();
-    let run = run_supervised_traced(
-        cfg.clone(),
-        &mech,
-        Some(plan.clone()),
-        sup,
-        FlightRecorder::DEFAULT_CAPACITY,
-    )
-    .unwrap();
-    let replay = run_supervised_traced(
-        cfg,
-        &mech,
-        Some(plan),
-        sup,
-        FlightRecorder::DEFAULT_CAPACITY,
-    )
-    .unwrap();
+    let run = observed_run(17, true, true);
+    let replay = observed_run(17, true, true);
     assert_eq!(
         run.telemetry(),
         replay.telemetry(),

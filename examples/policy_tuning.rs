@@ -11,7 +11,7 @@ use model_sprint::policy::{adrenaline_timeout, explore_timeout, few_to_many_time
 use model_sprint::prelude::*;
 use model_sprint::profiler::Condition;
 use model_sprint::simcore::dist::DistKind;
-use model_sprint::testbed::{ArrivalSpec, BudgetSpec, ServerConfig};
+use model_sprint::testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig};
 
 fn main() -> Result<(), model_sprint::simcore::SprintError> {
     // §4.3's setup: Jacobi throttled to 20% (sustained 14.8 qph,
@@ -55,7 +55,7 @@ fn main() -> Result<(), model_sprint::simcore::SprintError> {
     let observe = |timeout_secs: f64| -> f64 {
         let mut c = base;
         c.timeout_secs = timeout_secs;
-        model_sprint::testbed::server::run(
+        Server::new(
             ServerConfig {
                 mix: mix.clone(),
                 arrivals: ArrivalSpec::poisson(data.profile.mu.scale(c.utilization)),
@@ -71,6 +71,7 @@ fn main() -> Result<(), model_sprint::simcore::SprintError> {
             },
             &mech,
         )
+        .and_then(Server::run)
         .expect("validation config is valid")
         .mean_response_secs()
     };

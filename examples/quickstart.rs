@@ -9,7 +9,7 @@
 use model_sprint::prelude::*;
 use model_sprint::profiler::Condition;
 use model_sprint::simcore::dist::DistKind;
-use model_sprint::testbed::{ArrivalSpec, BudgetSpec, ServerConfig};
+use model_sprint::testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig};
 
 fn main() -> Result<(), model_sprint::simcore::SprintError> {
     // 1. The system under study: Jacobi on the DVFS platform.
@@ -49,7 +49,7 @@ fn main() -> Result<(), model_sprint::simcore::SprintError> {
 
     // 5. Validate against the ground truth (normally unavailable —
     //    that is the point of the model).
-    let observed = model_sprint::testbed::server::run(
+    let observed = Server::new(
         ServerConfig {
             mix,
             arrivals: ArrivalSpec::poisson(data.profile.mu.scale(question.utilization)),
@@ -65,6 +65,7 @@ fn main() -> Result<(), model_sprint::simcore::SprintError> {
         },
         &mech,
     )?
+    .run()?
     .mean_response_secs();
     println!(
         "observed on the testbed: {observed:.1} s  ->  error {:.1}%",

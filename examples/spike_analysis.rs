@@ -17,7 +17,7 @@ use model_sprint::profiler::Condition;
 use model_sprint::simcore::dist::DistKind;
 use model_sprint::sprint_core::ArrivalRateEstimator;
 use model_sprint::testbed::trace;
-use model_sprint::testbed::{ArrivalSpec, BudgetSpec, ServerConfig};
+use model_sprint::testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig};
 
 fn main() -> Result<(), model_sprint::simcore::SprintError> {
     let mech = CpuThrottle::new(0.2);
@@ -39,7 +39,7 @@ fn main() -> Result<(), model_sprint::simcore::SprintError> {
         seed: 2718,
     };
     println!("replaying a spiky hour-long pattern on the testbed ...");
-    let result = model_sprint::testbed::server::run(cfg, &mech)?;
+    let result = Server::new(cfg, &mech)?.run()?;
     println!(
         "overall mean response {:.0} s; p99 {:.0} s; {} queries sprinted",
         result.mean_response_secs(),

@@ -36,12 +36,12 @@ run ./target/release/reactor_replay --smoke > /dev/null
 run ./target/release/reactor_replay --fleet-smoke > /dev/null
 run ./target/release/fleet_report > /dev/null
 
-# Bounded chaos smoke sweep: fixed seeds, full grid, a few seconds.
-# Runs the fleet scenarios (coordinator crash mid-sprint-wave,
-# split-brain, lease-renewal storm) before the randomized sweep. Exits
-# non-zero on any recovery- or fleet-invariant violation or any cell
-# where supervision fails to improve SLO attainment. (The fixed-seed
-# single-node message-fault scenarios moved to the TOML catalog below.)
+# Bounded chaos smoke sweep: randomized fault plans at fixed seeds over
+# the full (workload, mechanism, policy) grid, under a second. Exits
+# non-zero on any recovery-invariant violation or any cell where
+# supervision fails to improve SLO attainment. (The fixed-seed
+# scenarios, single-node message faults and the fleet coordinator
+# crash, split-brain and renewal storm, are in the TOML catalog below.)
 run ./target/release/chaos_sweep --seeds 8 > /dev/null
 
 # Prediction fast-path gate: asserts fast/reference bit-identity, the
@@ -60,21 +60,17 @@ run ./target/release/perf_smoke
 # registered metric family is missing from the report or never fired.
 run ./target/release/sprint_report --seed 181 > /dev/null
 
-# Root-cause tracing gate: reruns the fixed-seed chaos scenarios (three
-# single-node message-fault scenarios plus the fleet split-brain) with
-# causal tracing enabled, reconstructs each causal chain from the
-# recorded spans, and exits non-zero unless every scenario's trace is
-# bit-identical across replay and dominated by its documented root
-# cause (message-drop, message-delay, partition, partition).
-run ./target/release/trace_report --smoke > /dev/null
-
 # Scenario catalog gate: executes every scenarios/*.toml file (strict
-# parse, unknown keys rejected) at its committed seed and evaluates
-# the machine-checked invariants — conservation, replay bit-identity,
-# metric/SLO bounds, budget conservation, clean-twin watchdog bounds,
-# root-cause recovery, cloning fast-vs-reference bit-identity. Exits
-# non-zero if any scenario violates any invariant.
-run ./target/release/scenario_run --smoke > /dev/null
+# parse, unknown keys rejected) at its committed seed, and every
+# cross_seed scenario (the fleet coordinator crash, split-brain,
+# renewal storm and flash crowd among them) at 7 more offset seeds, and
+# evaluates the machine-checked invariants — conservation, replay
+# bit-identity, fleet invariants, metric/SLO bounds and fault
+# signatures, budget conservation, clean-twin watchdog bounds,
+# root-cause recovery from the causal trace, cloning fast-vs-reference
+# bit-identity. Exits non-zero if any scenario violates any invariant.
+# `scenario_run --trace <name>` prints one scenario's causal chains.
+run ./target/release/scenario_run --smoke --seeds 8 > /dev/null
 
 # Paper-parity gate: re-measures every anchored figure relation against
 # the committed golden values (crates/conformance/golden/anchors.json),

@@ -4,7 +4,7 @@
 
 use model_sprint::prelude::*;
 use model_sprint::simcore::dist::{Dist, DistKind};
-use model_sprint::testbed::{trace, ArrivalSpec, BudgetSpec, ServerConfig};
+use model_sprint::testbed::{trace, ArrivalSpec, BudgetSpec, Server, ServerConfig};
 
 #[test]
 fn multiclass_prefers_sprinting_the_elastic_class() {
@@ -75,7 +75,9 @@ fn online_estimator_tracks_a_spiky_testbed_run() {
         warmup: 0,
         seed: 41,
     };
-    let result = model_sprint::testbed::server::run(cfg, &mech).expect("valid spiky config");
+    let result = Server::new(cfg, &mech)
+        .and_then(Server::run)
+        .expect("valid spiky config");
 
     let mut est = ArrivalRateEstimator::new(7_200.0, 10);
     for q in result.records() {
@@ -106,7 +108,9 @@ fn trace_export_round_trips_a_real_run() {
         warmup: 0,
         seed: 31,
     };
-    let result = model_sprint::testbed::server::run(cfg, &mech).expect("valid trace config");
+    let result = Server::new(cfg, &mech)
+        .and_then(Server::run)
+        .expect("valid trace config");
     let csv = trace::to_csv(result.records());
     assert_eq!(csv.lines().count(), 61, "header + one row per query");
     // Sanity on content: ids sequential, responses positive.

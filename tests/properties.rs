@@ -7,8 +7,7 @@ use model_sprint::prelude::*;
 use model_sprint::simcore::dist::{Dist, DistKind};
 use model_sprint::simcore::stats::StreamingStats;
 use model_sprint::simcore::SimRng;
-use model_sprint::testbed::server::{run, run_supervised, run_with_faults};
-use model_sprint::testbed::{ArrivalSpec, BudgetSpec, ServerConfig};
+use model_sprint::testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig};
 
 /// Every distribution's sample mean tracks its configured mean.
 #[test]
@@ -100,7 +99,9 @@ fn testbed_budget_and_fifo_invariants() {
             warmup: 0,
             seed: rng.next_u64() % 200,
         };
-        let r = run(cfg, &mech).expect("randomized config is valid");
+        let r = Server::new(cfg, &mech)
+            .and_then(Server::run)
+            .expect("randomized config is valid");
         assert_eq!(r.records().len(), 150);
 
         let mut by_arrival: Vec<_> = r.records().to_vec();
@@ -239,8 +240,12 @@ fn faulted_runs_replay_bit_identically() {
             partitions: Vec::new(),
         },
     };
-    let a = run_with_faults(sprint_cfg(250, 17), &mech, plan.clone()).unwrap();
-    let b = run_with_faults(sprint_cfg(250, 17), &mech, plan.clone()).unwrap();
+    let a = Server::with_faults(sprint_cfg(250, 17), &mech, plan.clone())
+        .and_then(Server::run)
+        .unwrap();
+    let b = Server::with_faults(sprint_cfg(250, 17), &mech, plan.clone())
+        .and_then(Server::run)
+        .unwrap();
     assert_eq!(a.records(), b.records());
     assert_eq!(a.fault_counters(), b.fault_counters());
     assert!(
@@ -250,8 +255,9 @@ fn faulted_runs_replay_bit_identically() {
     );
     // A different fault seed on the same config must diverge — the
     // counters are real, not replayed coincidence.
-    let other =
-        run_with_faults(sprint_cfg(250, 17), &mech, FaultPlan { seed: 12, ..plan }).unwrap();
+    let other = Server::with_faults(sprint_cfg(250, 17), &mech, FaultPlan { seed: 12, ..plan })
+        .and_then(Server::run)
+        .unwrap();
     assert_ne!(a.records(), other.records());
 }
 
@@ -260,8 +266,12 @@ fn faulted_runs_replay_bit_identically() {
 #[test]
 fn empty_fault_plan_output_is_byte_identical() {
     let mech = Dvfs::new();
-    let clean = run(sprint_cfg(200, 41), &mech).unwrap();
-    let noop = run_with_faults(sprint_cfg(200, 41), &mech, FaultPlan::default()).unwrap();
+    let clean = Server::new(sprint_cfg(200, 41), &mech)
+        .and_then(Server::run)
+        .unwrap();
+    let noop = Server::with_faults(sprint_cfg(200, 41), &mech, FaultPlan::default())
+        .and_then(Server::run)
+        .unwrap();
     assert_eq!(clean.records(), noop.records());
     // Byte-level: the rendered record streams match exactly.
     assert_eq!(
@@ -278,7 +288,9 @@ fn empty_fault_plan_output_is_byte_identical() {
 fn budget_drift_trips_breaker_and_fallback_tail_is_bounded() {
     let mech = Dvfs::new();
     // Predictions: what a healthy sprinting server delivers.
-    let predicted = run(sprint_cfg(400, 21), &mech).unwrap();
+    let predicted = Server::new(sprint_cfg(400, 21), &mech)
+        .and_then(Server::run)
+        .unwrap();
     // Observations: the same server, but the budget sensor reads
     // empty, so it never sprints and responses inflate.
     let plan = FaultPlan {
@@ -286,7 +298,9 @@ fn budget_drift_trips_breaker_and_fallback_tail_is_bounded() {
         budget_drift_secs: -1e9,
         ..FaultPlan::default()
     };
-    let observed = run_with_faults(sprint_cfg(400, 21), &mech, plan).unwrap();
+    let observed = Server::with_faults(sprint_cfg(400, 21), &mech, plan)
+        .and_then(Server::run)
+        .unwrap();
 
     let mut monitor = ModelHealthMonitor::new(BreakerConfig {
         window: 64,
@@ -314,8 +328,12 @@ fn budget_drift_trips_breaker_and_fallback_tail_is_bounded() {
 
     // The tripped breaker's fallback is the no-sprint policy: its tail
     // must stay within 2X of an honest no-sprint baseline.
-    let fallback = run(no_sprint_cfg(400, 33), &mech).unwrap();
-    let baseline = run(no_sprint_cfg(400, 77), &mech).unwrap();
+    let fallback = Server::new(no_sprint_cfg(400, 33), &mech)
+        .and_then(Server::run)
+        .unwrap();
+    let baseline = Server::new(no_sprint_cfg(400, 77), &mech)
+        .and_then(Server::run)
+        .unwrap();
     let fallback_p99 = fallback.response_quantile_secs(0.99);
     let baseline_p99 = baseline.response_quantile_secs(0.99);
     assert!(
@@ -449,7 +467,9 @@ fn watchdog_force_unsprints_stuck_sprints() {
         watchdog_secs: 15.0,
         ..SupervisorConfig::default()
     };
-    let supervised = run_supervised(sprint_cfg(300, 5), &mech, Some(plan.clone()), sup).unwrap();
+    let supervised = Server::with_supervision(sprint_cfg(300, 5), &mech, Some(plan.clone()), sup)
+        .and_then(Server::run)
+        .unwrap();
     let slack = 2.0;
     let max_sprint = |r: &model_sprint::testbed::RunResult| {
         r.records()
@@ -465,7 +485,9 @@ fn watchdog_force_unsprints_stuck_sprints() {
         max_sprint(&supervised) <= sup.watchdog_secs + slack,
         "supervised sprints stay under the watchdog deadline"
     );
-    let unsupervised = run_with_faults(sprint_cfg(300, 5), &mech, plan).unwrap();
+    let unsupervised = Server::with_faults(sprint_cfg(300, 5), &mech, plan)
+        .and_then(Server::run)
+        .unwrap();
     assert!(
         max_sprint(&unsupervised) > sup.watchdog_secs + slack,
         "the same plan unsupervised must exceed the deadline, or the \
@@ -498,7 +520,9 @@ fn flaky_slot_is_quarantined_after_configured_crashes() {
         drain_watermark: 250,
         ..SupervisorConfig::default()
     };
-    let r = run_supervised(cfg, &mech, Some(plan), sup).unwrap();
+    let r = Server::with_supervision(cfg, &mech, Some(plan), sup)
+        .and_then(Server::run)
+        .unwrap();
     let rec = r.recovery_counters();
     assert_eq!(rec.quarantines, 1, "exactly the bad slot is quarantined");
     assert!(
@@ -529,7 +553,9 @@ fn crash_requeue_preserves_fifo_order() {
         drain_watermark: 250,
         ..SupervisorConfig::default()
     };
-    let r = run_supervised(sprint_cfg(200, 3), &mech, Some(plan), sup).unwrap();
+    let r = Server::with_supervision(sprint_cfg(200, 3), &mech, Some(plan), sup)
+        .and_then(Server::run)
+        .unwrap();
     assert!(
         r.records().iter().any(|q| q.retries > 0),
         "crash_prob 0.3 must requeue something"
@@ -569,7 +595,9 @@ fn admission_ladder_shed_and_reject_accounting() {
         drain_watermark: 2,
         ..SupervisorConfig::default()
     };
-    let r = run_supervised(sprint_cfg(400, 29), &mech, Some(plan), sup).unwrap();
+    let r = Server::with_supervision(sprint_cfg(400, 29), &mech, Some(plan), sup)
+        .and_then(Server::run)
+        .unwrap();
     let rec = r.recovery_counters();
     assert!(
         rec.shed_queries > 0,

@@ -9,8 +9,7 @@ use model_sprint::mechanisms::{Dvfs, Mechanism};
 use model_sprint::obs::{Histogram, HISTOGRAM_BUCKETS};
 use model_sprint::simcore::time::SimDuration;
 use model_sprint::testbed::{
-    run_supervised, run_supervised_recorded, ArrivalSpec, BudgetSpec, ServerConfig, SprintPolicy,
-    SupervisorConfig,
+    ArrivalSpec, BudgetSpec, RunResult, Server, ServerConfig, SprintPolicy, SupervisorConfig,
 };
 use model_sprint::workloads::{QueryMix, WorkloadKind};
 
@@ -47,6 +46,19 @@ fn scenario(seed: u64, num_queries: usize) -> (ServerConfig, FaultPlan) {
     (cfg, plan)
 }
 
+/// Runs the scenario supervised with a flight recorder of `capacity`
+/// events attached.
+fn recorded_run(
+    cfg: ServerConfig,
+    mech: &Dvfs,
+    plan: FaultPlan,
+    capacity: usize,
+) -> Result<RunResult, model_sprint::simcore::SprintError> {
+    let mut server = Server::with_supervision(cfg, mech, Some(plan), SupervisorConfig::default())?;
+    server.attach_recorder(capacity);
+    server.run()
+}
+
 /// Attaching the recorder — with the metrics registry enabled on top —
 /// must not perturb a single bit of the run's results: telemetry is a
 /// pure observer.
@@ -55,17 +67,16 @@ fn recorded_run_is_byte_identical_to_pristine() {
     for seed in [3u64, 17, 91] {
         let mech = Dvfs::new();
         let (cfg, plan) = scenario(seed, 120);
-        let pristine = run_supervised(
+        let pristine = Server::with_supervision(
             cfg.clone(),
             &mech,
             Some(plan.clone()),
             SupervisorConfig::default(),
         )
+        .and_then(Server::run)
         .expect("pristine run");
         model_sprint::obs::set_enabled(true);
-        let recorded =
-            run_supervised_recorded(cfg, &mech, Some(plan), SupervisorConfig::default(), 1024)
-                .expect("recorded run");
+        let recorded = recorded_run(cfg, &mech, plan, 1024).expect("recorded run");
         model_sprint::obs::set_enabled(false);
 
         assert_eq!(pristine.records(), recorded.records(), "seed {seed}");
@@ -90,14 +101,7 @@ fn recorder_stays_bounded_under_arrival_storm() {
     let mech = Dvfs::new();
     let (cfg, plan) = scenario(7, 260);
     let capacity = 32;
-    let run = run_supervised_recorded(
-        cfg,
-        &mech,
-        Some(plan),
-        SupervisorConfig::default(),
-        capacity,
-    )
-    .expect("stormy run");
+    let run = recorded_run(cfg, &mech, plan, capacity).expect("stormy run");
     let t = run.telemetry().expect("telemetry attached");
     assert_eq!(t.capacity(), capacity);
     assert!(t.events().len() <= capacity);
@@ -163,8 +167,7 @@ fn replay_reproduces_identical_event_log() {
     let mech = Dvfs::new();
     let run = |seed| {
         let (cfg, plan) = scenario(seed, 150);
-        run_supervised_recorded(cfg, &mech, Some(plan), SupervisorConfig::default(), 512)
-            .expect("recorded run")
+        recorded_run(cfg, &mech, plan, 512).expect("recorded run")
     };
     for seed in [5u64, 41] {
         let a = run(seed);
