@@ -39,7 +39,13 @@ fn build_spec(seed: u64, nodes: u32) -> Result<FleetSpec, SprintError> {
 fn run() -> Result<bool, SprintError> {
     let args = Args::parse();
     let seed = args.get_usize("seed", 42)? as u64;
-    let nodes = args.get_usize("nodes", 24)? as u32;
+    let nodes = args.get_usize("nodes", 24)?;
+    let nodes = u32::try_from(nodes).map_err(|_| {
+        SprintError::invalid(
+            "fleet_report --nodes",
+            format!("{nodes} nodes is out of range"),
+        )
+    })?;
     let spec = build_spec(seed, nodes)?;
     eprintln!(
         "fleet_report: {nodes} nodes, seed {seed}, budget {} sprinters, \

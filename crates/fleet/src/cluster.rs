@@ -649,14 +649,7 @@ impl<'m> Cluster<'m> {
         let c = spec.coordinators;
         let mut servers = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let node = spec.node_spec(i)?;
-            let mut server = match (&node.plan, &node.supervisor) {
-                (None, None) => Server::new(node.cfg.clone(), mech)?,
-                (Some(plan), None) => Server::with_faults(node.cfg.clone(), mech, plan.clone())?,
-                (plan, Some(sup)) => {
-                    Server::with_supervision(node.cfg.clone(), mech, plan.clone(), *sup)?
-                }
-            };
+            let mut server = spec.node_spec(i)?.into_server(mech)?;
             if journaled {
                 server.enable_journal();
             }

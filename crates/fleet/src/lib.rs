@@ -32,4 +32,4 @@ pub use cluster::{
     FleetViolation, LeaseStats,
 };
 pub use plan::{plan_fleet, FleetPlan, NodePlan};
-pub use spec::{CoordinatorCrash, FleetFaults, FleetPartition, FleetSpec, FLEET_SPEC_VERSION};
+pub use spec::{CoordinatorCrash, FleetFaults, FleetPartition, FleetSpec};

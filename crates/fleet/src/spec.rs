@@ -1,4 +1,4 @@
-//! Serializable fleet specifications.
+//! Fleet specifications.
 //!
 //! A [`FleetSpec`] captures everything that determines a fleet run: the
 //! cluster shape (nodes, coordinators, shared sprint budget), the lease
@@ -6,12 +6,11 @@
 //! control-plane fault model. Like the single-node [`RunSpec`], a fleet
 //! run is a pure function of its spec — one root seed fans out through
 //! the entropy tower to the load balancer, the control-plane network,
-//! every node agent, and every embedded server — so persisting the spec
-//! beside the merged journal is enough to replay the whole fleet
-//! bit-identically.
+//! every node agent, and every embedded server — so the same spec
+//! always replays the whole fleet bit-identically. A fleet scenario
+//! plan compiles to a spec; a journal file stores the plan.
 
 use faults::MessageFaults;
-use simcore::json::Json;
 use simcore::rng::SimRng;
 use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
@@ -22,9 +21,23 @@ use mechanisms::MechanismKind;
 use reactor::entropy::{ns, EntropyTower};
 use workloads::{QueryMix, WorkloadKind};
 
-/// Format version stamped into serialized fleet specs; bumped on
-/// breaking schema changes so stale recordings fail loudly.
-pub const FLEET_SPEC_VERSION: u64 = 1;
+/// Most nodes one fleet takes: a hundred times the largest fleet the
+/// workspace runs. Every node's server is allocated up front, so a
+/// larger count read from a scenario file must fail typed instead of
+/// aborting the process on the allocation.
+pub const MAX_NODES: u32 = 10_000;
+
+/// Rejects an empty fleet and one past [`MAX_NODES`].
+fn require_node_count(nodes: u32) -> Result<(), SprintError> {
+    SprintError::require_nonzero("FleetSpec::nodes", nodes as usize)?;
+    if nodes > MAX_NODES {
+        return Err(SprintError::invalid(
+            "FleetSpec::nodes",
+            format!("at most {MAX_NODES} nodes, got {nodes}"),
+        ));
+    }
+    Ok(())
+}
 
 /// A scheduled coordinator crash (and optional repair).
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +89,7 @@ pub struct FleetFaults {
     pub coordinator_crashes: Vec<CoordinatorCrash>,
 }
 
-/// A complete, serializable description of one fleet run.
+/// A complete description of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     /// Root seed; every stream in the run derives from it.
@@ -127,8 +140,13 @@ impl FleetSpec {
     /// coordinators, and a shared budget from the AWS T2.small policy
     /// via [`cloud::BurstablePolicy::fleet_sprint_budget`]. The
     /// timing constants keep failover well inside a lease duration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SprintError::InvalidConfig`] on zero nodes or more
+    /// than [`MAX_NODES`].
     pub fn small(seed: u64, nodes: u32) -> Result<FleetSpec, SprintError> {
-        SprintError::require_nonzero("FleetSpec::nodes", nodes as usize)?;
+        require_node_count(nodes)?;
         let aws = cloud::BurstablePolicy::aws_t2_small();
         let budget_power = aws.fleet_sprint_budget(nodes as usize)? as u32;
         let cfg = ServerConfig {
@@ -169,14 +187,14 @@ impl FleetSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SprintError::InvalidConfig`] on an empty cluster,
-    /// a zero budget, timing constants that break the failover
-    /// ordering (`step_down_secs < election_secs`,
+    /// Returns [`SprintError::InvalidConfig`] on an empty cluster or
+    /// one past [`MAX_NODES`], a zero budget, timing constants that
+    /// break the failover ordering (`step_down_secs < election_secs`,
     /// `renew_lead_secs < lease_secs`, `heartbeat_secs <
     /// election_secs`), out-of-range fault windows, or message faults
     /// carrying peer-level partitions.
     pub fn validate(&self) -> Result<(), SprintError> {
-        SprintError::require_nonzero("FleetSpec::nodes", self.nodes as usize)?;
+        require_node_count(self.nodes)?;
         SprintError::require_nonzero("FleetSpec::coordinators", self.coordinators as usize)?;
         SprintError::require_nonzero("FleetSpec::budget_power", self.budget_power as usize)?;
         SprintError::require_positive("FleetSpec::lease_secs", self.lease_secs)?;
@@ -335,178 +353,6 @@ impl FleetSpec {
         let _ = tower.stream(ns::FLEET_NODE);
         tower.stream(ns::FLEET_COORD).split(u64::from(c))
     }
-
-    /// Serializes the spec to a JSON value.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("version", Json::Num(FLEET_SPEC_VERSION as f64)),
-            ("seed", u64_str(self.seed)),
-            ("nodes", Json::Num(f64::from(self.nodes))),
-            ("coordinators", Json::Num(f64::from(self.coordinators))),
-            ("budget_power", Json::Num(f64::from(self.budget_power))),
-            ("lease_secs", Json::Num(self.lease_secs)),
-            ("renew_lead_secs", Json::Num(self.renew_lead_secs)),
-            ("heartbeat_secs", Json::Num(self.heartbeat_secs)),
-            ("step_down_secs", Json::Num(self.step_down_secs)),
-            ("election_secs", Json::Num(self.election_secs)),
-            ("retry_timeout_secs", Json::Num(self.retry_timeout_secs)),
-            ("backoff_base_secs", Json::Num(self.backoff_base_secs)),
-            ("backoff_cap_secs", Json::Num(self.backoff_cap_secs)),
-            ("arrivals_per_hour", Json::Num(self.arrivals_per_hour)),
-            ("queries_total", Json::Num(f64::from(self.queries_total))),
-            ("template", self.template.to_json()),
-            ("faults", faults_to_json(&self.faults)),
-        ])
-    }
-
-    /// Parses a spec back from [`FleetSpec::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SprintError::Parse`] on a missing/ill-typed field or
-    /// an unsupported version.
-    pub fn from_json(v: &Json) -> Result<FleetSpec, SprintError> {
-        let version = v.field("version")?.as_f64()? as u64;
-        if version != FLEET_SPEC_VERSION {
-            return Err(SprintError::Parse(format!(
-                "unsupported fleet spec version {version} (expected {FLEET_SPEC_VERSION})"
-            )));
-        }
-        Ok(FleetSpec {
-            seed: u64_of(v.field("seed")?, "fleet seed")?,
-            nodes: u32_of(v.field("nodes")?)?,
-            coordinators: u32_of(v.field("coordinators")?)?,
-            budget_power: u32_of(v.field("budget_power")?)?,
-            lease_secs: v.field("lease_secs")?.as_f64()?,
-            renew_lead_secs: v.field("renew_lead_secs")?.as_f64()?,
-            heartbeat_secs: v.field("heartbeat_secs")?.as_f64()?,
-            step_down_secs: v.field("step_down_secs")?.as_f64()?,
-            election_secs: v.field("election_secs")?.as_f64()?,
-            retry_timeout_secs: v.field("retry_timeout_secs")?.as_f64()?,
-            backoff_base_secs: v.field("backoff_base_secs")?.as_f64()?,
-            backoff_cap_secs: v.field("backoff_cap_secs")?.as_f64()?,
-            arrivals_per_hour: v.field("arrivals_per_hour")?.as_f64()?,
-            queries_total: u32_of(v.field("queries_total")?)?,
-            template: RunSpec::from_json(v.field("template")?)?,
-            faults: faults_from_json(v.field("faults")?)?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Encoding helpers (u64s as decimal strings, like testbed::spec).
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-}
-
-fn u64_str(x: u64) -> Json {
-    Json::Str(x.to_string())
-}
-
-fn u64_of(v: &Json, what: &str) -> Result<u64, SprintError> {
-    v.as_str()?
-        .parse::<u64>()
-        .map_err(|e| SprintError::Parse(format!("{what}: {e}")))
-}
-
-fn u32_of(v: &Json) -> Result<u32, SprintError> {
-    let x = v.as_f64()?;
-    if x < 0.0 || x.fract() != 0.0 || x > f64::from(u32::MAX) {
-        return Err(SprintError::Parse(format!("expected a u32 count, got {x}")));
-    }
-    Ok(x as u32)
-}
-
-fn faults_to_json(f: &FleetFaults) -> Json {
-    obj(vec![
-        (
-            "messages",
-            obj(vec![
-                ("delay_prob", Json::Num(f.messages.delay_prob)),
-                ("delay_secs", Json::Num(f.messages.delay_secs)),
-                ("drop_prob", Json::Num(f.messages.drop_prob)),
-                ("dup_prob", Json::Num(f.messages.dup_prob)),
-            ]),
-        ),
-        (
-            "partitions",
-            Json::Arr(
-                f.partitions
-                    .iter()
-                    .map(|p| {
-                        obj(vec![
-                            (
-                                "coords_a",
-                                Json::Arr(
-                                    p.coords_a
-                                        .iter()
-                                        .map(|&c| Json::Num(f64::from(c)))
-                                        .collect(),
-                                ),
-                            ),
-                            ("nodes_a_lo", Json::Num(f64::from(p.nodes_a_lo))),
-                            ("nodes_a_hi", Json::Num(f64::from(p.nodes_a_hi))),
-                            ("start_secs", Json::Num(p.start_secs)),
-                            ("duration_secs", Json::Num(p.duration_secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "coordinator_crashes",
-            Json::Arr(
-                f.coordinator_crashes
-                    .iter()
-                    .map(|c| {
-                        obj(vec![
-                            ("coordinator", Json::Num(f64::from(c.coordinator))),
-                            ("at_secs", Json::Num(c.at_secs)),
-                            ("repair_secs", Json::Num(c.repair_secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn faults_from_json(v: &Json) -> Result<FleetFaults, SprintError> {
-    let m = v.field("messages")?;
-    let mut partitions = Vec::new();
-    for item in v.field("partitions")?.as_arr()? {
-        let mut coords_a = Vec::new();
-        for c in item.field("coords_a")?.as_arr()? {
-            coords_a.push(u32_of(c)?);
-        }
-        partitions.push(FleetPartition {
-            coords_a,
-            nodes_a_lo: u32_of(item.field("nodes_a_lo")?)?,
-            nodes_a_hi: u32_of(item.field("nodes_a_hi")?)?,
-            start_secs: item.field("start_secs")?.as_f64()?,
-            duration_secs: item.field("duration_secs")?.as_f64()?,
-        });
-    }
-    let mut coordinator_crashes = Vec::new();
-    for item in v.field("coordinator_crashes")?.as_arr()? {
-        coordinator_crashes.push(CoordinatorCrash {
-            coordinator: u32_of(item.field("coordinator")?)?,
-            at_secs: item.field("at_secs")?.as_f64()?,
-            repair_secs: item.field("repair_secs")?.as_f64()?,
-        });
-    }
-    Ok(FleetFaults {
-        messages: MessageFaults {
-            delay_prob: m.field("delay_prob")?.as_f64()?,
-            delay_secs: m.field("delay_secs")?.as_f64()?,
-            drop_prob: m.field("drop_prob")?.as_f64()?,
-            dup_prob: m.field("dup_prob")?.as_f64()?,
-            partitions: Vec::new(),
-        },
-        partitions,
-        coordinator_crashes,
-    })
 }
 
 #[cfg(test)]
@@ -514,7 +360,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_spec_validates_and_round_trips() {
+    fn small_spec_validates() {
         let mut spec = FleetSpec::small(42, 8).expect("small fleet");
         spec.faults.messages.drop_prob = 0.25;
         spec.faults.messages.delay_prob = 0.25;
@@ -532,12 +378,6 @@ mod tests {
             repair_secs: 300.0,
         });
         spec.validate().expect("valid");
-        let text = spec.to_json().to_string_pretty();
-        let back = FleetSpec::from_json(&Json::parse(&text).expect("valid json")).expect("parses");
-        assert_eq!(text, back.to_json().to_string_pretty());
-        assert_eq!(back.seed, 42);
-        assert_eq!(back.nodes, 8);
-        assert_eq!(back.faults.partitions.len(), 1);
     }
 
     #[test]
@@ -583,6 +423,29 @@ mod tests {
             duration_secs: 1.0,
         });
         assert!(spec.validate().is_err());
+    }
+
+    /// Both constructors take [`MAX_NODES`] and reject one more; `small`
+    /// checks before sizing the query count, which would overflow `u32`
+    /// past 1,073,741,823 nodes.
+    #[test]
+    fn node_count_is_bounded() {
+        let mut spec = FleetSpec::small(1, MAX_NODES).expect("largest fleet");
+        spec.validate().expect("largest fleet validates");
+        for nodes in [MAX_NODES + 1, 2_000_000_000, u32::MAX] {
+            match FleetSpec::small(1, nodes) {
+                Err(SprintError::InvalidConfig { what, .. }) => {
+                    assert_eq!(what, "FleetSpec::nodes")
+                }
+                other => panic!("{nodes} nodes: {other:?}"),
+            }
+        }
+        spec.nodes = MAX_NODES + 1;
+        spec.queries_total = 4 * spec.nodes;
+        match spec.validate() {
+            Err(SprintError::InvalidConfig { what, .. }) => assert_eq!(what, "FleetSpec::nodes"),
+            other => panic!("validate: {other:?}"),
+        }
     }
 
     #[test]

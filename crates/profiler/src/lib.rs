@@ -13,8 +13,8 @@
 //!    ground truth that effective-sprint-rate calibration aligns
 //!    against.
 //!
-//! Profiles serialize to JSON so a profiling campaign (the paper's
-//! 7.2 hours per workload) can be reused across experiments.
+//! A campaign is a seeded function of its grid, so re-running it
+//! reproduces the same [`ProfileData`] bit for bit.
 
 pub mod features;
 pub mod grid;

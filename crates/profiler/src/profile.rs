@@ -2,14 +2,11 @@
 
 use crate::features::Condition;
 use mechanisms::Mechanism;
-use simcore::dist::DistKind;
 use simcore::time::Rate;
-use simcore::{Json, SprintError};
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use testbed::{ArrivalSpec, BudgetSpec, RunResult, Server, ServerConfig, SprintPolicy};
-use workloads::{QueryMix, WorkloadKind};
+use workloads::QueryMix;
 
 /// Per-(mix, mechanism) measurements the models consume.
 #[derive(Debug, Clone)]
@@ -53,186 +50,6 @@ pub struct ProfileData {
     pub profile: WorkloadProfile,
     /// Replayed conditions with observed response times.
     pub runs: Vec<ProfilingRun>,
-}
-
-impl ProfileData {
-    /// Serializes to pretty JSON at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SprintError::Io`] on write failure.
-    pub fn save(&self, path: &Path) -> Result<(), SprintError> {
-        std::fs::write(path, self.to_json().to_string_pretty())?;
-        Ok(())
-    }
-
-    /// Loads a campaign from JSON at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SprintError::Io`] on read failure and
-    /// [`SprintError::Parse`] on malformed or schema-violating JSON.
-    pub fn load(path: &Path) -> Result<ProfileData, SprintError> {
-        let json = std::fs::read_to_string(path)?;
-        ProfileData::from_json(&Json::parse(&json)?)
-    }
-
-    /// The JSON document form of the campaign.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("profile".into(), profile_to_json(&self.profile)),
-            (
-                "runs".into(),
-                Json::Arr(self.runs.iter().map(run_to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Rebuilds a campaign from its JSON document form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SprintError::Parse`] if the document does not match
-    /// the profiling schema.
-    pub fn from_json(json: &Json) -> Result<ProfileData, SprintError> {
-        let profile = profile_from_json(json.field("profile")?)?;
-        let runs = json
-            .field("runs")?
-            .as_arr()?
-            .iter()
-            .map(run_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ProfileData { profile, runs })
-    }
-}
-
-fn dist_kind_to_json(kind: DistKind) -> Json {
-    let (name, param) = match kind {
-        DistKind::Exponential => ("exponential", None),
-        DistKind::Deterministic => ("deterministic", None),
-        DistKind::Pareto { alpha } => ("pareto", Some(("alpha", alpha))),
-        DistKind::Lognormal { cov } => ("lognormal", Some(("cov", cov))),
-        DistKind::Hyperexponential { cov } => ("hyperexponential", Some(("cov", cov))),
-    };
-    let mut fields = vec![("kind".to_string(), Json::Str(name.into()))];
-    if let Some((k, v)) = param {
-        fields.push((k.to_string(), Json::Num(v)));
-    }
-    Json::Obj(fields)
-}
-
-fn dist_kind_from_json(json: &Json) -> Result<DistKind, SprintError> {
-    let name = json.field("kind")?.as_str()?;
-    match name {
-        "exponential" => Ok(DistKind::Exponential),
-        "deterministic" => Ok(DistKind::Deterministic),
-        "pareto" => Ok(DistKind::Pareto {
-            alpha: json.field("alpha")?.as_f64()?,
-        }),
-        "lognormal" => Ok(DistKind::Lognormal {
-            cov: json.field("cov")?.as_f64()?,
-        }),
-        "hyperexponential" => Ok(DistKind::Hyperexponential {
-            cov: json.field("cov")?.as_f64()?,
-        }),
-        other => Err(SprintError::Parse(format!(
-            "unknown distribution kind `{other}`"
-        ))),
-    }
-}
-
-fn condition_to_json(c: &Condition) -> Json {
-    Json::Obj(vec![
-        ("utilization".into(), Json::Num(c.utilization)),
-        ("arrival_kind".into(), dist_kind_to_json(c.arrival_kind)),
-        ("timeout_secs".into(), Json::Num(c.timeout_secs)),
-        ("budget_frac".into(), Json::Num(c.budget_frac)),
-        ("refill_secs".into(), Json::Num(c.refill_secs)),
-    ])
-}
-
-fn condition_from_json(json: &Json) -> Result<Condition, SprintError> {
-    Ok(Condition {
-        utilization: json.field("utilization")?.as_f64()?,
-        arrival_kind: dist_kind_from_json(json.field("arrival_kind")?)?,
-        timeout_secs: json.field("timeout_secs")?.as_f64()?,
-        budget_frac: json.field("budget_frac")?.as_f64()?,
-        refill_secs: json.field("refill_secs")?.as_f64()?,
-    })
-}
-
-fn run_to_json(run: &ProfilingRun) -> Json {
-    Json::Obj(vec![
-        ("condition".into(), condition_to_json(&run.condition)),
-        (
-            "observed_response_secs".into(),
-            Json::Num(run.observed_response_secs),
-        ),
-    ])
-}
-
-fn run_from_json(json: &Json) -> Result<ProfilingRun, SprintError> {
-    Ok(ProfilingRun {
-        condition: condition_from_json(json.field("condition")?)?,
-        observed_response_secs: json.field("observed_response_secs")?.as_f64()?,
-    })
-}
-
-fn profile_to_json(p: &WorkloadProfile) -> Json {
-    let mix = Json::Arr(
-        p.mix
-            .components()
-            .iter()
-            .map(|&(k, w)| {
-                Json::Obj(vec![
-                    ("kind".into(), Json::Str(k.name().into())),
-                    ("weight".into(), Json::Num(w)),
-                ])
-            })
-            .collect(),
-    );
-    Json::Obj(vec![
-        ("mix".into(), mix),
-        ("mechanism".into(), Json::Str(p.mechanism.clone())),
-        ("mu_qph".into(), Json::Num(p.mu.qph())),
-        ("mu_m_qph".into(), Json::Num(p.mu_m.qph())),
-        (
-            "service_samples_secs".into(),
-            Json::from_f64s(p.service_samples_secs.iter().copied()),
-        ),
-        ("profiling_hours".into(), Json::Num(p.profiling_hours)),
-    ])
-}
-
-fn profile_from_json(json: &Json) -> Result<WorkloadProfile, SprintError> {
-    let components = json
-        .field("mix")?
-        .as_arr()?
-        .iter()
-        .map(|c| {
-            let name = c.field("kind")?.as_str()?;
-            let kind = WorkloadKind::parse(name)
-                .ok_or_else(|| SprintError::Parse(format!("unknown workload `{name}`")))?;
-            Ok((kind, c.field("weight")?.as_f64()?))
-        })
-        .collect::<Result<Vec<_>, SprintError>>()?;
-    if components.is_empty() {
-        return Err(SprintError::Parse("profile mix has no components".into()));
-    }
-    let samples = json
-        .field("service_samples_secs")?
-        .as_arr()?
-        .iter()
-        .map(Json::as_f64)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(WorkloadProfile {
-        mix: QueryMix::weighted(components),
-        mechanism: json.field("mechanism")?.as_str()?.to_string(),
-        mu: Rate::per_hour(json.field("mu_qph")?.as_f64()?),
-        mu_m: Rate::per_hour(json.field("mu_m_qph")?.as_f64()?),
-        service_samples_secs: samples,
-        profiling_hours: json.field("profiling_hours")?.as_f64()?,
-    })
 }
 
 /// Drives testbed replays for a profiling campaign.
@@ -506,22 +323,6 @@ mod tests {
         for (x, y) in a.runs.iter().zip(&b.runs) {
             assert_eq!(x.observed_response_secs, y.observed_response_secs);
         }
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let mech = Dvfs::new();
-        let mix = QueryMix::single(WorkloadKind::Jacobi);
-        let data = quick_profiler().profile(&mix, &mech, &SamplingGridStub::few());
-        let dir = std::env::temp_dir().join("model_sprint_profile_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile.json");
-        data.save(&path).unwrap();
-        let loaded = ProfileData::load(&path).unwrap();
-        assert_eq!(loaded.runs.len(), data.runs.len());
-        // JSON round-trips floats with ~1 ULP wobble.
-        assert!((loaded.profile.mu.qph() - data.profile.mu.qph()).abs() < 1e-9);
-        std::fs::remove_file(&path).ok();
     }
 
     /// Tiny fixed condition set for tests.

@@ -371,27 +371,30 @@ struct ClonePlan {
     cancel_lost: bool,
 }
 
-/// One pre-drawn request: arrival instant plus its clones' plans.
-#[derive(Debug, Clone)]
-struct RequestPlan {
-    arrival_secs: f64,
+/// The complete pre-drawn run: request `r` arrives at `arrivals[r]`
+/// and races clones `clones[r * k .. (r + 1) * k]`, `k` clones per
+/// request.
+#[derive(Debug)]
+struct RunPlan {
+    arrivals: Vec<f64>,
     clones: Vec<ClonePlan>,
 }
 
 /// Draws the complete run plan from the seed: arrival times, per-clone
 /// service requirements and fault coin flips, in a fixed order that
 /// does not depend on simulation dynamics.
-fn draw_plan(cfg: &CloningConfig) -> Vec<RequestPlan> {
+fn draw_plan(cfg: &CloningConfig) -> RunPlan {
     let mut root = simcore::rng::SimRng::new(cfg.seed);
     let mut arrival_rng = root.split(1);
     let mut service_rng = root.split(2);
     let mut fault_rng = root.split(3);
     let arrival_dist = Dist::exponential(cfg.arrival_rate.mean_interval());
     let mut at = 0.0_f64;
-    let mut plans = Vec::with_capacity(cfg.num_queries);
+    let mut arrivals = Vec::with_capacity(cfg.num_queries);
+    let mut clones = Vec::with_capacity(cfg.num_queries * cfg.clones);
     for _ in 0..cfg.num_queries {
         at += arrival_dist.sample(&mut arrival_rng).as_secs_f64();
-        let mut clones = Vec::with_capacity(cfg.clones);
+        arrivals.push(at);
         for c in 0..cfg.clones {
             let mut work = cfg
                 .service
@@ -411,12 +414,8 @@ fn draw_plan(cfg: &CloningConfig) -> Vec<RequestPlan> {
                 cancel_lost,
             });
         }
-        plans.push(RequestPlan {
-            arrival_secs: at,
-            clones,
-        });
     }
-    plans
+    RunPlan { arrivals, clones }
 }
 
 /// Live clone state.
@@ -658,8 +657,8 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                 );
             }
         }
-        if next_arrival < plan.len() {
-            offer(plan[next_arrival].arrival_secs, Ev::Arrival);
+        if next_arrival < plan.arrivals.len() {
+            offer(plan.arrivals[next_arrival], Ev::Arrival);
         }
 
         let Some((at, ev)) = next else {
@@ -704,10 +703,9 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
 
         match ev {
             Ev::Arrival => {
-                let rp = &plan[next_arrival];
                 let req_idx = reqs.len();
                 reqs.push(ReqState {
-                    arrival_secs: rp.arrival_secs,
+                    arrival_secs: plan.arrivals[next_arrival],
                     timed_out: false,
                     sprinting: false,
                     sprinted: false,
@@ -720,7 +718,8 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                 order.extend(0..cfg.slots);
                 order.sort_unstable_by_key(|&s| (residents_of[s], s));
                 let mut placed = 0usize;
-                for cp in &rp.clones {
+                let first = next_arrival * cfg.clones;
+                for cp in &plan.clones[first..first + cfg.clones] {
                     if cp.straggler {
                         stragglers += 1;
                     }

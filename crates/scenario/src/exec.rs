@@ -12,21 +12,23 @@
 //!
 //! [`trace_graph`] reruns a single-node or fleet plan with causal
 //! tracing on and reconstructs its span graph; the `root-cause`
-//! invariant and `scenario_run --trace` both read it.
+//! invariant and `scenario_run --trace` both read it. [`journal`]
+//! reruns one with the reactor's decision journal on; `scenario_run
+//! --record` and `--replay` write and check it.
 //!
 //! The module also owns the flat *metric namespace* that `metric`
 //! invariants assert over; [`metric`] resolves a name against an
 //! executed outcome.
 
-use fleet::{run_fleet, run_fleet_traced, FleetResult, FleetSpec};
+use fleet::{run_fleet, run_fleet_journaled, run_fleet_traced, FleetResult, FleetSpec};
 use obs::{RunTelemetry, TraceGraph};
 use qsim::{Cloning, CloningConfig, CloningResult};
 use simcore::dist::Dist;
 use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
 use testbed::{
-    ArrivalSpec, BudgetSpec, FaultPlan, QueryRecord, RunResult, Server, ServerConfig, SprintPolicy,
-    SupervisorConfig,
+    ArrivalSpec, BudgetSpec, Journal, QueryRecord, RunResult, RunSpec, Server, ServerConfig,
+    SprintPolicy, SupervisorConfig,
 };
 
 use crate::plan::{ArrivalKind, BudgetPlan, CloningPlan, ScenarioPlan, Topology};
@@ -97,16 +99,14 @@ pub fn build_policy(plan: &ScenarioPlan) -> SprintPolicy {
     )
 }
 
-/// Builds the single-node server configuration at the given seed, plus
-/// its supervisor and optional fault plan.
+/// Builds the single-node run at the given seed: the plan's server
+/// configuration under its supervisor, with its fault plan unless the
+/// plan injects nothing.
 ///
 /// # Errors
 ///
 /// Returns [`SprintError::InvalidConfig`] on unresolvable sections.
-pub fn build_server(
-    plan: &ScenarioPlan,
-    seed: u64,
-) -> Result<(ServerConfig, SupervisorConfig, Option<FaultPlan>), SprintError> {
+pub fn build_run_spec(plan: &ScenarioPlan, seed: u64) -> Result<RunSpec, SprintError> {
     let cfg = ServerConfig {
         mix: plan.workload.query_mix()?,
         arrivals: build_arrivals(plan)?,
@@ -116,16 +116,33 @@ pub fn build_server(
         warmup: plan.run.warmup,
         seed,
     };
-    let sup = SupervisorConfig {
-        watchdog_secs: plan.run.watchdog_secs,
-        ..SupervisorConfig::default()
-    };
-    let faults = if plan.faults.is_noop() {
-        None
-    } else {
-        Some(plan.faults.clone())
-    };
-    Ok((cfg, sup, faults))
+    Ok(RunSpec {
+        cfg,
+        mechanism: plan.workload.mechanism,
+        plan: (!plan.faults.is_noop()).then(|| plan.faults.clone()),
+        supervisor: Some(SupervisorConfig {
+            watchdog_secs: plan.run.watchdog_secs,
+            ..SupervisorConfig::default()
+        }),
+    })
+}
+
+/// Builds the single-node plan's server at `seed` and hands it to
+/// `run`. [`execute`], [`trace_graph`], [`journal`] and the
+/// clean-twin invariant all build their server here; `faulted = false`
+/// drops the fault plan (the clean twin).
+pub(crate) fn with_server<T>(
+    plan: &ScenarioPlan,
+    seed: u64,
+    faulted: bool,
+    run: impl FnOnce(Server<'_>) -> Result<T, SprintError>,
+) -> Result<T, SprintError> {
+    let mut spec = build_run_spec(plan, seed)?;
+    if !faulted {
+        spec.plan = None;
+    }
+    let mech = spec.mechanism.build();
+    run(spec.into_server(mech.as_ref())?)
 }
 
 /// Builds the fleet spec at the given seed: a [`FleetSpec::small`]
@@ -202,9 +219,7 @@ pub fn build_cloning(plan: &ScenarioPlan, seed: u64) -> Result<CloningConfig, Sp
 pub fn execute(plan: &ScenarioPlan, seed: u64) -> Result<ScenarioOutcome, SprintError> {
     match plan.topology {
         Topology::SingleNode => {
-            let (cfg, sup, faults) = build_server(plan, seed)?;
-            let mech = plan.workload.mechanism.build();
-            let run = Server::with_supervision(cfg, mech.as_ref(), faults, sup)?.run()?;
+            let run = with_server(plan, seed, true, |server| server.run())?;
             Ok(ScenarioOutcome::SingleNode(Box::new(run)))
         }
         Topology::Fleet => {
@@ -233,12 +248,11 @@ pub fn execute(plan: &ScenarioPlan, seed: u64) -> Result<ScenarioOutcome, Sprint
 pub fn trace_graph(plan: &ScenarioPlan, seed: u64) -> Result<Option<TraceGraph>, SprintError> {
     match plan.topology {
         Topology::SingleNode => {
-            let (cfg, sup, faults) = build_server(plan, seed)?;
-            let mech = plan.workload.mechanism.build();
-            let mut server = Server::with_supervision(cfg, mech.as_ref(), faults, sup)?;
-            server.attach_recorder(TRACE_CAPACITY);
-            server.enable_tracing(0);
-            let run = server.run()?;
+            let run = with_server(plan, seed, true, |mut server| {
+                server.attach_recorder(TRACE_CAPACITY);
+                server.enable_tracing(0);
+                server.run()
+            })?;
             let telemetry = run.telemetry().cloned().unwrap_or_default();
             Ok(Some(TraceGraph::from_telemetry(&[&telemetry])))
         }
@@ -247,6 +261,31 @@ pub fn trace_graph(plan: &ScenarioPlan, seed: u64) -> Result<Option<TraceGraph>,
             let mut parts: Vec<&RunTelemetry> = vec![&run.telemetry];
             parts.extend(run.node_telemetries.iter());
             Ok(Some(TraceGraph::from_telemetry(&parts)))
+        }
+        Topology::Cloning => Ok(None),
+    }
+}
+
+/// Runs the plan at `seed` with the reactor's decision journal on and
+/// returns the journal: a single-node plan journals its supervised
+/// server; a fleet plan merges the control plane's journal with every
+/// node's. Journaling is observation-only, so the journaled run is the
+/// same run [`execute`] makes, and the same plan and seed always give
+/// the same journal, byte for byte. Returns `None` for cloning plans,
+/// whose simulator has no reactor.
+///
+/// # Errors
+///
+/// Returns any typed simulator or configuration error.
+pub fn journal(plan: &ScenarioPlan, seed: u64) -> Result<Option<Journal>, SprintError> {
+    match plan.topology {
+        Topology::SingleNode => {
+            let (_, journal) = with_server(plan, seed, true, |server| server.run_journaled())?;
+            Ok(Some(journal))
+        }
+        Topology::Fleet => {
+            let (_, journal) = run_fleet_journaled(&build_fleet_spec(plan, seed)?)?;
+            Ok(Some(journal))
         }
         Topology::Cloning => Ok(None),
     }

@@ -13,10 +13,10 @@ use fleet::FleetResult;
 use obs::CauseReason;
 use qsim::{results_bit_identical, Cloning};
 use simcore::SprintError;
-use testbed::{RunResult, Server};
+use testbed::RunResult;
 
 use crate::exec::{
-    self, build_cloning, build_server, execute, max_sprint_secs, metric, trace_graph,
+    self, build_cloning, execute, max_sprint_secs, metric, trace_graph, with_server,
     ScenarioOutcome,
 };
 use crate::plan::{InvariantSpec, ScenarioPlan, Topology};
@@ -226,9 +226,7 @@ fn check_clean_twin(
     if plan.topology != Topology::SingleNode {
         return Ok(());
     }
-    let (cfg, sup, _) = build_server(plan, seed)?;
-    let mech = plan.workload.mechanism.build();
-    let clean = Server::with_supervision(cfg, mech.as_ref(), None, sup)?.run()?;
+    let clean = with_server(plan, seed, false, |server| server.run())?;
     let bound = plan.run.watchdog_secs + slack_secs;
     let max_sprint = max_sprint_secs(clean.records());
     if max_sprint > bound {

@@ -1,0 +1,180 @@
+//! Journal files: a catalog plan and the decision journal it produced.
+//!
+//! A journal file is two parts in one text:
+//!
+//! ```text
+//! {"scenario_journal": 1, "plan": "<the plan as canonical TOML>"}
+//! {"seq": 0, "t_us": …, "what": "…"}          <- Journal::to_jsonl, one
+//! {"seq": 1, "t_us": …, "what": "…"}             entry per line
+//! ```
+//!
+//! The header carries the plan in the catalog's own format, so a file
+//! describes its run the way the catalog does, and a run is a pure
+//! function of its plan and seed: re-running the header's plan
+//! journaled at its committed seed ([`crate::journal`]) must reproduce
+//! the body entry for entry. `scenario_run --record <name>` writes such
+//! a file and `scenario_run --replay <path>` re-runs and diffs it.
+
+use simcore::json::Json;
+use simcore::SprintError;
+use testbed::Journal;
+
+use crate::plan::ScenarioPlan;
+
+/// Format version in the header's `scenario_journal` field.
+const JOURNAL_FILE_FORMAT: u64 = 1;
+
+/// Header keys of journal files that carried a hand-built JSON run
+/// spec instead of a catalog plan. That format is retired; such a file
+/// is rejected by name rather than as an unknown header.
+const RETIRED_HEADERS: [&str; 2] = ["reactor_journal", "fleet_journal"];
+
+/// Renders a journal file: the one-line header carrying `plan` as
+/// canonical TOML, then the journal's JSONL body.
+///
+/// # Errors
+///
+/// Returns [`SprintError::Parse`] if the plan has no TOML form (cannot
+/// happen for a decoded plan).
+pub fn journal_file_text(plan: &ScenarioPlan, journal: &Journal) -> Result<String, SprintError> {
+    let plan_toml = Json::Str(plan.to_toml_string()?).to_string_pretty();
+    let mut out =
+        format!("{{\"scenario_journal\": {JOURNAL_FILE_FORMAT}, \"plan\": {plan_toml}}}\n");
+    out.push_str(&journal.to_jsonl());
+    Ok(out)
+}
+
+/// Parses a journal file back into its plan and recorded journal.
+///
+/// # Errors
+///
+/// Returns [`SprintError::Parse`] on a malformed header, a retired
+/// header, an unknown format version, or a plan that does not parse;
+/// a plan that parses but fails validation is
+/// [`SprintError::InvalidConfig`]; a malformed body line is whatever
+/// [`Journal::parse_jsonl`] returns.
+pub fn parse_journal_file(text: &str) -> Result<(ScenarioPlan, Journal), SprintError> {
+    let (header_line, body) = text.split_once('\n').unwrap_or((text, ""));
+    let header = Json::parse(header_line)
+        .map_err(|e| SprintError::Parse(format!("journal file header: {e}")))?;
+    if let Some(retired) = RETIRED_HEADERS.iter().find(|k| header.get(k).is_some()) {
+        return Err(SprintError::Parse(format!(
+            "journal file header `{retired}`: a retired format that carried no catalog \
+             plan; re-record the run with `scenario_run --record <name>`"
+        )));
+    }
+    let version = header
+        .field("scenario_journal")
+        .and_then(Json::as_f64)
+        .map_err(|e| SprintError::Parse(format!("journal file header: {e}")))?;
+    if version != JOURNAL_FILE_FORMAT as f64 {
+        return Err(SprintError::Parse(format!(
+            "journal file format {version} unsupported (expected {JOURNAL_FILE_FORMAT})"
+        )));
+    }
+    let plan_toml = header
+        .field("plan")
+        .and_then(Json::as_str)
+        .map_err(|e| SprintError::Parse(format!("journal file header: {e}")))?;
+    let plan = ScenarioPlan::from_toml_str(plan_toml)?;
+    Ok((plan, Journal::parse_jsonl(body)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{catalog_dir, journal, load_catalog, Topology};
+
+    fn committed(name: &str) -> ScenarioPlan {
+        load_catalog(catalog_dir())
+            .unwrap()
+            .into_iter()
+            .find(|p| p.name == name)
+            .unwrap_or_else(|| panic!("committed plan {name}"))
+    }
+
+    fn recorded_text(plan: &ScenarioPlan) -> String {
+        let recorded = journal(plan, plan.seed).unwrap().expect("journaled plan");
+        journal_file_text(plan, &recorded).unwrap()
+    }
+
+    /// Record to text, parse back, re-run the parsed plan: the header
+    /// returns the same plan and the fresh journal shows no diff.
+    #[test]
+    fn recorded_file_replays_without_divergence() {
+        let plan = committed("message-fault-mix");
+        let text = recorded_text(&plan);
+        let header = text.lines().next().unwrap();
+        assert!(
+            header.starts_with("{\"scenario_journal\": 1, \"plan\": \"name = "),
+            "{header}"
+        );
+        let (back, recorded) = parse_journal_file(&text).unwrap();
+        assert_eq!(back, plan);
+        assert_eq!(recorded.len(), text.lines().count() - 1);
+        let fresh = journal(&back, back.seed).unwrap().unwrap();
+        assert!(recorded.diff(&fresh).is_none());
+    }
+
+    /// One entry's `what` changed in the file: the replay diff names
+    /// exactly that entry.
+    #[test]
+    fn tampered_entry_is_the_reported_divergence() {
+        let plan = committed("message-fault-mix");
+        let text = recorded_text(&plan);
+        let target = (text.lines().count() - 1) / 2;
+        let tampered: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                // Line 0 is the header; entry k is line k + 1.
+                let line = if i == target + 1 {
+                    line.replace("\"what\": \"", "\"what\": \"tampered ")
+                } else {
+                    line.to_string()
+                };
+                line + "\n"
+            })
+            .collect();
+        assert_ne!(tampered, text);
+        let (back, recorded) = parse_journal_file(&tampered).unwrap();
+        let fresh = journal(&back, back.seed).unwrap().unwrap();
+        let d = recorded.diff(&fresh).expect("tampered file must diverge");
+        assert_eq!(d.index, target);
+        assert!(d.render(&recorded, 8).contains(&format!("entry {target}")));
+        assert!(d.expected.unwrap().what.starts_with("tampered "));
+    }
+
+    #[test]
+    fn unknown_headers_and_versions_are_typed_errors() {
+        let plan = committed("message-fault-mix");
+        let text = recorded_text(&plan);
+        let body = text.split_once('\n').unwrap().1;
+        for header in [
+            "{\"reactor_journal\": 1, \"spec\": {}}",
+            "{\"fleet_journal\": 1, \"spec\": {}}",
+            "{\"scenario_journal\": 2, \"plan\": \"\"}",
+            "{\"something_else\": 1}",
+            "not json",
+            "",
+        ] {
+            match parse_journal_file(&format!("{header}\n{body}")) {
+                Err(SprintError::Parse(_)) => {}
+                other => panic!("header {header:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn cloning_plans_have_no_journal() {
+        let plans = load_catalog(catalog_dir()).unwrap();
+        let cloning: Vec<_> = plans
+            .iter()
+            .filter(|p| p.topology == Topology::Cloning)
+            .collect();
+        assert!(!cloning.is_empty());
+        for plan in cloning {
+            assert!(journal(plan, plan.seed).unwrap().is_none(), "{}", plan.name);
+        }
+    }
+}

@@ -18,8 +18,13 @@
 //! whole catalog with a JSON report and an exit-code verdict; it is a
 //! standing gate in `scripts/check.sh`. See `DESIGN.md` §13 for the
 //! schema reference.
+//!
+//! The plan is also the run description of record/replay: a journal
+//! file ([`journal_file`]) carries the plan in its header and the
+//! decision journal of the plan's run ([`journal`]) in its body.
 
 pub mod exec;
+pub mod journal_file;
 pub mod plan;
 pub mod toml;
 
@@ -31,8 +36,9 @@ use std::path::Path;
 use simcore::json::Json;
 use simcore::SprintError;
 
-pub use exec::{execute, metric, trace_graph, ScenarioOutcome};
+pub use exec::{execute, journal, metric, trace_graph, ScenarioOutcome};
 pub use invariant::{check_invariants, Violation};
+pub use journal_file::{journal_file_text, parse_journal_file};
 pub use plan::{InvariantSpec, ScenarioPlan, Topology};
 
 /// Verdict of one scenario at one seed.
@@ -277,6 +283,8 @@ value = 0.0
             "fleet-split-brain",
             "fleet-coordinator-crash",
             "fleet-renewal-storm",
+            "message-fault-mix",
+            "fleet-100-node-failover",
         ] {
             assert!(names.contains(&required), "missing scenario {required}");
         }
@@ -392,6 +400,36 @@ value = 0.0
                 }
                 Err(e) => panic!("{case}: wrong error {e}"),
                 Ok(_) => panic!("{case} ran"),
+            }
+        }
+    }
+
+    /// Committed single-node and fleet plans resized past the server's
+    /// slot bound and the fleet's node bound parse, then `execute`
+    /// returns a typed error instead of aborting on the up-front
+    /// allocation.
+    #[test]
+    fn oversized_server_and_fleet_plans_fail_typed_in_execute() {
+        let committed = |file: &str| {
+            fs::read_to_string(catalog_dir().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+        };
+        let single = committed("lost-unsprint-command.toml")
+            .replace("\nslots = 1\n", "\nslots = 1000000000000\n");
+        let fleet = committed("fleet-coordinator-crash.toml")
+            .replace("\nnodes = 8\n", "\nnodes = 2000000000\n")
+            .replace("\nqueries = 32 ", "\nqueries = 2000000000 ");
+        assert!(single.contains("\nslots = 1000000000000\n"));
+        assert!(
+            fleet.contains("\nnodes = 2000000000\n") && fleet.contains("\nqueries = 2000000000 ")
+        );
+        for (doc, what) in [(single, "ServerConfig::slots"), (fleet, "FleetSpec::nodes")] {
+            let plan = ScenarioPlan::from_toml_str(&doc).expect("plan is well-formed");
+            match execute(&plan, plan.seed) {
+                Err(SprintError::InvalidConfig { what: got, .. }) => {
+                    assert_eq!(got, what, "{}", plan.name)
+                }
+                Err(e) => panic!("{}: wrong error {e}", plan.name),
+                Ok(_) => panic!("{} ran", plan.name),
             }
         }
     }

@@ -57,6 +57,7 @@ pub use faults::{FaultCounters, FaultPlan, StormWindow};
 pub use metrics::{RunResult, RunResultBuilder};
 pub use policy::{ArrivalSpec, BudgetSpec, RateSegment, ServerConfig, SprintPolicy};
 pub use query::QueryRecord;
+pub use reactor::Journal;
 pub use server::Server;
 pub use spec::{run_journaled, RunSpec};
 pub use supervision::{RecoveryCounters, Supervisor, SupervisorConfig};

@@ -73,6 +73,12 @@ pub const QUEUE_DRAG_PER_QUERY: f64 = 0.006;
 /// replay could characterize).
 pub const QUEUE_DRAG_SATURATION: usize = 12;
 
+/// Most execution slots one server takes, the bound the cloning
+/// simulator also sets. Every slot is allocated up front, so a larger
+/// count read from a scenario file must fail typed instead of aborting
+/// the process on the allocation.
+pub const MAX_SLOTS: usize = 1024;
+
 /// Events driving the server.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -376,10 +382,16 @@ impl<'m> Server<'m> {
     /// # Errors
     ///
     /// Returns [`SprintError::InvalidConfig`] if the configuration has
-    /// zero slots, zero queries, or a budget/refill the policy cannot
-    /// realize.
+    /// zero slots or more than [`MAX_SLOTS`], zero queries, or a
+    /// budget/refill the policy cannot realize.
     pub fn new(cfg: ServerConfig, mech: &'m dyn Mechanism) -> Result<Server<'m>, SprintError> {
         SprintError::require_nonzero("ServerConfig::slots", cfg.slots)?;
+        if cfg.slots > MAX_SLOTS {
+            return Err(SprintError::invalid(
+                "ServerConfig::slots",
+                format!("at most {MAX_SLOTS} slots, got {}", cfg.slots),
+            ));
+        }
         SprintError::require_nonzero("ServerConfig::num_queries", cfg.num_queries)?;
         // All server entropy descends from one root seed through the
         // tower; the namespace order matches the historical split(1..=3)
@@ -1691,6 +1703,22 @@ mod tests {
             num_queries: n,
             warmup: n / 10,
             seed,
+        }
+    }
+
+    /// Slots are allocated up front: the constructor takes
+    /// [`MAX_SLOTS`] and rejects one more with a typed error.
+    #[test]
+    fn slot_count_is_bounded() {
+        let mech = Dvfs::new();
+        let mut cfg = base_cfg(SprintPolicy::never(), 0.3, 10, 1);
+        cfg.slots = MAX_SLOTS;
+        assert!(Server::new(cfg.clone(), &mech).is_ok());
+        cfg.slots = MAX_SLOTS + 1;
+        match Server::new(cfg, &mech) {
+            Err(SprintError::InvalidConfig { what, .. }) => assert_eq!(what, "ServerConfig::slots"),
+            Err(e) => panic!("wrong error {e}"),
+            Ok(_) => panic!("{} slots accepted", MAX_SLOTS + 1),
         }
     }
 

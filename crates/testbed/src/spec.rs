@@ -1,38 +1,23 @@
-//! Serializable run specifications for record/replay tooling.
+//! Run specifications: everything that determines a testbed run.
 //!
-//! A [`RunSpec`] captures everything that determines a testbed run:
-//! the [`ServerConfig`], the mechanism, and the optional fault plan and
-//! supervisor. Because every run is a pure function of its spec (one
-//! root seed, one event queue, one virtual clock), persisting the spec
-//! alongside a reactor journal is enough to re-execute the run
-//! bit-identically later — `reactor_replay` does exactly that.
-//!
-//! Serialization uses the workspace's own JSON model. Seeds and
-//! durations are `u64` micros/values that can exceed the 2^53 range
-//! where `f64` stays exact, so they are encoded as decimal *strings*
-//! and parsed back losslessly.
+//! A [`RunSpec`] captures the [`ServerConfig`], the mechanism, and the
+//! optional fault plan and supervisor. Every run is a pure function of
+//! its spec (one root seed, one event queue, one virtual clock), so two
+//! runs of one spec journal byte for byte alike. A spec is what a
+//! scenario plan's single-node run and every fleet node compile to;
+//! the plan, not the spec, is what a journal file stores.
 
-use crate::policy::{ArrivalSpec, BudgetSpec, RateSegment, ServerConfig, SprintPolicy};
 use crate::server::Server;
 use crate::RunResult;
-use faults::{FaultPlan, LinkPartition, MessageFaults, Peer, StormWindow};
-use mechanisms::MechanismKind;
+use faults::FaultPlan;
+use mechanisms::{Mechanism, MechanismKind};
 use reactor::Journal;
-use simcore::dist::DistKind;
-use simcore::health::HealthSignal;
-use simcore::json::Json;
-use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
-use workloads::{QueryMix, WorkloadKind};
 
+use crate::policy::ServerConfig;
 use crate::supervision::SupervisorConfig;
 
-/// Format version stamped into serialized specs; bumped on breaking
-/// schema changes so stale journals fail loudly instead of replaying
-/// the wrong run.
-pub const SPEC_VERSION: u64 = 1;
-
-/// A complete, serializable description of one testbed run.
+/// A complete description of one testbed run.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Server configuration (workload mix, arrivals, policy, seed).
@@ -56,51 +41,27 @@ impl RunSpec {
         }
     }
 
-    /// Serializes the spec to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("version".into(), Json::Num(SPEC_VERSION as f64)),
-            ("cfg".into(), cfg_to_json(&self.cfg)),
-            ("mechanism".into(), Json::Str(self.mechanism.name().into())),
-        ];
-        if let Some(plan) = &self.plan {
-            fields.push(("plan".into(), plan_to_json(plan)));
-        }
-        if let Some(sup) = &self.supervisor {
-            fields.push(("supervisor".into(), sup_to_json(sup)));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Parses a spec back from [`RunSpec::to_json`] output.
+    /// Builds the spec's server on `mech`: supervised when the spec
+    /// names a supervisor, fault-injecting when it carries a plan,
+    /// plain otherwise. Every server built from a spec is built here.
     ///
     /// # Errors
     ///
-    /// Returns [`SprintError::Parse`] on a missing/ill-typed field or
-    /// an unsupported spec version.
-    pub fn from_json(v: &Json) -> Result<RunSpec, SprintError> {
-        let version = v.field("version")?.as_f64()? as u64;
-        if version != SPEC_VERSION {
-            return Err(SprintError::Parse(format!(
-                "unsupported spec version {version} (expected {SPEC_VERSION})"
-            )));
+    /// Returns an error if the configuration, fault plan or supervisor
+    /// fails validation.
+    pub fn into_server(self, mech: &dyn Mechanism) -> Result<Server<'_>, SprintError> {
+        match (self.plan, self.supervisor) {
+            (None, None) => Server::new(self.cfg, mech),
+            (Some(plan), None) => Server::with_faults(self.cfg, mech, plan),
+            (plan, Some(sup)) => Server::with_supervision(self.cfg, mech, plan, sup),
         }
-        let mech_name = v.field("mechanism")?.as_str()?;
-        let mechanism = MechanismKind::parse(mech_name)
-            .ok_or_else(|| SprintError::Parse(format!("unknown mechanism `{mech_name}`")))?;
-        Ok(RunSpec {
-            cfg: cfg_from_json(v.field("cfg")?)?,
-            mechanism,
-            plan: v.get("plan").map(plan_from_json).transpose()?,
-            supervisor: v.get("supervisor").map(sup_from_json).transpose()?,
-        })
     }
 }
 
 /// Runs a spec to completion with the reactor journal enabled.
 ///
-/// This is the record/replay entry point: the same spec always
-/// produces the same `(RunResult, Journal)` pair, byte for byte.
+/// The same spec always produces the same `(RunResult, Journal)` pair,
+/// byte for byte.
 ///
 /// # Errors
 ///
@@ -108,524 +69,15 @@ impl RunSpec {
 /// simulation invariant breaks mid-run.
 pub fn run_journaled(spec: &RunSpec) -> Result<(RunResult, Journal), SprintError> {
     let mech = spec.mechanism.build();
-    let server = match (&spec.plan, &spec.supervisor) {
-        (None, None) => Server::new(spec.cfg.clone(), &*mech)?,
-        (Some(plan), None) => Server::with_faults(spec.cfg.clone(), &*mech, plan.clone())?,
-        (plan, Some(sup)) => {
-            Server::with_supervision(spec.cfg.clone(), &*mech, plan.clone(), *sup)?
-        }
-    };
-    server.run_journaled()
-}
-
-// ---------------------------------------------------------------------
-// Encoding helpers. u64 values (seeds, duration micros) are strings so
-// they survive the f64-only JSON number model exactly.
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-}
-
-fn u64_str(x: u64) -> Json {
-    Json::Str(x.to_string())
-}
-
-fn u64_of(v: &Json, what: &str) -> Result<u64, SprintError> {
-    v.as_str()?
-        .parse::<u64>()
-        .map_err(|e| SprintError::Parse(format!("{what}: {e}")))
-}
-
-fn usize_of(v: &Json) -> Result<usize, SprintError> {
-    let x = v.as_f64()?;
-    if x < 0.0 || x.fract() != 0.0 || x >= 2f64.powi(53) {
-        return Err(SprintError::Parse(format!("expected a count, got {x}")));
-    }
-    Ok(x as usize)
-}
-
-fn bool_of(v: &Json) -> Result<bool, SprintError> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        other => Err(SprintError::Parse(format!(
-            "expected boolean, got {other:?}"
-        ))),
-    }
-}
-
-fn duration_to_json(d: SimDuration) -> Json {
-    u64_str(d.0)
-}
-
-fn duration_of(v: &Json) -> Result<SimDuration, SprintError> {
-    Ok(SimDuration(u64_of(v, "duration micros")?))
-}
-
-// ---------------------------------------------------------------------
-// ServerConfig
-
-fn cfg_to_json(cfg: &ServerConfig) -> Json {
-    obj(vec![
-        ("mix", mix_to_json(&cfg.mix)),
-        ("arrivals", arrivals_to_json(&cfg.arrivals)),
-        ("policy", policy_to_json(&cfg.policy)),
-        ("slots", Json::Num(cfg.slots as f64)),
-        ("num_queries", Json::Num(cfg.num_queries as f64)),
-        ("warmup", Json::Num(cfg.warmup as f64)),
-        ("seed", u64_str(cfg.seed)),
-    ])
-}
-
-fn cfg_from_json(v: &Json) -> Result<ServerConfig, SprintError> {
-    Ok(ServerConfig {
-        mix: mix_from_json(v.field("mix")?)?,
-        arrivals: arrivals_from_json(v.field("arrivals")?)?,
-        policy: policy_from_json(v.field("policy")?)?,
-        slots: usize_of(v.field("slots")?)?,
-        num_queries: usize_of(v.field("num_queries")?)?,
-        warmup: usize_of(v.field("warmup")?)?,
-        seed: u64_of(v.field("seed")?, "cfg seed")?,
-    })
-}
-
-fn mix_to_json(mix: &QueryMix) -> Json {
-    Json::Arr(
-        mix.components()
-            .iter()
-            .map(|&(k, w)| {
-                obj(vec![
-                    ("workload", Json::Str(k.name().into())),
-                    ("weight", Json::Num(w)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn mix_from_json(v: &Json) -> Result<QueryMix, SprintError> {
-    let mut components: Vec<(WorkloadKind, f64)> = Vec::new();
-    for item in v.as_arr()? {
-        let name = item.field("workload")?.as_str()?;
-        let kind = WorkloadKind::parse(name)
-            .ok_or_else(|| SprintError::Parse(format!("unknown workload `{name}`")))?;
-        let weight = item.field("weight")?.as_f64()?;
-        // Pre-validate what `QueryMix::weighted` would panic on.
-        if components.iter().any(|&(k, _)| k == kind) {
-            return Err(SprintError::Parse(format!(
-                "duplicate mix component `{name}`"
-            )));
-        }
-        if !(weight.is_finite() && weight >= 0.0) {
-            return Err(SprintError::Parse(format!("invalid mix weight {weight}")));
-        }
-        components.push((kind, weight));
-    }
-    if components.is_empty() || components.iter().map(|&(_, w)| w).sum::<f64>() <= 0.0 {
-        return Err(SprintError::Parse(
-            "mix needs at least one positively weighted component".into(),
-        ));
-    }
-    Ok(QueryMix::weighted(components))
-}
-
-fn dist_kind_to_json(kind: DistKind) -> Json {
-    match kind {
-        DistKind::Deterministic => obj(vec![("kind", Json::Str("deterministic".into()))]),
-        DistKind::Exponential => obj(vec![("kind", Json::Str("exponential".into()))]),
-        DistKind::Pareto { alpha } => obj(vec![
-            ("kind", Json::Str("pareto".into())),
-            ("alpha", Json::Num(alpha)),
-        ]),
-        DistKind::Lognormal { cov } => obj(vec![
-            ("kind", Json::Str("lognormal".into())),
-            ("cov", Json::Num(cov)),
-        ]),
-        DistKind::Hyperexponential { cov } => obj(vec![
-            ("kind", Json::Str("hyperexponential".into())),
-            ("cov", Json::Num(cov)),
-        ]),
-    }
-}
-
-fn dist_kind_from_json(v: &Json) -> Result<DistKind, SprintError> {
-    match v.field("kind")?.as_str()? {
-        "deterministic" => Ok(DistKind::Deterministic),
-        "exponential" => Ok(DistKind::Exponential),
-        "pareto" => Ok(DistKind::Pareto {
-            alpha: v.field("alpha")?.as_f64()?,
-        }),
-        "lognormal" => Ok(DistKind::Lognormal {
-            cov: v.field("cov")?.as_f64()?,
-        }),
-        "hyperexponential" => Ok(DistKind::Hyperexponential {
-            cov: v.field("cov")?.as_f64()?,
-        }),
-        other => Err(SprintError::Parse(format!(
-            "unknown distribution kind `{other}`"
-        ))),
-    }
-}
-
-fn arrivals_to_json(a: &ArrivalSpec) -> Json {
-    let mut fields = vec![
-        ("rate_qph", Json::Num(a.rate.qph())),
-        ("dist", dist_kind_to_json(a.kind)),
-    ];
-    if let Some(segments) = &a.modulation {
-        fields.push((
-            "modulation",
-            Json::Arr(
-                segments
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("duration_secs", Json::Num(s.duration_secs)),
-                            ("rate_multiplier", Json::Num(s.rate_multiplier)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    obj(fields)
-}
-
-fn arrivals_from_json(v: &Json) -> Result<ArrivalSpec, SprintError> {
-    let qph = v.field("rate_qph")?.as_f64()?;
-    if !(qph.is_finite() && qph >= 0.0) {
-        return Err(SprintError::Parse(format!("invalid arrival rate {qph}")));
-    }
-    let modulation = match v.get("modulation") {
-        None => None,
-        Some(m) => {
-            let mut segments = Vec::new();
-            for item in m.as_arr()? {
-                segments.push(RateSegment {
-                    duration_secs: item.field("duration_secs")?.as_f64()?,
-                    rate_multiplier: item.field("rate_multiplier")?.as_f64()?,
-                });
-            }
-            Some(segments)
-        }
-    };
-    Ok(ArrivalSpec {
-        rate: Rate::per_hour(qph),
-        kind: dist_kind_from_json(v.field("dist")?)?,
-        modulation,
-    })
-}
-
-fn budget_to_json(b: BudgetSpec) -> Json {
-    match b {
-        BudgetSpec::Seconds(s) => obj(vec![
-            ("kind", Json::Str("seconds".into())),
-            ("seconds", Json::Num(s)),
-        ]),
-        BudgetSpec::FractionOfRefill(f) => obj(vec![
-            ("kind", Json::Str("fraction-of-refill".into())),
-            ("fraction", Json::Num(f)),
-        ]),
-        BudgetSpec::Unlimited => obj(vec![("kind", Json::Str("unlimited".into()))]),
-    }
-}
-
-fn budget_from_json(v: &Json) -> Result<BudgetSpec, SprintError> {
-    match v.field("kind")?.as_str()? {
-        "seconds" => Ok(BudgetSpec::Seconds(v.field("seconds")?.as_f64()?)),
-        "fraction-of-refill" => Ok(BudgetSpec::FractionOfRefill(v.field("fraction")?.as_f64()?)),
-        "unlimited" => Ok(BudgetSpec::Unlimited),
-        other => Err(SprintError::Parse(format!("unknown budget kind `{other}`"))),
-    }
-}
-
-fn policy_to_json(p: &SprintPolicy) -> Json {
-    obj(vec![
-        ("timeout_micros", duration_to_json(p.timeout)),
-        ("budget", budget_to_json(p.budget)),
-        ("refill_micros", duration_to_json(p.refill)),
-        ("sprint_enabled", Json::Bool(p.sprint_enabled)),
-    ])
-}
-
-fn policy_from_json(v: &Json) -> Result<SprintPolicy, SprintError> {
-    Ok(SprintPolicy {
-        timeout: duration_of(v.field("timeout_micros")?)?,
-        budget: budget_from_json(v.field("budget")?)?,
-        refill: duration_of(v.field("refill_micros")?)?,
-        sprint_enabled: bool_of(v.field("sprint_enabled")?)?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// FaultPlan
-
-fn plan_to_json(p: &FaultPlan) -> Json {
-    obj(vec![
-        ("seed", u64_str(p.seed)),
-        ("engage_failure_prob", Json::Num(p.engage_failure_prob)),
-        ("stuck_sprint_prob", Json::Num(p.stuck_sprint_prob)),
-        ("budget_drift_secs", Json::Num(p.budget_drift_secs)),
-        ("crash_prob", Json::Num(p.crash_prob)),
-        (
-            "bad_slot",
-            match p.bad_slot {
-                Some(s) => Json::Num(s as f64),
-                None => Json::Null,
-            },
-        ),
-        ("bad_slot_crash_prob", Json::Num(p.bad_slot_crash_prob)),
-        ("max_retries", Json::Num(f64::from(p.max_retries))),
-        ("crash_repair_secs", Json::Num(p.crash_repair_secs)),
-        (
-            "storms",
-            Json::Arr(
-                p.storms
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("start_secs", Json::Num(s.start_secs)),
-                            ("duration_secs", Json::Num(s.duration_secs)),
-                            ("multiplier", Json::Num(s.multiplier)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("thermal_period_secs", Json::Num(p.thermal_period_secs)),
-        ("thermal_lockout_secs", Json::Num(p.thermal_lockout_secs)),
-        ("messages", messages_to_json(&p.messages)),
-    ])
-}
-
-fn plan_from_json(v: &Json) -> Result<FaultPlan, SprintError> {
-    let mut storms = Vec::new();
-    for item in v.field("storms")?.as_arr()? {
-        storms.push(StormWindow {
-            start_secs: item.field("start_secs")?.as_f64()?,
-            duration_secs: item.field("duration_secs")?.as_f64()?,
-            multiplier: item.field("multiplier")?.as_f64()?,
-        });
-    }
-    let bad_slot = match v.field("bad_slot")? {
-        Json::Null => None,
-        other => Some(usize_of(other)?),
-    };
-    Ok(FaultPlan {
-        seed: u64_of(v.field("seed")?, "plan seed")?,
-        engage_failure_prob: v.field("engage_failure_prob")?.as_f64()?,
-        stuck_sprint_prob: v.field("stuck_sprint_prob")?.as_f64()?,
-        budget_drift_secs: v.field("budget_drift_secs")?.as_f64()?,
-        crash_prob: v.field("crash_prob")?.as_f64()?,
-        bad_slot,
-        bad_slot_crash_prob: v.field("bad_slot_crash_prob")?.as_f64()?,
-        max_retries: usize_of(v.field("max_retries")?)? as u32,
-        crash_repair_secs: v.field("crash_repair_secs")?.as_f64()?,
-        storms,
-        thermal_period_secs: v.field("thermal_period_secs")?.as_f64()?,
-        thermal_lockout_secs: v.field("thermal_lockout_secs")?.as_f64()?,
-        messages: messages_from_json(v.field("messages")?)?,
-    })
-}
-
-fn messages_to_json(m: &MessageFaults) -> Json {
-    obj(vec![
-        ("delay_prob", Json::Num(m.delay_prob)),
-        ("delay_secs", Json::Num(m.delay_secs)),
-        ("drop_prob", Json::Num(m.drop_prob)),
-        ("dup_prob", Json::Num(m.dup_prob)),
-        (
-            "partitions",
-            Json::Arr(
-                m.partitions
-                    .iter()
-                    .map(|p| {
-                        obj(vec![
-                            ("a", Json::Str(p.a.name().into())),
-                            ("b", Json::Str(p.b.name().into())),
-                            ("start_secs", Json::Num(p.start_secs)),
-                            ("duration_secs", Json::Num(p.duration_secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn peer_of(v: &Json) -> Result<Peer, SprintError> {
-    let name = v.as_str()?;
-    Peer::parse(name).ok_or_else(|| SprintError::Parse(format!("unknown peer `{name}`")))
-}
-
-fn messages_from_json(v: &Json) -> Result<MessageFaults, SprintError> {
-    let mut partitions = Vec::new();
-    for item in v.field("partitions")?.as_arr()? {
-        partitions.push(LinkPartition {
-            a: peer_of(item.field("a")?)?,
-            b: peer_of(item.field("b")?)?,
-            start_secs: item.field("start_secs")?.as_f64()?,
-            duration_secs: item.field("duration_secs")?.as_f64()?,
-        });
-    }
-    Ok(MessageFaults {
-        delay_prob: v.field("delay_prob")?.as_f64()?,
-        delay_secs: v.field("delay_secs")?.as_f64()?,
-        drop_prob: v.field("drop_prob")?.as_f64()?,
-        dup_prob: v.field("dup_prob")?.as_f64()?,
-        partitions,
-    })
-}
-
-// ---------------------------------------------------------------------
-// SupervisorConfig
-
-fn health_to_json(h: HealthSignal) -> Json {
-    Json::Str(
-        match h {
-            HealthSignal::Healthy => "healthy",
-            HealthSignal::Degraded => "degraded",
-            HealthSignal::Failed => "failed",
-        }
-        .into(),
-    )
-}
-
-fn health_from_json(v: &Json) -> Result<HealthSignal, SprintError> {
-    match v.as_str()? {
-        "healthy" => Ok(HealthSignal::Healthy),
-        "degraded" => Ok(HealthSignal::Degraded),
-        "failed" => Ok(HealthSignal::Failed),
-        other => Err(SprintError::Parse(format!(
-            "unknown health signal `{other}`"
-        ))),
-    }
-}
-
-fn sup_to_json(s: &SupervisorConfig) -> Json {
-    obj(vec![
-        ("watchdog_secs", Json::Num(s.watchdog_secs)),
-        ("restart_backoff_secs", Json::Num(s.restart_backoff_secs)),
-        (
-            "restart_backoff_cap_secs",
-            Json::Num(s.restart_backoff_cap_secs),
-        ),
-        ("quarantine_after", Json::Num(f64::from(s.quarantine_after))),
-        ("shed_watermark", Json::Num(s.shed_watermark as f64)),
-        ("reject_watermark", Json::Num(s.reject_watermark as f64)),
-        ("drain_watermark", Json::Num(s.drain_watermark as f64)),
-        ("model_health", health_to_json(s.model_health)),
-    ])
-}
-
-fn sup_from_json(v: &Json) -> Result<SupervisorConfig, SprintError> {
-    Ok(SupervisorConfig {
-        watchdog_secs: v.field("watchdog_secs")?.as_f64()?,
-        restart_backoff_secs: v.field("restart_backoff_secs")?.as_f64()?,
-        restart_backoff_cap_secs: v.field("restart_backoff_cap_secs")?.as_f64()?,
-        quarantine_after: usize_of(v.field("quarantine_after")?)? as u32,
-        shed_watermark: usize_of(v.field("shed_watermark")?)?,
-        reject_watermark: usize_of(v.field("reject_watermark")?)?,
-        drain_watermark: usize_of(v.field("drain_watermark")?)?,
-        model_health: health_from_json(v.field("model_health")?)?,
-    })
+    spec.clone().into_server(&*mech)?.run_journaled()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{BudgetSpec, SprintPolicy};
+    use simcore::time::{Rate, SimDuration};
     use workloads::WorkloadKind;
-
-    fn sample_spec() -> RunSpec {
-        let cfg = ServerConfig {
-            mix: QueryMix::mix_i(),
-            arrivals: ArrivalSpec::poisson_with_spike(Rate::per_hour(28.0), 3.0, 600.0, 3600.0)
-                .expect("valid spike"),
-            policy: SprintPolicy::new(
-                SimDuration::from_secs(60),
-                BudgetSpec::FractionOfRefill(0.2),
-                SimDuration::from_secs(3600),
-            ),
-            slots: 2,
-            num_queries: 120,
-            warmup: 10,
-            seed: u64::MAX - 3,
-        };
-        RunSpec {
-            cfg,
-            mechanism: MechanismKind::CpuThrottle,
-            plan: Some(FaultPlan {
-                seed: 0xDEAD_BEEF_DEAD_BEEF,
-                engage_failure_prob: 0.1,
-                stuck_sprint_prob: 0.05,
-                bad_slot: Some(1),
-                storms: vec![StormWindow {
-                    start_secs: 100.0,
-                    duration_secs: 50.0,
-                    multiplier: 3.0,
-                }],
-                messages: MessageFaults {
-                    delay_prob: 0.3,
-                    delay_secs: 20.0,
-                    drop_prob: 0.1,
-                    dup_prob: 0.1,
-                    partitions: vec![LinkPartition {
-                        a: Peer::Watchdog,
-                        b: Peer::Controller,
-                        start_secs: 0.0,
-                        duration_secs: 500.0,
-                    }],
-                },
-                ..FaultPlan::default()
-            }),
-            supervisor: Some(SupervisorConfig {
-                watchdog_secs: 45.0,
-                ..SupervisorConfig::default()
-            }),
-        }
-    }
-
-    #[test]
-    fn spec_round_trips_through_json_text() {
-        let spec = sample_spec();
-        let text = spec.to_json().to_string_pretty();
-        let back = RunSpec::from_json(&Json::parse(&text).expect("valid json")).expect("parses");
-        // Field-level equality: the structs don't derive PartialEq
-        // across crates, so compare the canonical serialized forms.
-        assert_eq!(text, back.to_json().to_string_pretty());
-        // And the bits that matter most survive exactly.
-        assert_eq!(back.cfg.seed, u64::MAX - 3);
-        assert_eq!(
-            back.plan.as_ref().expect("plan").seed,
-            0xDEAD_BEEF_DEAD_BEEF
-        );
-        assert_eq!(back.mechanism, MechanismKind::CpuThrottle);
-        assert_eq!(
-            back.plan.expect("plan").messages.partitions[0].a,
-            Peer::Watchdog
-        );
-    }
-
-    #[test]
-    fn minimal_spec_round_trips_without_optionals() {
-        let spec = RunSpec::new(
-            ServerConfig::single(
-                WorkloadKind::Jacobi,
-                Rate::per_hour(49.0),
-                0.6,
-                SprintPolicy::never(),
-                7,
-            ),
-            MechanismKind::Dvfs,
-        );
-        let text = spec.to_json().to_string_pretty();
-        let back = RunSpec::from_json(&Json::parse(&text).expect("valid json")).expect("parses");
-        assert!(back.plan.is_none());
-        assert!(back.supervisor.is_none());
-        // SimDuration::MAX (the `never()` timeout) survives the string
-        // encoding even though it exceeds f64's exact-integer range.
-        assert_eq!(back.cfg.policy.timeout, SimDuration::MAX);
-        assert_eq!(text, back.to_json().to_string_pretty());
-    }
 
     #[test]
     fn same_spec_same_journal() {
@@ -648,18 +100,5 @@ mod tests {
         assert_eq!(r1.records(), r2.records());
         assert!(!j1.is_empty());
         assert_eq!(j1.to_jsonl(), j2.to_jsonl());
-    }
-
-    #[test]
-    fn malformed_specs_are_rejected() {
-        let spec = sample_spec();
-        let mut v = spec.to_json();
-        if let Json::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "mechanism");
-        }
-        assert!(RunSpec::from_json(&v).is_err());
-        assert!(RunSpec::from_json(&Json::Num(3.0)).is_err());
-        let bad_version = Json::Obj(vec![("version".into(), Json::Num(999.0))]);
-        assert!(RunSpec::from_json(&bad_version).is_err());
     }
 }

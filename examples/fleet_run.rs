@@ -10,12 +10,17 @@
 //! balancer and arbitrates the shared sprint budget with time-bounded
 //! leases: a node may sprint only while it holds an unexpired lease,
 //! and every failure fails safe — if the lease lapses, the node
-//! force-unsprints. To replay any fleet from a recorded spec:
+//! force-unsprints. To record a fleet scenario's journal to a file
+//! that carries its TOML plan, then re-run and diff it:
 //!
 //! ```text
-//! cargo run --release -p fleet --bin reactor_replay -- --record-fleet /tmp/fleet.json 7 100
-//! cargo run --release -p fleet --bin reactor_replay -- --fleet /tmp/fleet.json
+//! cargo run --release -p bench --bin scenario_run -- --record fleet-100-node-failover > /tmp/fleet.jsonl
+//! cargo run --release -p bench --bin scenario_run -- --replay /tmp/fleet.jsonl
 //! ```
+//!
+//! To record another fleet, copy a plan under `scenarios/`, edit it
+//! (its `seed`, `[fleet] nodes`, faults) and record the copy with
+//! `--dir`.
 
 use model_sprint::fleet::{run_fleet_journaled, CoordinatorCrash, FleetSpec};
 use model_sprint::simcore::SprintError;

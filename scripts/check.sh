@@ -23,17 +23,24 @@ run cargo test -q --offline --manifest-path perfbench/Cargo.toml
 run cargo clippy --all-targets --offline --manifest-path perfbench/Cargo.toml -- -D warnings
 run cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
-# Reactor record/replay smoke: fixed-seed journal determinism (with and
-# without message faults), a file round-trip through the journal format,
-# and a tamper-detection self-test. Exits non-zero on any divergence.
-run ./target/release/reactor_replay --smoke > /dev/null
+# Record/replay gate: each fixed-seed record/replay plan of the catalog
+# -- a single-node run where every controller-message verdict fires
+# (delay, drop, duplicate, partition drop), and a 100-node fleet with a
+# lossy control plane and a primary-coordinator crash -- is recorded
+# at its committed seed to a journal file under target/ that carries
+# the plan, then re-run from that file and diffed entry by entry.
+# Exits non-zero on any divergence.
+for plan in message-fault-mix fleet-100-node-failover; do
+    journal="target/record-replay-$plan.jsonl"
+    echo "==> ./target/release/scenario_run --record $plan > $journal"
+    ./target/release/scenario_run --record "$plan" > "$journal"
+    run ./target/release/scenario_run --replay "$journal" > /dev/null
+done
 
-# Fleet smoke: a 100-node fleet records, re-executes, and diffs
-# bit-identically from one seed, then the canonical coordinator-crash
-# run (fleet_report) re-checks the four fleet invariants — bounded
-# power, epoch fencing, fail-safe sprinting, convergence — plus
-# failover actually happening. Both exit non-zero on any violation.
-run ./target/release/reactor_replay --fleet-smoke > /dev/null
+# Fleet smoke: the canonical coordinator-crash run (fleet_report)
+# re-checks the four fleet invariants — bounded power, epoch fencing,
+# fail-safe sprinting, convergence — plus failover actually happening.
+# Exits non-zero on any violation.
 run ./target/release/fleet_report > /dev/null
 
 # Bounded chaos smoke sweep: randomized fault plans at fixed seeds over
