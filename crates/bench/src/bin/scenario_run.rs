@@ -32,7 +32,7 @@
 //! cloning scenario (which carries no trace) exits non-zero.
 //!
 //! `--record <name>` runs the one named single-node or fleet scenario
-//! with the reactor's decision journal on, at its committed seed, and
+//! with the decision journal on, at its committed seed, and
 //! writes a journal file to stdout: a one-line JSON header carrying the
 //! plan as canonical TOML, then one journal entry per line (see
 //! `scenario::journal_file`). To record at another seed, copy the plan

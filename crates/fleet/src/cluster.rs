@@ -24,15 +24,16 @@
 //! slack" invariant checked by [`Tracker`].
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use faults::FaultCounters;
 use obs::{CauseReason, EventKind, FlightRecorder, RunTelemetry, SpanKind, SpanOutcome, TraceCtx};
-use reactor::{Delivery, Journal, Reactor};
+use reactor::{Delivery, Journal, JournalEntry, Reactor};
 use simcore::json::Json;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::SprintError;
-use testbed::{RunResult, Server};
+use testbed::{NodeRecord, RunResult, Server};
 
 use crate::spec::{FleetPartition, FleetSpec};
 
@@ -57,7 +58,7 @@ impl Addr {
 
 /// Control-plane messages. All lease state transitions ride on these;
 /// there is no side channel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum FleetMsg {
     /// Acquire or renew a lease. `held_epoch` is the epoch of a lease
     /// the node still holds (0 = none) so a fresh primary can observe
@@ -77,7 +78,7 @@ enum FleetMsg {
 
 /// Node-side timers. `seq` fences request/timeout pairs against state
 /// changes; `gen` fences renew/expiry timers against lease turnover.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum NodeTimer {
     Request { seq: u64 },
     RequestTimeout { seq: u64 },
@@ -87,7 +88,7 @@ enum NodeTimer {
 
 /// Coordinator-side timers; each event carries the coordinator's
 /// incarnation `gen` so timers from before a crash are dead on arrival.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum CoordTimer {
     Heartbeat,
     StepDownCheck,
@@ -96,7 +97,7 @@ enum CoordTimer {
 }
 
 /// Fleet reactor events.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum FleetEv {
     Deliver {
         from: Addr,
@@ -119,6 +120,192 @@ enum FleetEv {
         coord: u32,
     },
     Health,
+}
+
+/// A control-plane decision journaled beside the popped events: a
+/// network fault verdict or a lease-protocol step. Stored by value,
+/// floats as the inputs they are printed from; `Display` is the journal
+/// text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Note {
+    NetDelay {
+        from: u32,
+        to: u32,
+        delay_us: u64,
+    },
+    NetDrop {
+        from: u32,
+        to: u32,
+        partitioned: bool,
+    },
+    NetDup {
+        from: u32,
+        to: u32,
+        extra_us: u64,
+    },
+    NetCoordDown {
+        coord: u32,
+    },
+    RequestTimeout {
+        node: u32,
+        attempt: u32,
+        backoff: f64,
+    },
+    FencedGrant {
+        node: u32,
+        epoch: u64,
+    },
+    Leased {
+        node: u32,
+        epoch: u64,
+        expires: SimTime,
+    },
+    Lapsed {
+        node: u32,
+        epoch: u64,
+    },
+    Released {
+        node: u32,
+    },
+    StandbyIgnores {
+        coord: u32,
+        node: u32,
+    },
+    Deny {
+        coord: u32,
+        node: u32,
+    },
+    Grant {
+        coord: u32,
+        renew: bool,
+        node: u32,
+        epoch: u64,
+        expires: SimTime,
+        held_epoch: u64,
+    },
+    StepDown {
+        coord: u32,
+        why: &'static str,
+    },
+    Elected {
+        coord: u32,
+        epoch: u64,
+    },
+    Swept {
+        coord: u32,
+        reclaimed: u32,
+    },
+    Crashed {
+        coord: u32,
+    },
+    Repaired {
+        coord: u32,
+    },
+}
+
+impl fmt::Display for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Note::NetDelay { from, to, delay_us } => {
+                write!(f, "fleet net: delay {from}->{to} by {delay_us}us")
+            }
+            Note::NetDrop {
+                from,
+                to,
+                partitioned,
+            } => write!(
+                f,
+                "fleet net: drop {from}->{to}{}",
+                if partitioned { " (partitioned)" } else { "" }
+            ),
+            Note::NetDup { from, to, extra_us } => {
+                write!(f, "fleet net: dup {from}->{to} +{extra_us}us")
+            }
+            Note::NetCoordDown { coord } => {
+                write!(f, "fleet net: coord {coord} down, message lost")
+            }
+            Note::RequestTimeout {
+                node,
+                attempt,
+                backoff,
+            } => write!(
+                f,
+                "node {node}: request timeout, retry #{attempt} in {backoff:.2}s"
+            ),
+            Note::FencedGrant { node, epoch } => {
+                write!(f, "node {node}: fenced stale grant epoch {epoch}")
+            }
+            Note::Leased {
+                node,
+                epoch,
+                expires,
+            } => write!(
+                f,
+                "node {node}: lease epoch {epoch} until {:.1}s",
+                expires.as_secs_f64()
+            ),
+            Note::Lapsed { node, epoch } => write!(f, "node {node}: lease epoch {epoch} lapsed"),
+            Note::Released { node } => write!(f, "node {node}: done, lease released"),
+            Note::StandbyIgnores { coord, node } => write!(
+                f,
+                "coord {coord}: standby ignores lease request from node {node}"
+            ),
+            Note::Deny { coord, node } => {
+                write!(f, "coord {coord}: deny node {node} (budget full)")
+            }
+            Note::Grant {
+                coord,
+                renew,
+                node,
+                epoch,
+                expires,
+                held_epoch,
+            } => {
+                let verb = if renew { "renew" } else { "grant" };
+                write!(
+                    f,
+                    "coord {coord}: {verb} node {node} epoch {epoch} until {:.1}s \
+                     (held_epoch {held_epoch})",
+                    expires.as_secs_f64()
+                )
+            }
+            Note::StepDown { coord, why } => write!(f, "coord {coord}: steps down ({why})"),
+            Note::Elected { coord, epoch } => {
+                write!(f, "coord {coord}: elected primary, epoch {epoch}")
+            }
+            Note::Swept { coord, reclaimed } => {
+                write!(f, "coord {coord}: swept {reclaimed} expired leases")
+            }
+            Note::Crashed { coord } => write!(f, "coord {coord}: crashed"),
+            Note::Repaired { coord } => {
+                write!(f, "coord {coord}: repaired, rejoining as standby")
+            }
+        }
+    }
+}
+
+/// One entry of a fleet's merged decision journal: a control-plane
+/// event or decision, or an entry of one node server's journal. Stored
+/// by value; its text is the source's own, prefixed by `f ` for the
+/// control plane or `n<i> ` for node `i`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FleetRecord(FleetItem);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FleetItem {
+    Event(FleetEv),
+    Note(Note),
+    Node(u32, NodeRecord),
+}
+
+impl fmt::Display for FleetRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            FleetItem::Event(ev) => write!(f, "f {ev:?}"),
+            FleetItem::Note(note) => write!(f, "f {note}"),
+            FleetItem::Node(i, record) => write!(f, "n{i} {record}"),
+        }
+    }
 }
 
 /// A lease as held by a node.
@@ -621,8 +808,13 @@ struct Cluster<'m> {
     net: FleetNet,
     agents: Vec<NodeAgent>,
     servers: Vec<Option<Server<'m>>>,
+    /// Next event time of each live server, refreshed by
+    /// [`Cluster::on_server`] after every access that can change it;
+    /// `None` once the node completed. The interleave scans this
+    /// instead of peeking every server's queue.
+    next_t: Vec<Option<SimTime>>,
     results: Vec<Option<RunResult>>,
-    node_journals: Vec<Option<Journal>>,
+    node_journals: Vec<Option<Journal<NodeRecord>>>,
     coords: Vec<Coordinator>,
     tracker: Tracker,
     recorder: FlightRecorder,
@@ -633,7 +825,8 @@ struct Cluster<'m> {
     done_count: u32,
     horizon: SimTime,
     iterations: u64,
-    journaled: bool,
+    /// The control plane's decision journal; `None` journals nothing.
+    journal: Option<Journal<FleetRecord>>,
     tracer: Option<FleetTracer>,
 }
 
@@ -699,10 +892,6 @@ impl<'m> Cluster<'m> {
                 last_ack: SimTime::ZERO,
             })
             .collect();
-        let mut reactor = Reactor::new();
-        if journaled {
-            reactor.enable_journal();
-        }
         Ok(Cluster {
             net: FleetNet {
                 rng: spec.net_rng(),
@@ -712,10 +901,11 @@ impl<'m> Cluster<'m> {
             recorder: FlightRecorder::new(16_384),
             agents,
             servers,
+            next_t: vec![None; n as usize],
             results: (0..n).map(|_| None).collect(),
             node_journals: (0..n).map(|_| None).collect(),
             coords,
-            reactor,
+            reactor: Reactor::new(),
             stats: LeaseStats::default(),
             forced_unsprints: 0,
             last_degradation: FleetDegradation {
@@ -727,7 +917,7 @@ impl<'m> Cluster<'m> {
             done_count: 0,
             horizon: SimTime::ZERO,
             iterations: 0,
-            journaled,
+            journal: journaled.then(Journal::new),
             tracer: traced.then(|| FleetTracer::new(spec.seed, n as usize, c as usize)),
             spec: spec.clone(),
         })
@@ -777,9 +967,7 @@ impl<'m> Cluster<'m> {
         let lease_secs = self.spec.lease_secs;
         // Nodes: prime the servers and stagger first lease requests.
         for i in 0..nodes {
-            if let Some(server) = self.servers[i].as_mut() {
-                server.prime();
-            }
+            self.on_server(i, Server::prime);
             let jitter = self.agents[i].rng.uniform(0.0, backoff_base);
             let seq = self.agents[i].seq;
             self.reactor.schedule(
@@ -852,6 +1040,33 @@ impl<'m> Cluster<'m> {
         self.done_count == self.spec.nodes
     }
 
+    /// Runs `f` on node `n`'s server while the node is live, then
+    /// refreshes the node's cached next-event time. Every `&mut Server`
+    /// access goes through here, so the interleave's cache cannot go
+    /// stale.
+    fn on_server<T>(&mut self, n: usize, f: impl FnOnce(&mut Server<'m>) -> T) -> Option<T> {
+        let server = self.servers[n].as_mut()?;
+        let out = f(server);
+        self.next_t[n] = server.peek_time();
+        Some(out)
+    }
+
+    /// Pops the control plane's next event, journaling it.
+    fn pop(&mut self) -> Option<(SimTime, FleetEv)> {
+        let (at, ev) = self.reactor.pop()?;
+        if let Some(j) = self.journal.as_mut() {
+            j.push(at, FleetRecord(FleetItem::Event(ev)));
+        }
+        Some((at, ev))
+    }
+
+    /// Journals a control-plane decision.
+    fn note(&mut self, at: SimTime, note: Note) {
+        if let Some(j) = self.journal.as_mut() {
+            j.push(at, FleetRecord(FleetItem::Note(note)));
+        }
+    }
+
     // -----------------------------------------------------------------
     // Network
 
@@ -879,9 +1094,14 @@ impl<'m> Cluster<'m> {
                     },
                 );
                 self.note_net_fault(now, &msg, to, CauseReason::MessageDelay);
-                self.reactor.note(now, || {
-                    format!("fleet net: delay {fi}->{ti} by {}us", delay.0)
-                });
+                self.note(
+                    now,
+                    Note::NetDelay {
+                        from: fi,
+                        to: ti,
+                        delay_us: delay.0,
+                    },
+                );
                 let id = self.reactor.schedule(
                     now.saturating_add(delay),
                     FleetEv::Deliver { from, to, msg },
@@ -905,12 +1125,14 @@ impl<'m> Cluster<'m> {
                     CauseReason::MessageDrop
                 };
                 self.note_net_fault(now, &msg, to, reason);
-                self.reactor.note(now, || {
-                    format!(
-                        "fleet net: drop {fi}->{ti}{}",
-                        if partitioned { " (partitioned)" } else { "" }
-                    )
-                });
+                self.note(
+                    now,
+                    Note::NetDrop {
+                        from: fi,
+                        to: ti,
+                        partitioned,
+                    },
+                );
             }
             Delivery::Duplicated { extra_delay } => {
                 self.recorder.record(
@@ -921,17 +1143,17 @@ impl<'m> Cluster<'m> {
                         delay_micros: extra_delay.0,
                     },
                 );
-                self.reactor.note(now, || {
-                    format!("fleet net: dup {fi}->{ti} +{}us", extra_delay.0)
-                });
-                let id = self.reactor.schedule(
+                self.note(
                     now,
-                    FleetEv::Deliver {
-                        from,
-                        to,
-                        msg: msg.clone(),
+                    Note::NetDup {
+                        from: fi,
+                        to: ti,
+                        extra_us: extra_delay.0,
                     },
                 );
+                let id = self
+                    .reactor
+                    .schedule(now, FleetEv::Deliver { from, to, msg });
                 let id2 = self.reactor.schedule(
                     now.saturating_add(extra_delay),
                     FleetEv::Deliver { from, to, msg },
@@ -1030,9 +1252,14 @@ impl<'m> Cluster<'m> {
                 FleetTracer::close(&mut self.recorder, now, rpc, SpanOutcome::TimedOut);
             }
         }
-        self.reactor.note(now, || {
-            format!("node {node}: request timeout, retry #{attempt} in {backoff:.2}s")
-        });
+        self.note(
+            now,
+            Note::RequestTimeout {
+                node,
+                attempt,
+                backoff,
+            },
+        );
         let at = now.saturating_add(Self::secs(backoff));
         self.schedule_node(at, node, NodeTimer::Request { seq });
     }
@@ -1046,9 +1273,7 @@ impl<'m> Cluster<'m> {
             (a.done, a.highest_epoch, a.target)
         };
         if epoch < highest {
-            self.reactor.note(now, || {
-                format!("node {node}: fenced stale grant epoch {epoch}")
-            });
+            self.note(now, Note::FencedGrant { node, epoch });
             return;
         }
         if done {
@@ -1101,20 +1326,19 @@ impl<'m> Cluster<'m> {
                     parent,
                 );
             }
-            if let Some(server) = self.servers[n].as_mut() {
-                server.set_trace_parent(t.lease_span[n]);
-            }
+            let parent = t.lease_span[n];
+            self.on_server(n, |server| server.set_trace_parent(parent));
             self.tracer = Some(t);
         }
-        self.reactor.note(now, || {
-            format!(
-                "node {node}: lease epoch {epoch} until {:.1}s",
-                expires.as_secs_f64()
-            )
-        });
-        if let Some(server) = self.servers[n].as_mut() {
-            server.set_sprint_permit(true);
-        }
+        self.note(
+            now,
+            Note::Leased {
+                node,
+                epoch,
+                expires,
+            },
+        );
+        self.on_server(n, |server| server.set_sprint_permit(true));
         let renew_at = if expires > now.saturating_add(Self::secs(renew_lead)) {
             expires - Self::secs(renew_lead)
         } else {
@@ -1160,14 +1384,17 @@ impl<'m> Cluster<'m> {
             obs::global().lease_expiries.incr();
             obs::scoped(node).lease_expiries.incr();
         }
-        self.reactor
-            .note(now, || format!("node {node}: lease epoch {epoch} lapsed"));
-        if let Some(server) = self.servers[n].as_mut() {
-            // Fail safe: the permit dies with the lease and any
-            // in-flight sprint is force-ended immediately.
+        self.note(now, Note::Lapsed { node, epoch });
+        // Fail safe: the permit dies with the lease and any in-flight
+        // sprint is force-ended immediately.
+        let unsprinted = self.on_server(n, |server| {
             server.set_sprint_permit(false);
-            self.forced_unsprints += server.force_unsprint_all(now)?;
-            if server.sprinting() > 0 {
+            let forced = server.force_unsprint_all(now)?;
+            Ok::<_, SprintError>((forced, server.sprinting()))
+        });
+        if let Some((forced, sprinting)) = unsprinted.transpose()? {
+            self.forced_unsprints += forced;
+            if sprinting > 0 {
                 self.tracker.violation(
                     "fail-safe",
                     format!(
@@ -1238,8 +1465,7 @@ impl<'m> Cluster<'m> {
                 let span = std::mem::take(&mut t.lease_span[n]);
                 FleetTracer::close(&mut self.recorder, now, span, SpanOutcome::Released);
             }
-            self.reactor
-                .note(now, || format!("node {node}: done, lease released"));
+            self.note(now, Note::Released { node });
             let target = self.agents[n].target % self.spec.coordinators;
             self.send(
                 now,
@@ -1263,9 +1489,7 @@ impl<'m> Cluster<'m> {
             (co.role, co.epoch)
         };
         if role != Role::Primary {
-            self.reactor.note(now, || {
-                format!("coord {coord}: standby ignores lease request from node {node}")
-            });
+            self.note(now, Note::StandbyIgnores { coord, node });
             return;
         }
         let expires = now.saturating_add(Self::secs(lease_secs));
@@ -1291,9 +1515,7 @@ impl<'m> Cluster<'m> {
         match decision {
             "deny" => {
                 self.stats.denials += 1;
-                self.reactor.note(now, || {
-                    format!("coord {coord}: deny node {node} (budget full)")
-                });
+                self.note(now, Note::Deny { coord, node });
                 self.send(
                     now,
                     Addr::Coordinator(coord),
@@ -1313,13 +1535,17 @@ impl<'m> Cluster<'m> {
                 }
                 self.stats.max_epoch = self.stats.max_epoch.max(epoch);
                 self.tracker.on_coord_grant(now, epoch, coord);
-                self.reactor.note(now, || {
-                    format!(
-                        "coord {coord}: {verb} node {node} epoch {epoch} until {:.1}s \
-                         (held_epoch {held_epoch})",
-                        expires.as_secs_f64()
-                    )
-                });
+                self.note(
+                    now,
+                    Note::Grant {
+                        coord,
+                        renew: verb == "renew",
+                        node,
+                        epoch,
+                        expires,
+                        held_epoch,
+                    },
+                );
                 self.send(
                     now,
                     Addr::Coordinator(coord),
@@ -1360,7 +1586,7 @@ impl<'m> Cluster<'m> {
         );
     }
 
-    fn coord_step_down(&mut self, now: SimTime, c: usize, why: &str) {
+    fn coord_step_down(&mut self, now: SimTime, c: usize, why: &'static str) {
         let coord = c as u32;
         {
             let co = &mut self.coords[c];
@@ -1380,9 +1606,7 @@ impl<'m> Cluster<'m> {
             let span = std::mem::take(&mut t.term_span[c]);
             FleetTracer::close(&mut self.recorder, now, span, SpanOutcome::SteppedDown);
         }
-        let reason = why.to_string();
-        self.reactor
-            .note(now, || format!("coord {coord}: steps down ({reason})"));
+        self.note(now, Note::StepDown { coord, why });
         let gen = self.coords[c].gen;
         let jitter = self.coords[c].rng.uniform(1.0, 1.25);
         self.schedule_coord(
@@ -1442,9 +1666,7 @@ impl<'m> Cluster<'m> {
             }
             self.tracer = Some(t);
         }
-        self.reactor.note(now, || {
-            format!("coord {coord}: elected primary, epoch {epoch}")
-        });
+        self.note(now, Note::Elected { coord, epoch });
         let gen = self.coords[c].gen;
         // Announce immediately, then settle into the periodic beat.
         self.coord_heartbeat_now(now, c);
@@ -1549,9 +1771,7 @@ impl<'m> Cluster<'m> {
                     }
                 }
                 if reclaimed > 0 {
-                    self.reactor.note(now, || {
-                        format!("coord {coord}: swept {reclaimed} expired leases")
-                    });
+                    self.note(now, Note::Swept { coord, reclaimed });
                 }
                 self.schedule_coord(
                     Self::secs(self.spec.lease_secs / 4.0),
@@ -1581,7 +1801,7 @@ impl<'m> Cluster<'m> {
             }
             FleetTracer::close(&mut self.recorder, now, span, SpanOutcome::Crashed);
         }
-        self.reactor.note(now, || format!("coord {coord}: crashed"));
+        self.note(now, Note::Crashed { coord });
     }
 
     fn coord_repair(&mut self, now: SimTime, c: usize) {
@@ -1600,9 +1820,7 @@ impl<'m> Cluster<'m> {
             co.last_hb_heard = now;
             co.gen
         };
-        self.reactor.note(now, || {
-            format!("coord {coord}: repaired, rejoining as standby")
-        });
+        self.note(now, Note::Repaired { coord });
         let jitter = self.coords[c].rng.uniform(1.0, 1.25);
         self.schedule_coord(
             Self::secs(self.spec.election_secs * jitter),
@@ -1681,8 +1899,7 @@ impl<'m> Cluster<'m> {
             FleetEv::Deliver { from, to, msg } => match to {
                 Addr::Coordinator(c) => {
                     if !self.coords[c as usize].up {
-                        self.reactor
-                            .note(now, || format!("fleet net: coord {c} down, message lost"));
+                        self.note(now, Note::NetCoordDown { coord: c });
                         return Ok(());
                     }
                     match msg {
@@ -1772,6 +1989,7 @@ impl<'m> Cluster<'m> {
                 ),
             );
         }
+        self.next_t[n] = None;
         self.node_done(now, n);
         let (result, journal) = server.finish()?;
         self.results[n] = Some(result);
@@ -1780,7 +1998,7 @@ impl<'m> Cluster<'m> {
         Ok(())
     }
 
-    fn run(mut self) -> Result<(FleetResult, Option<Journal>), SprintError> {
+    fn run(mut self) -> Result<(FleetResult, Option<Journal<FleetRecord>>), SprintError> {
         self.init();
         while !self.all_done() {
             // Global virtual-time interleave: the earliest event across
@@ -1788,12 +2006,10 @@ impl<'m> Cluster<'m> {
             // ties go to the control plane, then the lowest node index.
             let fleet_t = self.reactor.peek_time();
             let mut node_next: Option<(SimTime, usize)> = None;
-            for (i, slot) in self.servers.iter().enumerate() {
-                if let Some(server) = slot {
-                    if let Some(t) = server.peek_time() {
-                        if node_next.is_none_or(|(bt, _)| t < bt) {
-                            node_next = Some((t, i));
-                        }
+            for (i, t) in self.next_t.iter().enumerate() {
+                if let Some(t) = *t {
+                    if node_next.is_none_or(|(bt, _)| t < bt) {
+                        node_next = Some((t, i));
                     }
                 }
             }
@@ -1808,14 +2024,14 @@ impl<'m> Cluster<'m> {
                     ));
                 }
                 (Some(_), None) => {
-                    if let Some((t, ev)) = self.reactor.pop() {
+                    if let Some((t, ev)) = self.pop() {
                         self.dispatch(t, ev)?;
                     }
                 }
                 (None, Some((t, i))) => self.step_node(t, i)?,
                 (Some(ft), Some((nt, i))) => {
                     if ft <= nt {
-                        if let Some((t, ev)) = self.reactor.pop() {
+                        if let Some((t, ev)) = self.pop() {
                             self.dispatch(t, ev)?;
                         }
                     } else {
@@ -1834,7 +2050,7 @@ impl<'m> Cluster<'m> {
             if t > drain_end {
                 break;
             }
-            if let Some((t, ev)) = self.reactor.pop() {
+            if let Some((t, ev)) = self.pop() {
                 self.dispatch(t, ev)?;
             }
             self.tick_valve()?;
@@ -1844,20 +2060,17 @@ impl<'m> Cluster<'m> {
 
     fn step_node(&mut self, t: SimTime, i: usize) -> Result<(), SprintError> {
         self.horizon = self.horizon.max(t);
-        let done = {
-            let Some(server) = self.servers[i].as_mut() else {
-                return Ok(());
-            };
-            server.step()?;
-            server.is_done()
+        let Some(stepped) = self.on_server(i, |server| server.step().map(|_| server.is_done()))
+        else {
+            return Ok(());
         };
-        if done {
+        if stepped? {
             self.complete_node(t, i)?;
         }
         Ok(())
     }
 
-    fn finalize(mut self) -> Result<(FleetResult, Option<Journal>), SprintError> {
+    fn finalize(mut self) -> Result<(FleetResult, Option<Journal<FleetRecord>>), SprintError> {
         self.tracker.advance(self.horizon);
         let horizon_secs = self.horizon.as_secs_f64();
         let mut served = 0u64;
@@ -1921,41 +2134,35 @@ impl<'m> Cluster<'m> {
             telemetry: self.recorder.finish(),
             node_telemetries,
         };
-        let journal = if self.journaled {
-            Some(merge_journals(
-                self.reactor.take_journal(),
-                std::mem::take(&mut self.node_journals),
-            ))
-        } else {
-            None
-        };
+        let journal = self
+            .journal
+            .take()
+            .map(|fleet| merge_journals(fleet, &self.node_journals));
         Ok((result, journal))
     }
 }
 
 /// Merges the fleet control-plane journal with every node journal into
-/// one deterministic stream: entries are tagged (`f` for the control
-/// plane, `n<i>` for node `i`) and stably ordered by `(time, source)`.
-fn merge_journals(fleet: Option<Journal>, nodes: Vec<Option<Journal>>) -> Journal {
-    let mut entries: Vec<(u64, u32, String)> = Vec::new();
-    if let Some(j) = fleet {
-        for e in j.entries() {
-            entries.push((e.t_us, 0, format!("f {}", e.what)));
-        }
+/// one deterministic stream ordered by `(time, source)`, the control
+/// plane first and then the nodes by index: the sources are appended in
+/// that order and one stable sort by time keeps it among equal times.
+fn merge_journals(
+    fleet: Journal<FleetRecord>,
+    nodes: &[Option<Journal<NodeRecord>>],
+) -> Journal<FleetRecord> {
+    let mut entries = fleet.into_entries();
+    entries.reserve_exact(nodes.iter().flatten().map(Journal::len).sum());
+    for (i, journal) in nodes.iter().enumerate() {
+        let Some(journal) = journal else {
+            continue;
+        };
+        entries.extend(journal.entries().iter().map(|e| JournalEntry {
+            t_us: e.t_us,
+            what: FleetRecord(FleetItem::Node(i as u32, e.what)),
+        }));
     }
-    for (i, j) in nodes.into_iter().enumerate() {
-        if let Some(j) = j {
-            for e in j.entries() {
-                entries.push((e.t_us, 1 + i as u32, format!("n{i} {}", e.what)));
-            }
-        }
-    }
-    entries.sort_by_key(|e| (e.0, e.1));
-    let mut merged = Journal::new();
-    for (t_us, _, what) in entries {
-        merged.push(SimTime(t_us), what);
-    }
-    merged
+    entries.sort_by_key(|e| e.t_us);
+    Journal::from(entries)
 }
 
 /// Runs a fleet spec to completion.
@@ -1996,7 +2203,9 @@ pub fn run_fleet_traced(spec: &FleetSpec) -> Result<FleetResult, SprintError> {
 /// # Errors
 ///
 /// Returns an error under the same conditions as [`run_fleet`].
-pub fn run_fleet_journaled(spec: &FleetSpec) -> Result<(FleetResult, Journal), SprintError> {
+pub fn run_fleet_journaled(
+    spec: &FleetSpec,
+) -> Result<(FleetResult, Journal<FleetRecord>), SprintError> {
     let mech = spec.template.mechanism.build();
     let cluster = Cluster::new(spec, &*mech, true, false)?;
     let (result, journal) = cluster.run()?;

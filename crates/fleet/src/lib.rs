@@ -28,7 +28,7 @@ pub mod plan;
 pub mod spec;
 
 pub use cluster::{
-    run_fleet, run_fleet_journaled, run_fleet_traced, FleetDegradation, FleetResult,
+    run_fleet, run_fleet_journaled, run_fleet_traced, FleetDegradation, FleetRecord, FleetResult,
     FleetViolation, LeaseStats,
 };
 pub use plan::{plan_fleet, FleetPlan, NodePlan};

@@ -1,49 +1,57 @@
-//! Trace record/replay: the reactor's decision journal.
+//! Trace record/replay: a run's decision journal.
 //!
 //! A journal is the run's ground truth at event granularity: one entry
 //! per popped event plus one per routing decision, each carrying the
-//! virtual timestamp and a deterministic rendering of what happened.
-//! Because every entry is produced from seeded state only, re-running
-//! the same `(seed, plan)` must reproduce the journal byte for byte —
-//! [`Journal::diff`] turns any divergence into a precise first-mismatch
-//! report instead of a shrug.
+//! virtual timestamp and what happened. Because every entry is produced
+//! from seeded state only, re-running the same `(seed, plan)` must
+//! reproduce the journal entry for entry — [`Journal::diff`] turns any
+//! divergence into a precise first-mismatch report instead of a shrug.
+//!
+//! Entries hold the driver's own typed record `R` by value, so
+//! journaling a decision is one push of a small `Copy` value. Text is
+//! produced only when a journal is printed: by [`Journal::to_jsonl`],
+//! [`JournalDivergence::render`] and [`Journal::rendered`], each of
+//! which formats a record through its `Display` form. A journal read
+//! back from text is a `Journal<String>`, the default record type.
+
+use std::fmt::Display;
 
 use simcore::json::Json;
 use simcore::time::SimTime;
 use simcore::SprintError;
 
-/// One journaled reactor decision: a virtual timestamp (microseconds)
-/// and a deterministic text rendering of the event or routing verdict.
+/// One journaled decision: a virtual timestamp (microseconds) and the
+/// record of the event or routing verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
+pub struct JournalEntry<R = String> {
     /// Virtual time of the decision, in microseconds.
     pub t_us: u64,
-    /// Deterministic description (an event's `Debug` form or a routing
-    /// verdict).
-    pub what: String,
+    /// What was decided: a driver's typed record, or its rendered text
+    /// in a journal read back from a file.
+    pub what: R,
 }
 
-/// An append-only log of reactor decisions for one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Journal {
-    entries: Vec<JournalEntry>,
+/// An append-only log of decisions for one run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Journal<R = String> {
+    entries: Vec<JournalEntry<R>>,
 }
 
 /// The first point at which two journals disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalDivergence {
+pub struct JournalDivergence<R = String> {
     /// Index of the first mismatching entry.
     pub index: usize,
     /// The entry the reference journal holds there (`None` if it ended).
-    pub expected: Option<JournalEntry>,
+    pub expected: Option<JournalEntry<R>>,
     /// The entry the other journal holds there (`None` if it ended).
-    pub got: Option<JournalEntry>,
+    pub got: Option<JournalEntry<R>>,
 }
 
-impl JournalDivergence {
+impl<R: Display> JournalDivergence<R> {
     /// Renders the divergence with up to `context` preceding entries
     /// from the reference journal, for human-readable diff output.
-    pub fn render(&self, reference: &Journal, context: usize) -> String {
+    pub fn render(&self, reference: &Journal<R>, context: usize) -> String {
         let mut out = String::new();
         let start = self.index.saturating_sub(context);
         for (i, e) in reference
@@ -55,7 +63,7 @@ impl JournalDivergence {
         {
             out.push_str(&format!("  [{i}] {:>12}us  {}\n", e.t_us, e.what));
         }
-        let fmt = |e: &Option<JournalEntry>| match e {
+        let fmt = |e: &Option<JournalEntry<R>>| match e {
             Some(e) => format!("{:>12}us  {}", e.t_us, e.what),
             None => "<journal ends>".to_string(),
         };
@@ -69,20 +77,40 @@ impl JournalDivergence {
     }
 }
 
-impl Journal {
+impl<R> Default for Journal<R> {
+    fn default() -> Self {
+        Journal {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<R> From<Vec<JournalEntry<R>>> for Journal<R> {
+    /// A journal holding `entries` in the given order.
+    fn from(entries: Vec<JournalEntry<R>>) -> Self {
+        Journal { entries }
+    }
+}
+
+impl<R> Journal<R> {
     /// An empty journal.
-    pub fn new() -> Journal {
+    pub fn new() -> Journal<R> {
         Journal::default()
     }
 
     /// Appends one decision.
-    pub fn push(&mut self, at: SimTime, what: String) {
+    pub fn push(&mut self, at: SimTime, what: R) {
         self.entries.push(JournalEntry { t_us: at.0, what });
     }
 
     /// All entries, in decision order.
-    pub fn entries(&self) -> &[JournalEntry] {
+    pub fn entries(&self) -> &[JournalEntry<R>] {
         &self.entries
+    }
+
+    /// The entries by value, in decision order.
+    pub fn into_entries(self) -> Vec<JournalEntry<R>> {
+        self.entries
     }
 
     /// Number of journaled decisions.
@@ -94,53 +122,12 @@ impl Journal {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
 
-    /// Serializes as JSONL: one compact object per entry, one per line
-    /// (`{"seq": …, "t_us": …, "what": …}`).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, e) in self.entries.iter().enumerate() {
-            let obj = Json::Obj(vec![
-                ("seq".to_string(), Json::Num(seq as f64)),
-                ("t_us".to_string(), Json::Num(e.t_us as f64)),
-                ("what".to_string(), Json::Str(e.what.clone())),
-            ]);
-            out.push_str(&obj.to_string_pretty().replace('\n', " "));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a JSONL dump produced by [`Journal::to_jsonl`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SprintError::InvalidConfig`] (directly or via the JSON
-    /// parser) if a line is malformed or out of sequence.
-    pub fn parse_jsonl(text: &str) -> Result<Journal, SprintError> {
-        let mut entries = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let obj = Json::parse(line)?;
-            let seq = obj.field("seq")?.as_f64()? as usize;
-            if seq != entries.len() {
-                return Err(SprintError::invalid(
-                    "Journal::parse_jsonl",
-                    format!("line {i}: seq {seq} != expected {}", entries.len()),
-                ));
-            }
-            let t_us = obj.field("t_us")?.as_f64()? as u64;
-            let what = obj.field("what")?.as_str()?.to_string();
-            entries.push(JournalEntry { t_us, what });
-        }
-        Ok(Journal { entries })
-    }
-
+impl<R: PartialEq + Clone> Journal<R> {
     /// Compares against another journal, returning the first divergence
-    /// (`None` when byte-identical in content).
-    pub fn diff(&self, other: &Journal) -> Option<JournalDivergence> {
+    /// (`None` when every entry is equal).
+    pub fn diff(&self, other: &Journal<R>) -> Option<JournalDivergence<R>> {
         let n = self.entries.len().max(other.entries.len());
         for i in 0..n {
             let a = self.entries.get(i);
@@ -157,9 +144,94 @@ impl Journal {
     }
 }
 
+impl<R: Display> Journal<R> {
+    /// Serializes as JSONL: one compact object per entry, one per line
+    /// (`{"seq": …, "t_us": …, "what": …}`, `what` being the record's
+    /// `Display` form).
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (seq, e) in self.entries.iter().enumerate() {
+            let obj = Json::Obj(vec![
+                ("seq".to_string(), Json::Num(seq as f64)),
+                ("t_us".to_string(), Json::Num(e.t_us as f64)),
+                ("what".to_string(), Json::Str(e.what.to_string())),
+            ]);
+            out.push_str(&obj.to_string_pretty().replace('\n', " "));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The text journal: every record replaced by its `Display` form,
+    /// which is what [`Journal::to_jsonl`] writes and
+    /// [`Journal::parse_jsonl`] reads back.
+    pub fn rendered(&self) -> Journal<String> {
+        Journal {
+            entries: self
+                .entries
+                .iter()
+                .map(|e| JournalEntry {
+                    t_us: e.t_us,
+                    what: e.what.to_string(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Largest integer a JSON number (an `f64`) holds exactly: 2^53.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
+/// Reads field `key` of a journal line as a whole number. The JSON
+/// parser yields an `f64`, and an `as` cast would silently truncate a
+/// fraction, clamp a negative to 0 and saturate a huge value, so each
+/// of those is a typed error instead.
+fn whole_field(obj: &Json, line: usize, key: &str) -> Result<u64, SprintError> {
+    let v = obj.field(key)?.as_f64()?;
+    if v.fract() != 0.0 || !(0.0..=MAX_EXACT_INTEGER).contains(&v) {
+        return Err(SprintError::invalid(
+            "Journal::parse_jsonl",
+            format!("line {line}: {key} {v} is not a whole number in [0, 2^53]"),
+        ));
+    }
+    Ok(v as u64)
+}
+
+impl Journal<String> {
+    /// Parses a JSONL dump produced by [`Journal::to_jsonl`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SprintError::InvalidConfig`] (directly or via the JSON
+    /// parser) if a line is malformed or out of sequence, or its `seq`
+    /// or `t_us` is not a whole number in `[0, 2^53]`.
+    pub fn parse_jsonl(text: &str) -> Result<Journal, SprintError> {
+        let mut entries = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let obj = Json::parse(line)?;
+            let seq = whole_field(&obj, i, "seq")?;
+            if seq != entries.len() as u64 {
+                return Err(SprintError::invalid(
+                    "Journal::parse_jsonl",
+                    format!("line {i}: seq {seq} != expected {}", entries.len()),
+                ));
+            }
+            let t_us = whole_field(&obj, i, "t_us")?;
+            let what = obj.field("what")?.as_str()?.to_string();
+            entries.push(JournalEntry { t_us, what });
+        }
+        Ok(Journal { entries })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Reactor;
+    use std::fmt;
 
     fn sample() -> Journal {
         let mut j = Journal::new();
@@ -173,6 +245,29 @@ mod tests {
             "route Watchdog->Controller: Dropped { partitioned: false }".to_string(),
         );
         j
+    }
+
+    /// A driver's typed record: an event whose text is its `Debug` form.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Ev {
+        Tick(u32),
+        Msg { from: u32, to: u32 },
+    }
+
+    impl fmt::Display for Ev {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "{self:?}")
+        }
+    }
+
+    /// Drives a reactor to empty, journaling every pop the way the
+    /// testbed and fleet drivers do.
+    fn drive(reactor: &mut Reactor<Ev>) -> Journal<Ev> {
+        let mut journal = Journal::new();
+        while let Some((at, ev)) = reactor.pop() {
+            journal.push(at, ev);
+        }
+        journal
     }
 
     #[test]
@@ -216,5 +311,92 @@ mod tests {
         text.push_str(&first);
         text.push('\n');
         assert!(Journal::parse_jsonl(&text).is_err());
+    }
+
+    /// Asserts `line` is rejected with a typed error naming `key`.
+    fn assert_rejects(line: &str, key: &str) {
+        match Journal::parse_jsonl(line) {
+            Err(SprintError::InvalidConfig { details, .. }) => {
+                assert!(details.contains(key), "{line}: {details}");
+            }
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_rejects_fractional_numbers() {
+        assert_rejects(r#"{"seq": 0.5, "t_us": 7, "what": "x"}"#, "seq");
+        assert_rejects(r#"{"seq": 0, "t_us": 7.25, "what": "x"}"#, "t_us");
+    }
+
+    #[test]
+    fn parse_rejects_negative_numbers() {
+        assert_rejects(r#"{"seq": 0, "t_us": -7, "what": "x"}"#, "t_us");
+        assert_rejects(r#"{"seq": -1, "t_us": 7, "what": "x"}"#, "seq");
+    }
+
+    #[test]
+    fn parse_rejects_numbers_past_2_pow_53() {
+        assert_rejects(r#"{"seq": 0, "t_us": 1e300, "what": "x"}"#, "t_us");
+        assert_rejects(
+            r#"{"seq": 0, "t_us": 9007199254740994, "what": "x"}"#,
+            "t_us",
+        );
+        // 2^53 itself is exact and still accepted.
+        let j = Journal::parse_jsonl(r#"{"seq": 0, "t_us": 9007199254740992, "what": "x"}"#)
+            .expect("2^53 is a whole number");
+        assert_eq!(j.entries()[0].t_us, 1 << 53);
+    }
+
+    #[test]
+    fn popped_events_journal_in_pop_order() {
+        let mut r: Reactor<Ev> = Reactor::new();
+        r.schedule(SimTime::from_secs(2), Ev::Tick(2));
+        r.schedule(SimTime::from_secs(1), Ev::Tick(1));
+        r.schedule(SimTime::from_secs(1), Ev::Msg { from: 0, to: 1 });
+        let j = drive(&mut r);
+        assert_eq!(j.len(), 3);
+        assert_eq!(j.entries()[0].what, Ev::Tick(1));
+        assert_eq!(j.entries()[1].what, Ev::Msg { from: 0, to: 1 });
+        let text = j.rendered();
+        assert_eq!(text.entries()[0].what, "Tick(1)");
+        assert_eq!(text.entries()[1].what, "Msg { from: 0, to: 1 }");
+    }
+
+    #[test]
+    fn identical_drives_produce_identical_journals() {
+        let run = || {
+            let mut r: Reactor<Ev> = Reactor::new();
+            for i in 0..16 {
+                r.schedule(SimTime::from_secs(i % 5), Ev::Tick(i as u32));
+            }
+            drive(&mut r)
+        };
+        let a = run();
+        let b = run();
+        assert!(a.diff(&b).is_none());
+        assert_eq!(a.to_jsonl(), b.to_jsonl());
+    }
+
+    /// A typed journal and its text form print the same JSONL, and one
+    /// changed typed entry is the divergence both forms report.
+    #[test]
+    fn typed_and_rendered_journals_agree() {
+        let mut r: Reactor<Ev> = Reactor::new();
+        for i in 0..8 {
+            r.schedule(SimTime::from_secs(i % 3), Ev::Tick(i as u32));
+        }
+        let typed = drive(&mut r);
+        let text = typed.rendered();
+        assert_eq!(typed.to_jsonl(), text.to_jsonl());
+        assert_eq!(Journal::parse_jsonl(&typed.to_jsonl()).unwrap(), text);
+
+        let mut changed = typed.clone();
+        changed.entries[5].what = Ev::Msg { from: 7, to: 7 };
+        let d = typed.diff(&changed).expect("typed journals diverge");
+        assert_eq!(d.index, 5);
+        let d_text = text.diff(&changed.rendered()).expect("text diverges");
+        assert_eq!(d_text.index, 5);
+        assert_eq!(d.render(&typed, 2), d_text.render(&text, 2));
     }
 }

@@ -19,11 +19,14 @@
 //!   injectable: the same server logic runs against the reactor's
 //!   virtual clock in simulation or a [`WallClock`] live, and against a
 //!   [`PerfectNetwork`] or a fault-injecting router.
-//! - **Journaled decisions.** With journaling enabled, every popped
-//!   event and every routing decision is appended to a [`Journal`];
-//!   two runs of the same `(seed, plan)` must produce byte-identical
-//!   journals, and [`Journal::diff`] pinpoints the first divergence
-//!   when they do not.
+//! - **Journaled decisions.** A driver with journaling on appends every
+//!   event it pops and every routing decision it makes to a
+//!   [`Journal`] of its own typed records, stored by value; text is
+//!   rendered only when the journal is printed ([`Journal::to_jsonl`],
+//!   [`Journal::rendered`], [`JournalDivergence::render`]). Two runs of
+//!   the same `(seed, plan)` must produce identical journals, and
+//!   [`Journal::diff`] pinpoints the first divergence when they do not.
+//!   The reactor itself keeps no journal.
 
 #![deny(unreachable_pub)]
 

@@ -1,11 +1,9 @@
-//! The reactor proper: one event queue, one virtual clock, an optional
-//! decision journal.
+//! The reactor proper: one event queue, one virtual clock, and the
+//! cause id of every event.
 
 use crate::effects::TimeEffect;
-use crate::journal::Journal;
 use simcore::event::EventQueue;
 use simcore::time::SimTime;
-use std::fmt::Debug;
 
 /// An event plus its causal bookkeeping: the id the reactor assigned to
 /// it at scheduling time and the id of the event whose handler
@@ -20,12 +18,12 @@ struct Traced<E> {
 /// A deterministic single-threaded event reactor.
 ///
 /// All state transitions in a run happen at popped events; the clock is
-/// the timestamp of the most recently popped event. With journaling
-/// enabled, every pop (and any routing note the driver adds) is
-/// recorded, so the run's entire decision sequence replays and diffs
-/// from `(seed, plan)` alone. Journaling is observation-only: it draws
-/// no randomness and schedules nothing, so a journaled run is
-/// bit-identical to an unjournaled one.
+/// the timestamp of the most recently popped event. The reactor keeps
+/// no journal: a driver that journals pushes each event it pops (and
+/// any routing verdict it decides) into its own typed
+/// [`Journal`](crate::Journal), the way it attaches a recorder or a
+/// tracer, so the run's entire decision sequence replays and diffs from
+/// `(seed, plan)` alone.
 ///
 /// Every event additionally carries a *cause id*: [`Reactor::schedule`]
 /// assigns each event a sequential id and records the id of the event
@@ -38,45 +36,25 @@ struct Traced<E> {
 #[derive(Debug)]
 pub struct Reactor<E> {
     queue: EventQueue<Traced<E>>,
-    journal: Option<Journal>,
     next_id: u64,
     /// `(id, cause)` of the most recently popped event.
     current: (u64, u64),
 }
 
-impl<E: Debug> Default for Reactor<E> {
+impl<E> Default for Reactor<E> {
     fn default() -> Self {
         Reactor::new()
     }
 }
 
-impl<E: Debug> Reactor<E> {
-    /// An empty reactor at time zero, journaling disabled.
+impl<E> Reactor<E> {
+    /// An empty reactor at time zero.
     pub fn new() -> Reactor<E> {
         Reactor {
             queue: EventQueue::new(),
-            journal: None,
             next_id: 1,
             current: (0, 0),
         }
-    }
-
-    /// Turns on decision journaling (idempotent; keeps any entries
-    /// already recorded).
-    pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Journal::new());
-        }
-    }
-
-    /// Whether journaling is enabled.
-    pub fn journaling(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Takes the journal out of the reactor (disabling journaling).
-    pub fn take_journal(&mut self) -> Option<Journal> {
-        self.journal.take()
     }
 
     /// The current virtual time (the last popped event's instant).
@@ -105,14 +83,10 @@ impl<E: Debug> Reactor<E> {
         id
     }
 
-    /// Pops the earliest event, advancing the clock and journaling the
-    /// decision.
+    /// Pops the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (at, t) = self.queue.pop()?;
         self.current = (t.id, t.cause);
-        if let Some(j) = self.journal.as_mut() {
-            j.push(at, format!("{:?}", t.ev));
-        }
         Some((at, t.ev))
     }
 
@@ -125,15 +99,6 @@ impl<E: Debug> Reactor<E> {
     /// event (`0` for root events).
     pub fn current_cause(&self) -> u64 {
         self.current.1
-    }
-
-    /// Journals a driver decision (e.g. a message-routing verdict) that
-    /// does not itself schedule an event. The closure only runs when
-    /// journaling is enabled, keeping the disabled path allocation-free.
-    pub fn note(&mut self, at: SimTime, what: impl FnOnce() -> String) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push(at, what());
-        }
     }
 
     /// The instant of the next pending event, if any.
@@ -152,7 +117,7 @@ impl<E: Debug> Reactor<E> {
     }
 }
 
-impl<E: Debug> TimeEffect for Reactor<E> {
+impl<E> TimeEffect for Reactor<E> {
     fn now(&self) -> SimTime {
         Reactor::now(self)
     }
@@ -169,9 +134,8 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_time_then_fifo_order_and_journals() {
+    fn pops_in_time_then_fifo_order() {
         let mut r: Reactor<Ev> = Reactor::new();
-        r.enable_journal();
         r.schedule(SimTime::from_secs(2), Ev::Tick(2));
         r.schedule(SimTime::from_secs(1), Ev::Tick(1));
         r.schedule(SimTime::from_secs(1), Ev::Msg { from: 0, to: 1 });
@@ -184,19 +148,6 @@ mod tests {
             seen,
             vec![Ev::Tick(1), Ev::Msg { from: 0, to: 1 }, Ev::Tick(2)]
         );
-        let j = r.take_journal().unwrap();
-        assert_eq!(j.len(), 3);
-        assert_eq!(j.entries()[0].what, "Tick(1)");
-        assert_eq!(j.entries()[1].what, "Msg { from: 0, to: 1 }");
-    }
-
-    #[test]
-    fn notes_are_skipped_when_journaling_is_off() {
-        let mut r: Reactor<Ev> = Reactor::new();
-        r.note(SimTime::ZERO, || unreachable!("must not run"));
-        r.enable_journal();
-        r.note(SimTime::ZERO, || "routed".to_string());
-        assert_eq!(r.take_journal().unwrap().len(), 1);
     }
 
     #[test]
@@ -233,22 +184,5 @@ mod tests {
             seen
         };
         assert_eq!(drive(), drive());
-    }
-
-    #[test]
-    fn identical_drives_produce_identical_journals() {
-        let drive = || {
-            let mut r: Reactor<Ev> = Reactor::new();
-            r.enable_journal();
-            for i in 0..16 {
-                r.schedule(SimTime::from_secs(i % 5), Ev::Tick(i as u32));
-            }
-            while r.pop().is_some() {}
-            r.take_journal().unwrap()
-        };
-        let a = drive();
-        let b = drive();
-        assert!(a.diff(&b).is_none());
-        assert_eq!(a.to_jsonl(), b.to_jsonl());
     }
 }

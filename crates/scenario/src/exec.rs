@@ -13,7 +13,7 @@
 //! [`trace_graph`] reruns a single-node or fleet plan with causal
 //! tracing on and reconstructs its span graph; the `root-cause`
 //! invariant and `scenario_run --trace` both read it. [`journal`]
-//! reruns one with the reactor's decision journal on; `scenario_run
+//! reruns one with the decision journal on; `scenario_run
 //! --record` and `--replay` write and check it.
 //!
 //! The module also owns the flat *metric namespace* that `metric`
@@ -266,13 +266,15 @@ pub fn trace_graph(plan: &ScenarioPlan, seed: u64) -> Result<Option<TraceGraph>,
     }
 }
 
-/// Runs the plan at `seed` with the reactor's decision journal on and
-/// returns the journal: a single-node plan journals its supervised
+/// Runs the plan at `seed` with the decision journal on and returns
+/// the journal as text: a single-node plan journals its supervised
 /// server; a fleet plan merges the control plane's journal with every
-/// node's. Journaling is observation-only, so the journaled run is the
-/// same run [`execute`] makes, and the same plan and seed always give
-/// the same journal, byte for byte. Returns `None` for cloning plans,
-/// whose simulator has no reactor.
+/// node's. The run journals typed records and they are rendered here,
+/// once, at the boundary where the journal leaves for a file or a diff
+/// against one. Journaling is observation-only, so the journaled run
+/// is the same run [`execute`] makes, and the same plan and seed always
+/// give the same journal, byte for byte. Returns `None` for cloning
+/// plans, whose simulator has no reactor.
 ///
 /// # Errors
 ///
@@ -281,11 +283,11 @@ pub fn journal(plan: &ScenarioPlan, seed: u64) -> Result<Option<Journal>, Sprint
     match plan.topology {
         Topology::SingleNode => {
             let (_, journal) = with_server(plan, seed, true, |server| server.run_journaled())?;
-            Ok(Some(journal))
+            Ok(Some(journal.rendered()))
         }
         Topology::Fleet => {
             let (_, journal) = run_fleet_journaled(&build_fleet_spec(plan, seed)?)?;
-            Ok(Some(journal))
+            Ok(Some(journal.rendered()))
         }
         Topology::Cloning => Ok(None),
     }

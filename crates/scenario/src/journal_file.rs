@@ -165,6 +165,56 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the journal text across versions: the body of each
+    /// journaled catalog plan's `--record` file at its committed seed
+    /// must hash to its committed digest, so a change to how entries
+    /// are stored, merged or rendered cannot change a byte of a journal
+    /// file unnoticed.
+    #[test]
+    fn journal_bodies_match_committed_digests() {
+        const DIGESTS: [(&str, usize, u64); 12] = [
+            ("delayed-budget-telemetry", 889, 0xa618_b207_f581_dc7b),
+            ("diurnal-budget-pressure", 1010, 0x642b_fdb9_86ac_8abb),
+            ("flash-crowd-single", 890, 0x6371_a503_20ce_92ca),
+            ("lost-unsprint-command", 604, 0xfad1_45bf_5bd7_e79b),
+            ("message-fault-mix", 690, 0x5fda_4d38_5309_1664),
+            ("pareto-heavy-tail", 698, 0xa601_7c69_ff2a_d6b8),
+            ("watchdog-partition", 601, 0xf925_6390_bba1_cac3),
+            ("fleet-100-node-failover", 31268, 0x757a_e3e4_136a_e081),
+            ("fleet-coordinator-crash", 3373, 0x7fe4_35f4_607a_95d6),
+            ("fleet-flash-crowd", 3272, 0x7728_90c6_a93d_3f70),
+            ("fleet-renewal-storm", 3635, 0x78f8_0ba3_eb0b_9f8d),
+            ("fleet-split-brain", 3166, 0x7807_a1b0_5626_7239),
+        ];
+        let plans = load_catalog(catalog_dir()).unwrap();
+        let journaled = plans
+            .iter()
+            .filter(|p| p.topology != Topology::Cloning)
+            .count();
+        assert_eq!(journaled, DIGESTS.len(), "a journaled plan has no digest");
+        let mut mismatches = Vec::new();
+        for (name, entries, want) in DIGESTS {
+            let plan = committed(name);
+            let journal = journal(&plan, plan.seed).unwrap().expect("journaled plan");
+            let got = fnv1a(journal.to_jsonl().as_bytes());
+            if got != want || journal.len() != entries {
+                mismatches.push(format!(
+                    "{name}: digest {got:#018x} over {} entries, committed {want:#018x} \
+                     over {entries}",
+                    journal.len()
+                ));
+            }
+        }
+        assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    }
+
     #[test]
     fn cloning_plans_have_no_journal() {
         let plans = load_catalog(catalog_dir()).unwrap();

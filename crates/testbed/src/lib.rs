@@ -38,9 +38,10 @@
 //! [`Server::with_faults`] or [`Server::with_supervision`]), attach
 //! observers ([`Server::attach_recorder`] for a flight recorder,
 //! [`Server::enable_tracing`] for causal spans), then call
-//! [`Server::run`] (or [`Server::run_journaled`] for the reactor's
-//! decision journal). Observers are byte-invisible: records and
-//! counters are bit-identical with or without them.
+//! [`Server::run`] (or [`Server::run_journaled`] for the decision
+//! journal, whose entries are typed [`NodeRecord`]s). Observers are
+//! byte-invisible: records and counters are bit-identical with or
+//! without them.
 
 pub mod budget;
 pub mod engine;
@@ -58,6 +59,6 @@ pub use metrics::{RunResult, RunResultBuilder};
 pub use policy::{ArrivalSpec, BudgetSpec, RateSegment, ServerConfig, SprintPolicy};
 pub use query::QueryRecord;
 pub use reactor::Journal;
-pub use server::Server;
+pub use server::{NodeRecord, Server};
 pub use spec::{run_journaled, RunSpec};
 pub use supervision::{RecoveryCounters, Supervisor, SupervisorConfig};

@@ -33,6 +33,7 @@ use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::SprintError;
 use std::collections::VecDeque;
+use std::fmt;
 use workloads::{Workload, WorkloadKind};
 
 /// Fixed queue-manager dispatch overhead (HTTP hand-off, bookkeeping).
@@ -80,7 +81,7 @@ pub const QUEUE_DRAG_SATURATION: usize = 12;
 pub const MAX_SLOTS: usize = 1024;
 
 /// Events driving the server.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     /// A new query reaches the queue manager.
     Arrival,
@@ -106,20 +107,14 @@ enum Ev {
     /// A control message reaches its destination after in-flight delay
     /// (scheduled only when the fault plan delays or duplicates it;
     /// inline deliveries never become events). The endpoints are read
-    /// only through the journal's `Debug` rendering, where they label
-    /// which link the delivery crossed.
-    Msg {
-        #[allow(dead_code)]
-        from: Peer,
-        #[allow(dead_code)]
-        to: Peer,
-        msg: CtrlMsg,
-    },
+    /// only through the journal, whose text labels which link the
+    /// delivery crossed.
+    Msg { from: Peer, to: Peer, msg: CtrlMsg },
 }
 
 /// Typed control-plane messages the actors exchange through the
 /// simulated network.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum CtrlMsg {
     /// Watchdog -> controller: force the sprint armed with `token` off
     /// `slot`. Stale tokens are ignored on receipt, which also makes
@@ -129,6 +124,36 @@ enum CtrlMsg {
     /// integer microseconds of sprint time (integer so journal entries
     /// compare exactly).
     BudgetReport { level_us: u64 },
+}
+
+/// One entry of a server's decision journal: an event the server
+/// popped, or the routing verdict for a control message it sent.
+/// Stored by value, so journaling costs one push of a small `Copy`
+/// value; its text — the event's `Debug` form, or
+/// `route <from>-><to>: <verdict>` — is produced only when the journal
+/// is printed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeRecord(NodeItem);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum NodeItem {
+    Event(Ev),
+    Route {
+        from: Peer,
+        to: Peer,
+        delivery: Delivery,
+    },
+}
+
+impl fmt::Display for NodeRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            NodeItem::Event(ev) => write!(f, "{ev:?}"),
+            NodeItem::Route { from, to, delivery } => {
+                write!(f, "route {}->{}: {delivery:?}", from.name(), to.name())
+            }
+        }
+    }
 }
 
 /// Where a query currently is.
@@ -226,6 +251,11 @@ pub struct Server<'m> {
     /// Node id for per-node metrics scoping; `None` increments only the
     /// process-global registry.
     metrics_scope: Option<u32>,
+    /// Decision journal; `None` (the default) journals nothing. Like
+    /// the recorder it only observes: it draws no randomness and
+    /// schedules nothing, so a journaled run is bit-identical to an
+    /// unjournaled one.
+    journal: Option<Journal<NodeRecord>>,
 }
 
 /// Pending-cause list bound: fault links observed before any sprint
@@ -437,6 +467,7 @@ impl<'m> Server<'m> {
             recorder: None,
             tracer: None,
             metrics_scope: None,
+            journal: None,
         })
     }
 
@@ -543,22 +574,22 @@ impl<'m> Server<'m> {
         Ok(self.run_inner()?.0)
     }
 
-    /// Runs with the reactor's decision journal enabled, returning the
-    /// journal alongside the result. Journaling is observation-only:
-    /// the records, counters and RNG streams are bit-identical to an
+    /// Runs with the decision journal enabled, returning the journal
+    /// alongside the result. Journaling is observation-only: the
+    /// records, counters and RNG streams are bit-identical to an
     /// unjournaled run, and two runs of the same `(cfg, plan, sup)`
-    /// produce byte-identical journals.
+    /// produce identical journals.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Server::run`].
-    pub fn run_journaled(mut self) -> Result<(RunResult, Journal), SprintError> {
-        self.reactor.enable_journal();
+    pub fn run_journaled(mut self) -> Result<(RunResult, Journal<NodeRecord>), SprintError> {
+        self.enable_journal();
         let (result, journal) = self.run_inner()?;
         Ok((result, journal.unwrap_or_default()))
     }
 
-    fn run_inner(mut self) -> Result<(RunResult, Option<Journal>), SprintError> {
+    fn run_inner(mut self) -> Result<(RunResult, Option<Journal<NodeRecord>>), SprintError> {
         self.prime();
         while !self.is_done() {
             if !self.step()? {
@@ -609,6 +640,9 @@ impl<'m> Server<'m> {
         let Some((now, ev)) = self.reactor.pop() else {
             return Ok(false);
         };
+        if let Some(j) = self.journal.as_mut() {
+            j.push(now, NodeRecord(NodeItem::Event(ev)));
+        }
         self.iterations += 1;
         self.end = now;
         // Safety valve: a healthy run needs a small constant number
@@ -651,7 +685,7 @@ impl<'m> Server<'m> {
     ///
     /// Returns [`SprintError::Runtime`] if the calendar drained with
     /// queries outstanding.
-    pub fn finish(mut self) -> Result<(RunResult, Option<Journal>), SprintError> {
+    pub fn finish(mut self) -> Result<(RunResult, Option<Journal<NodeRecord>>), SprintError> {
         let end = self.end;
         if self.accounted() != self.cfg.num_queries {
             return Err(SprintError::runtime(
@@ -679,7 +713,7 @@ impl<'m> Server<'m> {
         if let Some(recorder) = self.recorder.take() {
             builder = builder.telemetry(recorder.finish());
         }
-        Ok((builder.build(), self.reactor.take_journal()))
+        Ok((builder.build(), self.journal))
     }
 
     fn on_arrival(&mut self, now: SimTime) -> Result<(), SprintError> {
@@ -931,11 +965,11 @@ impl<'m> Server<'m> {
         }
     }
 
-    /// Journals one routing verdict on the reactor's decision log.
+    /// Journals one routing verdict.
     fn note_route(&mut self, now: SimTime, from: Peer, to: Peer, delivery: Delivery) {
-        self.reactor.note(now, || {
-            format!("route {}->{}: {delivery:?}", from.name(), to.name())
-        });
+        if let Some(j) = self.journal.as_mut() {
+            j.push(now, NodeRecord(NodeItem::Route { from, to, delivery }));
+        }
     }
 
     /// Handles a control message reaching its destination.
@@ -1494,9 +1528,10 @@ impl<'m> Server<'m> {
         &self.cfg
     }
 
-    /// Turns on the reactor's decision journal (observation-only).
+    /// Turns on the decision journal (observation-only; idempotent,
+    /// keeping any entries already recorded).
     pub fn enable_journal(&mut self) {
-        self.reactor.enable_journal();
+        self.journal.get_or_insert_with(Journal::new);
     }
 
     /// Fault injection: a thermal emergency forces every sprinting

@@ -7,7 +7,7 @@
 //! scenario plan's single-node run and every fleet node compile to;
 //! the plan, not the spec, is what a journal file stores.
 
-use crate::server::Server;
+use crate::server::{NodeRecord, Server};
 use crate::RunResult;
 use faults::FaultPlan;
 use mechanisms::{Mechanism, MechanismKind};
@@ -58,16 +58,16 @@ impl RunSpec {
     }
 }
 
-/// Runs a spec to completion with the reactor journal enabled.
+/// Runs a spec to completion with the decision journal enabled.
 ///
 /// The same spec always produces the same `(RunResult, Journal)` pair,
-/// byte for byte.
+/// entry for entry.
 ///
 /// # Errors
 ///
 /// Returns an error if any configuration fails validation or a
 /// simulation invariant breaks mid-run.
-pub fn run_journaled(spec: &RunSpec) -> Result<(RunResult, Journal), SprintError> {
+pub fn run_journaled(spec: &RunSpec) -> Result<(RunResult, Journal<NodeRecord>), SprintError> {
     let mech = spec.mechanism.build();
     spec.clone().into_server(&*mech)?.run_journaled()
 }
@@ -76,6 +76,7 @@ pub fn run_journaled(spec: &RunSpec) -> Result<(RunResult, Journal), SprintError
 mod tests {
     use super::*;
     use crate::policy::{BudgetSpec, SprintPolicy};
+    use faults::MessageFaults;
     use simcore::time::{Rate, SimDuration};
     use workloads::WorkloadKind;
 
@@ -100,5 +101,53 @@ mod tests {
         assert_eq!(r1.records(), r2.records());
         assert!(!j1.is_empty());
         assert_eq!(j1.to_jsonl(), j2.to_jsonl());
+    }
+
+    /// Journaling is off unless asked for: a plain server's `finish`
+    /// returns no journal, and its run is the journaled run, routing
+    /// verdicts and all.
+    #[test]
+    fn unjournaled_server_finishes_without_a_journal() {
+        let mut spec = RunSpec::new(
+            ServerConfig::single(
+                WorkloadKind::Jacobi,
+                Rate::per_hour(25.0),
+                0.6,
+                SprintPolicy::new(
+                    SimDuration::from_secs(40),
+                    BudgetSpec::Seconds(60.0),
+                    SimDuration::from_secs(3600),
+                ),
+                77,
+            ),
+            MechanismKind::CpuThrottle,
+        );
+        spec.plan = Some(FaultPlan {
+            seed: 77,
+            stuck_sprint_prob: 0.5,
+            messages: MessageFaults {
+                drop_prob: 0.3,
+                delay_prob: 0.3,
+                delay_secs: 20.0,
+                ..MessageFaults::default()
+            },
+            ..FaultPlan::default()
+        });
+        spec.supervisor = Some(SupervisorConfig {
+            watchdog_secs: 25.0,
+            ..SupervisorConfig::default()
+        });
+        let mech = spec.mechanism.build();
+        let mut server = spec.clone().into_server(&*mech).expect("builds");
+        server.prime();
+        while !server.is_done() && server.step().expect("steps") {}
+        let (plain, journal) = server.finish().expect("finishes");
+        assert!(journal.is_none(), "journaling must be off by default");
+
+        let (journaled, j) = run_journaled(&spec).expect("runs");
+        assert!(j.to_jsonl().contains("route "), "no routing verdict fired");
+        assert_eq!(plain.records(), journaled.records());
+        assert_eq!(plain.fault_counters(), journaled.fault_counters());
+        assert_eq!(plain.recovery_counters(), journaled.recovery_counters());
     }
 }

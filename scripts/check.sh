@@ -12,6 +12,26 @@ run() {
     "$@"
 }
 
+# Runs a step whose stdout is long, keeping that stdout in
+# target/check-logs/<name>.log instead of discarding it. When the step
+# exits non-zero, prints the log's last 40 lines and its path, then
+# exits with the step's status.
+logged() {
+    local name="$1"
+    shift
+    local log="target/check-logs/$name.log"
+    mkdir -p target/check-logs
+    echo "==> $* > $log"
+    local status=0
+    "$@" > "$log" || status=$?
+    if [ "$status" -ne 0 ]; then
+        echo "--- last 40 lines of $log ---"
+        tail -n 40 "$log"
+        echo "--- $* exited with status $status; its stdout is in $log ---"
+        exit "$status"
+    fi
+}
+
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
 run cargo fmt --all -- --check
@@ -34,14 +54,14 @@ for plan in message-fault-mix fleet-100-node-failover; do
     journal="target/record-replay-$plan.jsonl"
     echo "==> ./target/release/scenario_run --record $plan > $journal"
     ./target/release/scenario_run --record "$plan" > "$journal"
-    run ./target/release/scenario_run --replay "$journal" > /dev/null
+    logged "replay-$plan" ./target/release/scenario_run --replay "$journal"
 done
 
 # Fleet smoke: the canonical coordinator-crash run (fleet_report)
 # re-checks the four fleet invariants — bounded power, epoch fencing,
 # fail-safe sprinting, convergence — plus failover actually happening.
 # Exits non-zero on any violation.
-run ./target/release/fleet_report > /dev/null
+logged fleet_report ./target/release/fleet_report
 
 # Bounded chaos smoke sweep: randomized fault plans at fixed seeds over
 # the full (workload, mechanism, policy) grid, under a second. Exits
@@ -49,7 +69,7 @@ run ./target/release/fleet_report > /dev/null
 # supervision fails to improve SLO attainment. (The fixed-seed
 # scenarios, single-node message faults and the fleet coordinator
 # crash, split-brain and renewal storm, are in the TOML catalog below.)
-run ./target/release/chaos_sweep --seeds 8 > /dev/null
+logged chaos_sweep ./target/release/chaos_sweep --seeds 8
 
 # Prediction fast-path gate: asserts fast/reference bit-identity, the
 # >=3X explorer speedup, the >=1M preds/min warm model throughput (on
@@ -65,7 +85,7 @@ run ./target/release/perf_smoke
 # Telemetry completeness gate: renders the flight-recorder timeline and
 # the full metrics table on a fixed seed, and exits non-zero if any
 # registered metric family is missing from the report or never fired.
-run ./target/release/sprint_report --seed 181 > /dev/null
+logged sprint_report ./target/release/sprint_report --seed 181
 
 # Scenario catalog gate: executes every scenarios/*.toml file (strict
 # parse, unknown keys rejected) at its committed seed, and every
@@ -77,7 +97,7 @@ run ./target/release/sprint_report --seed 181 > /dev/null
 # root-cause recovery from the causal trace, cloning fast-vs-reference
 # bit-identity. Exits non-zero if any scenario violates any invariant.
 # `scenario_run --trace <name>` prints one scenario's causal chains.
-run ./target/release/scenario_run --smoke --seeds 8 > /dev/null
+logged scenario_run-smoke ./target/release/scenario_run --smoke --seeds 8
 
 # Paper-parity gate: re-measures every anchored figure relation against
 # the committed golden values (crates/conformance/golden/anchors.json),
@@ -85,6 +105,6 @@ run ./target/release/scenario_run --smoke --seeds 8 > /dev/null
 # perturbing every golden value (--selftest). Exits non-zero on any
 # drift. Seed-matrix mode (--seeds 3) is run in CI-ish contexts by
 # hand; the per-change gate sticks to the golden seed for speed.
-run ./target/release/paper_parity --offline --selftest > /dev/null
+logged paper_parity-selftest ./target/release/paper_parity --offline --selftest
 
 echo "All checks passed."

@@ -307,9 +307,9 @@ fn journal_survives_a_file_style_round_trip() {
     let (_, j) = run_journaled(&supervised(5, partition_plan())).expect("run");
     let text = j.to_jsonl();
     let back = Journal::parse_jsonl(&text).expect("parse");
-    assert!(j.diff(&back).is_none());
+    assert!(j.rendered().diff(&back).is_none());
     // Tampering with one entry must be caught by the diff.
     let tampered = text.replacen("\"t_us\": ", "\"t_us\": 9", 1);
     let bad = Journal::parse_jsonl(&tampered).expect("still well-formed");
-    assert!(j.diff(&bad).is_some());
+    assert!(j.rendered().diff(&bad).is_some());
 }
