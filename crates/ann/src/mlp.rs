@@ -1,7 +1,7 @@
 //! Multi-layer perceptron with Adam training.
 
 use mlcore::{Dataset, Normalizer};
-use simcore::SimRng;
+use simcore::{SimRng, SprintError};
 
 /// MLP architecture and training hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,12 +122,14 @@ pub struct Mlp {
 impl Mlp {
     /// Trains on `data` with the given configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `data` is empty or the config has no epochs/batches.
-    pub fn train(data: &Dataset, cfg: &AnnConfig) -> Mlp {
-        assert!(!data.is_empty(), "cannot train on empty data");
-        assert!(cfg.epochs > 0 && cfg.batch_size > 0, "degenerate config");
+    /// Returns [`SprintError::InvalidConfig`] if `data` is empty or the
+    /// config has zero epochs or a zero batch size.
+    pub fn train(data: &Dataset, cfg: &AnnConfig) -> Result<Mlp, SprintError> {
+        SprintError::require_nonzero("Mlp::train data rows", data.len())?;
+        SprintError::require_nonzero("AnnConfig::epochs", cfg.epochs)?;
+        SprintError::require_nonzero("AnnConfig::batch_size", cfg.batch_size)?;
         let normalizer = Normalizer::fit(data);
         let rows: Vec<Vec<f64>> = (0..data.len())
             .map(|i| normalizer.transform(data.row(i)))
@@ -162,11 +164,11 @@ impl Mlp {
                 }
             }
         }
-        Mlp {
+        Ok(Mlp {
             layers,
             normalizer,
             num_features: data.num_features(),
-        }
+        })
     }
 
     /// Predicts the target for one raw (unnormalized) feature row.
@@ -284,7 +286,7 @@ mod tests {
             epochs: 300,
             ..AnnConfig::default()
         };
-        let m = Mlp::train(&d, &cfg);
+        let m = Mlp::train(&d, &cfg).unwrap();
         let p = m.predict(&[2.0, 1.0]);
         assert!((p - 5.0).abs() < 0.5, "prediction {p}");
     }
@@ -301,7 +303,7 @@ mod tests {
             epochs: 600,
             ..AnnConfig::default()
         };
-        let m = Mlp::train(&d, &cfg);
+        let m = Mlp::train(&d, &cfg).unwrap();
         for (x, y) in [(0.0, 0.0), (2.0, 4.0), (-2.0, 4.0)] {
             let p = m.predict(&[x]);
             assert!((p - y).abs() < 0.7, "f({x}) = {p}, want {y}");
@@ -316,8 +318,8 @@ mod tests {
             epochs: 50,
             ..AnnConfig::default()
         };
-        let a = Mlp::train(&d, &cfg);
-        let b = Mlp::train(&d, &cfg);
+        let a = Mlp::train(&d, &cfg).unwrap();
+        let b = Mlp::train(&d, &cfg).unwrap();
         assert_eq!(a.predict(&[1.0, 1.0]), b.predict(&[1.0, 1.0]));
     }
 
@@ -328,7 +330,7 @@ mod tests {
         let d = linear_dataset(100);
         let mut cfg = AnnConfig::paper();
         cfg.epochs = 60;
-        let m = Mlp::train(&d, &cfg);
+        let m = Mlp::train(&d, &cfg).unwrap();
         assert!(m.num_params() > 90_000);
         let p = m.predict(&[2.0, 1.0]);
         assert!((p - 5.0).abs() < 2.0, "deep prediction {p}");
@@ -342,7 +344,7 @@ mod tests {
             epochs: 1,
             ..AnnConfig::default()
         };
-        let m = Mlp::train(&d, &cfg);
+        let m = Mlp::train(&d, &cfg).unwrap();
         // 2*4 + 4 weights+biases, then 4*1 + 1.
         assert_eq!(m.num_params(), (2 * 4 + 4) + (4 + 1));
     }
@@ -356,14 +358,14 @@ mod tests {
             epochs: 1,
             ..AnnConfig::default()
         };
-        let m = Mlp::train(&d, &cfg);
+        let m = Mlp::train(&d, &cfg).unwrap();
         let _ = m.predict(&[1.0]);
     }
 
     #[test]
-    #[should_panic(expected = "empty data")]
     fn train_rejects_empty() {
         let d = Dataset::new(vec!["x"]);
-        let _ = Mlp::train(&d, &AnnConfig::default());
+        let err = Mlp::train(&d, &AnnConfig::default()).unwrap_err();
+        assert!(matches!(err, SprintError::InvalidConfig { .. }), "{err}");
     }
 }

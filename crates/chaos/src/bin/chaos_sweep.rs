@@ -49,11 +49,14 @@ fn arg_value(name: &str) -> Option<String> {
     None
 }
 
+/// Reads flag `name` as a number, or `default` when the flag is absent.
+/// A value that is not a number is reported and exits with status 1.
 fn numeric<T: std::str::FromStr>(name: &str, default: T) -> T {
     match arg_value(name) {
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} expects a number, got {v}")),
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("{name} expects a number, got {v:?}");
+            std::process::exit(1)
+        }),
         None => default,
     }
 }

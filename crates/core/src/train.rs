@@ -89,7 +89,8 @@ pub fn train_hybrid(data: &ProfileData, opts: &TrainOptions) -> Result<HybridMod
 ///
 /// # Errors
 ///
-/// Returns [`SprintError::InvalidConfig`] if the campaign has no runs.
+/// Returns [`SprintError::InvalidConfig`] if the campaign has no runs
+/// or `opts.ann` has zero epochs or a zero batch size.
 pub fn train_ann(data: &ProfileData, opts: &TrainOptions) -> Result<AnnModel, SprintError> {
     if data.runs.is_empty() {
         return Err(SprintError::invalid(
@@ -113,7 +114,7 @@ pub fn train_ann(data: &ProfileData, opts: &TrainOptions) -> Result<AnnModel, Sp
             cfg.seed = cfg.seed.wrapping_add(i * 0x9E37);
             Mlp::train(&train, &cfg)
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     Ok(AnnModel::new(data.profile.clone(), ensemble, true))
 }
 
@@ -186,6 +187,23 @@ mod tests {
         let pred = model.predict_response_secs(&run.condition);
         let err = (pred - run.observed_response_secs).abs() / run.observed_response_secs;
         assert!(err < 0.6, "ann error {err} on training condition");
+    }
+
+    #[test]
+    fn ann_training_rejects_degenerate_configs() {
+        let data = small_campaign();
+        for (what, epochs, batch_size) in [
+            ("AnnConfig::epochs", 0, 32),
+            ("AnnConfig::batch_size", 1, 0),
+        ] {
+            let mut opts = TrainOptions::default();
+            opts.ann.epochs = epochs;
+            opts.ann.batch_size = batch_size;
+            match train_ann(&data, &opts) {
+                Err(SprintError::InvalidConfig { what: got, .. }) => assert_eq!(got, what),
+                other => panic!("{what}: trained = {}", other.is_ok()),
+            }
+        }
     }
 
     #[test]

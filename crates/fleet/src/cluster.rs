@@ -28,7 +28,7 @@ use std::fmt;
 
 use faults::FaultCounters;
 use obs::{CauseReason, EventKind, FlightRecorder, RunTelemetry, SpanKind, SpanOutcome, TraceCtx};
-use reactor::{Delivery, Journal, JournalEntry, Reactor};
+use reactor::{Delivery, Journal, Reactor};
 use simcore::json::Json;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -284,10 +284,10 @@ impl fmt::Display for Note {
     }
 }
 
-/// One entry of a fleet's merged decision journal: a control-plane
-/// event or decision, or an entry of one node server's journal. Stored
-/// by value; its text is the source's own, prefixed by `f ` for the
-/// control plane or `n<i> ` for node `i`.
+/// One entry of a fleet's decision journal: a control-plane event or
+/// decision, or an entry of one node server's journal, in the order the
+/// interleave ran them. Stored by value; its text is the source's own,
+/// prefixed by `f ` for the control plane or `n<i> ` for node `i`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetRecord(FleetItem);
 
@@ -814,7 +814,6 @@ struct Cluster<'m> {
     /// instead of peeking every server's queue.
     next_t: Vec<Option<SimTime>>,
     results: Vec<Option<RunResult>>,
-    node_journals: Vec<Option<Journal<NodeRecord>>>,
     coords: Vec<Coordinator>,
     tracker: Tracker,
     recorder: FlightRecorder,
@@ -825,7 +824,8 @@ struct Cluster<'m> {
     done_count: u32,
     horizon: SimTime,
     iterations: u64,
-    /// The control plane's decision journal; `None` journals nothing.
+    /// The run's one decision journal, control plane and nodes in
+    /// execution order; `None` journals nothing.
     journal: Option<Journal<FleetRecord>>,
     tracer: Option<FleetTracer>,
 }
@@ -903,7 +903,6 @@ impl<'m> Cluster<'m> {
             servers,
             next_t: vec![None; n as usize],
             results: (0..n).map(|_| None).collect(),
-            node_journals: (0..n).map(|_| None).collect(),
             coords,
             reactor: Reactor::new(),
             stats: LeaseStats::default(),
@@ -1041,13 +1040,20 @@ impl<'m> Cluster<'m> {
     }
 
     /// Runs `f` on node `n`'s server while the node is live, then
-    /// refreshes the node's cached next-event time. Every `&mut Server`
+    /// refreshes the node's cached next-event time and moves the node's
+    /// new journal entries into the run's journal. Every `&mut Server`
     /// access goes through here, so the interleave's cache cannot go
-    /// stale.
+    /// stale and the journal holds every entry in execution order.
     fn on_server<T>(&mut self, n: usize, f: impl FnOnce(&mut Server<'m>) -> T) -> Option<T> {
         let server = self.servers[n].as_mut()?;
         let out = f(server);
         self.next_t[n] = server.peek_time();
+        if let Some(journal) = self.journal.as_mut() {
+            for e in server.drain_journal() {
+                let record = FleetRecord(FleetItem::Node(n as u32, e.what));
+                journal.push(SimTime(e.t_us), record);
+            }
+        }
         Some(out)
     }
 
@@ -1991,9 +1997,7 @@ impl<'m> Cluster<'m> {
         }
         self.next_t[n] = None;
         self.node_done(now, n);
-        let (result, journal) = server.finish()?;
-        self.results[n] = Some(result);
-        self.node_journals[n] = journal;
+        self.results[n] = Some(server.finish()?);
         self.done_count += 1;
         Ok(())
     }
@@ -2134,35 +2138,8 @@ impl<'m> Cluster<'m> {
             telemetry: self.recorder.finish(),
             node_telemetries,
         };
-        let journal = self
-            .journal
-            .take()
-            .map(|fleet| merge_journals(fleet, &self.node_journals));
-        Ok((result, journal))
+        Ok((result, self.journal.take()))
     }
-}
-
-/// Merges the fleet control-plane journal with every node journal into
-/// one deterministic stream ordered by `(time, source)`, the control
-/// plane first and then the nodes by index: the sources are appended in
-/// that order and one stable sort by time keeps it among equal times.
-fn merge_journals(
-    fleet: Journal<FleetRecord>,
-    nodes: &[Option<Journal<NodeRecord>>],
-) -> Journal<FleetRecord> {
-    let mut entries = fleet.into_entries();
-    entries.reserve_exact(nodes.iter().flatten().map(Journal::len).sum());
-    for (i, journal) in nodes.iter().enumerate() {
-        let Some(journal) = journal else {
-            continue;
-        };
-        entries.extend(journal.entries().iter().map(|e| JournalEntry {
-            t_us: e.t_us,
-            what: FleetRecord(FleetItem::Node(i as u32, e.what)),
-        }));
-    }
-    entries.sort_by_key(|e| e.t_us);
-    Journal::from(entries)
 }
 
 /// Runs a fleet spec to completion.
@@ -2197,8 +2174,9 @@ pub fn run_fleet_traced(spec: &FleetSpec) -> Result<FleetResult, SprintError> {
 }
 
 /// Runs a fleet spec with journaling enabled on the control plane and
-/// every node, returning the merged deterministic journal. The same
-/// spec always produces the same `(FleetResult, Journal)` pair.
+/// every node, returning the run's one journal: every control-plane and
+/// node entry in the order the interleave executed them. The same spec
+/// always produces the same `(FleetResult, Journal)` pair.
 ///
 /// # Errors
 ///
@@ -2218,6 +2196,7 @@ pub fn run_fleet_journaled(
 mod tests {
     use super::*;
     use crate::spec::{CoordinatorCrash, FleetPartition};
+    use simcore::dist::DistKind;
 
     #[test]
     fn fault_free_fleet_serves_everything_cleanly() {
@@ -2248,6 +2227,30 @@ mod tests {
         let spec2 = FleetSpec::small(24, 5).expect("small fleet");
         let (_, j3) = run_fleet_journaled(&spec2).expect("fleet runs");
         assert_ne!(j1.to_jsonl(), j3.to_jsonl());
+    }
+
+    /// With deterministic arrivals every node's first query lands at the
+    /// same instant, so the interleave has to break a tie between nodes.
+    /// It runs the lowest node index first, and the journal, which holds
+    /// entries in execution order, shows exactly that order.
+    #[test]
+    fn same_instant_node_events_journal_in_node_index_order() {
+        let mut spec = FleetSpec::small(23, 3).expect("small fleet");
+        spec.template.cfg.arrivals.kind = DistKind::Deterministic;
+        let (_, journal) = run_fleet_journaled(&spec).expect("fleet runs");
+        let text = journal.rendered();
+        let first: Vec<(u64, &str)> = text
+            .entries()
+            .iter()
+            .filter(|e| e.what.ends_with(" Arrival"))
+            .take(3)
+            .map(|e| (e.t_us, e.what.as_str()))
+            .collect();
+        let t = first[0].0;
+        assert_eq!(
+            first,
+            [(t, "n0 Arrival"), (t, "n1 Arrival"), (t, "n2 Arrival")]
+        );
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!
 //! Everything descends from one root seed through the reactor's entropy
 //! tower, so a fleet of hundreds of nodes replays bit-identically from
-//! its [`FleetSpec`] — the merged control-plane + per-node journal is
-//! the proof.
+//! its [`FleetSpec`] — the run's one journal, holding control-plane and
+//! per-node entries in the order the interleave executed them, is the
+//! proof.
 
 pub mod cluster;
 pub mod plan;

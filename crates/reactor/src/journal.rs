@@ -85,13 +85,6 @@ impl<R> Default for Journal<R> {
     }
 }
 
-impl<R> From<Vec<JournalEntry<R>>> for Journal<R> {
-    /// A journal holding `entries` in the given order.
-    fn from(entries: Vec<JournalEntry<R>>) -> Self {
-        Journal { entries }
-    }
-}
-
 impl<R> Journal<R> {
     /// An empty journal.
     pub fn new() -> Journal<R> {
@@ -108,9 +101,10 @@ impl<R> Journal<R> {
         &self.entries
     }
 
-    /// The entries by value, in decision order.
-    pub fn into_entries(self) -> Vec<JournalEntry<R>> {
-        self.entries
+    /// Hands over every entry by value, in decision order, leaving the
+    /// journal empty but keeping its buffer's capacity.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, JournalEntry<R>> {
+        self.entries.drain(..)
     }
 
     /// Number of journaled decisions.

@@ -268,13 +268,14 @@ pub fn trace_graph(plan: &ScenarioPlan, seed: u64) -> Result<Option<TraceGraph>,
 
 /// Runs the plan at `seed` with the decision journal on and returns
 /// the journal as text: a single-node plan journals its supervised
-/// server; a fleet plan merges the control plane's journal with every
-/// node's. The run journals typed records and they are rendered here,
-/// once, at the boundary where the journal leaves for a file or a diff
-/// against one. Journaling is observation-only, so the journaled run
-/// is the same run [`execute`] makes, and the same plan and seed always
-/// give the same journal, byte for byte. Returns `None` for cloning
-/// plans, whose simulator has no reactor.
+/// server; a fleet plan journals its control plane and every node into
+/// one journal, in the order the run executed them. The run journals
+/// typed records and they are rendered here, once, at the boundary
+/// where the journal leaves for a file or a diff against one.
+/// Journaling is observation-only, so the journaled run is the same run
+/// [`execute`] makes, and the same plan and seed always give the same
+/// journal, byte for byte. Returns `None` for cloning plans, whose
+/// simulator has no reactor.
 ///
 /// # Errors
 ///

@@ -3,7 +3,7 @@
 //! A journal file is two parts in one text:
 //!
 //! ```text
-//! {"scenario_journal": 1, "plan": "<the plan as canonical TOML>"}
+//! {"scenario_journal": 2, "plan": "<the plan as canonical TOML>"}
 //! {"seq": 0, "t_us": …, "what": "…"}          <- Journal::to_jsonl, one
 //! {"seq": 1, "t_us": …, "what": "…"}             entry per line
 //! ```
@@ -14,6 +14,10 @@
 //! journaled at its committed seed ([`crate::journal`]) must reproduce
 //! the body entry for entry. `scenario_run --record <name>` writes such
 //! a file and `scenario_run --replay <path>` re-runs and diffs it.
+//!
+//! Format 2 holds a fleet's entries in the order the run executed them;
+//! format 1 sorted them by time and then source, so a format-1 file is
+//! rejected by its version rather than reported as a divergence.
 
 use simcore::json::Json;
 use simcore::SprintError;
@@ -22,7 +26,7 @@ use testbed::Journal;
 use crate::plan::ScenarioPlan;
 
 /// Format version in the header's `scenario_journal` field.
-const JOURNAL_FILE_FORMAT: u64 = 1;
+const JOURNAL_FILE_FORMAT: u64 = 2;
 
 /// Header keys of journal files that carried a hand-built JSON run
 /// spec instead of a catalog plan. That format is retired; such a file
@@ -106,7 +110,7 @@ mod tests {
         let text = recorded_text(&plan);
         let header = text.lines().next().unwrap();
         assert!(
-            header.starts_with("{\"scenario_journal\": 1, \"plan\": \"name = "),
+            header.starts_with("{\"scenario_journal\": 2, \"plan\": \"name = "),
             "{header}"
         );
         let (back, recorded) = parse_journal_file(&text).unwrap();
@@ -150,16 +154,19 @@ mod tests {
         let plan = committed("message-fault-mix");
         let text = recorded_text(&plan);
         let body = text.split_once('\n').unwrap().1;
-        for header in [
-            "{\"reactor_journal\": 1, \"spec\": {}}",
-            "{\"fleet_journal\": 1, \"spec\": {}}",
-            "{\"scenario_journal\": 2, \"plan\": \"\"}",
-            "{\"something_else\": 1}",
-            "not json",
-            "",
+        // Each error names what it rejects. Format 1 sorted fleet bodies
+        // by time and source, so its files are refused, not diffed.
+        for (header, named) in [
+            ("{\"reactor_journal\": 1, \"spec\": {}}", "reactor_journal"),
+            ("{\"fleet_journal\": 1, \"spec\": {}}", "fleet_journal"),
+            ("{\"scenario_journal\": 1, \"plan\": \"\"}", "format 1 "),
+            ("{\"scenario_journal\": 3, \"plan\": \"\"}", "format 3 "),
+            ("{\"something_else\": 1}", "scenario_journal"),
+            ("not json", "header"),
+            ("", "header"),
         ] {
             match parse_journal_file(&format!("{header}\n{body}")) {
-                Err(SprintError::Parse(_)) => {}
+                Err(SprintError::Parse(msg)) => assert!(msg.contains(named), "{header:?}: {msg}"),
                 other => panic!("header {header:?}: {other:?}"),
             }
         }
@@ -175,7 +182,7 @@ mod tests {
     /// Pins the journal text across versions: the body of each
     /// journaled catalog plan's `--record` file at its committed seed
     /// must hash to its committed digest, so a change to how entries
-    /// are stored, merged or rendered cannot change a byte of a journal
+    /// are stored, ordered or rendered cannot change a byte of a journal
     /// file unnoticed.
     #[test]
     fn journal_bodies_match_committed_digests() {
@@ -187,11 +194,11 @@ mod tests {
             ("message-fault-mix", 690, 0x5fda_4d38_5309_1664),
             ("pareto-heavy-tail", 698, 0xa601_7c69_ff2a_d6b8),
             ("watchdog-partition", 601, 0xf925_6390_bba1_cac3),
-            ("fleet-100-node-failover", 31268, 0x757a_e3e4_136a_e081),
-            ("fleet-coordinator-crash", 3373, 0x7fe4_35f4_607a_95d6),
-            ("fleet-flash-crowd", 3272, 0x7728_90c6_a93d_3f70),
-            ("fleet-renewal-storm", 3635, 0x78f8_0ba3_eb0b_9f8d),
-            ("fleet-split-brain", 3166, 0x7807_a1b0_5626_7239),
+            ("fleet-100-node-failover", 31268, 0xf2ee_766a_793e_2201),
+            ("fleet-coordinator-crash", 3373, 0x447e_9988_7049_aa6a),
+            ("fleet-flash-crowd", 3272, 0xbc90_9a05_f745_937e),
+            ("fleet-renewal-storm", 3635, 0xb2c8_a76c_7c17_1ed5),
+            ("fleet-split-brain", 3166, 0x7aae_b8cb_f874_0eb5),
         ];
         let plans = load_catalog(catalog_dir()).unwrap();
         let journaled = plans

@@ -27,7 +27,7 @@ use faults::{EngageOutcome, FaultInjector, FaultPlan, Peer};
 use mechanisms::Mechanism;
 use obs::{CauseReason, EventKind, FlightRecorder, SpanKind, SpanOutcome, UnsprintReason};
 use reactor::entropy::ns;
-use reactor::{Delivery, EntropyTower, Journal, Reactor};
+use reactor::{Delivery, EntropyTower, Journal, JournalEntry, Reactor};
 use simcore::dist::Dist;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -596,7 +596,8 @@ impl<'m> Server<'m> {
                 break;
             }
         }
-        self.finish()
+        let journal = self.journal.take();
+        Ok((self.finish()?, journal))
     }
 
     /// Schedules the run's initial events (first arrival, first thermal
@@ -675,17 +676,17 @@ impl<'m> Server<'m> {
     }
 
     /// Seals the run: verifies every query was accounted for, sorts the
-    /// records, and assembles the [`RunResult`] (and journal when
-    /// enabled). In-flight control messages (e.g. a duplicate echo of
-    /// the last force-unsprint) still pending when the final query
-    /// completes are dropped with the reactor — receipt is idempotent,
-    /// so delivering them could not change the outcome anyway.
+    /// records, and assembles the [`RunResult`]. In-flight control
+    /// messages (e.g. a duplicate echo of the last force-unsprint) still
+    /// pending when the final query completes are dropped with the
+    /// reactor — receipt is idempotent, so delivering them could not
+    /// change the outcome anyway.
     ///
     /// # Errors
     ///
     /// Returns [`SprintError::Runtime`] if the calendar drained with
     /// queries outstanding.
-    pub fn finish(mut self) -> Result<(RunResult, Option<Journal<NodeRecord>>), SprintError> {
+    pub fn finish(mut self) -> Result<RunResult, SprintError> {
         let end = self.end;
         if self.accounted() != self.cfg.num_queries {
             return Err(SprintError::runtime(
@@ -713,7 +714,7 @@ impl<'m> Server<'m> {
         if let Some(recorder) = self.recorder.take() {
             builder = builder.telemetry(recorder.finish());
         }
-        Ok((builder.build(), self.journal))
+        Ok(builder.build())
     }
 
     fn on_arrival(&mut self, now: SimTime) -> Result<(), SprintError> {
@@ -1532,6 +1533,13 @@ impl<'m> Server<'m> {
     /// keeping any entries already recorded).
     pub fn enable_journal(&mut self) {
         self.journal.get_or_insert_with(Journal::new);
+    }
+
+    /// Hands over the journal entries recorded since the last call, in
+    /// decision order (none while journaling is off), so a fleet can
+    /// journal its nodes in the order it ran them.
+    pub fn drain_journal(&mut self) -> impl Iterator<Item = JournalEntry<NodeRecord>> + '_ {
+        self.journal.iter_mut().flat_map(Journal::drain)
     }
 
     /// Fault injection: a thermal emergency forces every sprinting

@@ -103,8 +103,8 @@ mod tests {
         assert_eq!(j1.to_jsonl(), j2.to_jsonl());
     }
 
-    /// Journaling is off unless asked for: a plain server's `finish`
-    /// returns no journal, and its run is the journaled run, routing
+    /// Journaling is off unless asked for: a plain server records no
+    /// journal entries, and its run is the journaled run, routing
     /// verdicts and all.
     #[test]
     fn unjournaled_server_finishes_without_a_journal() {
@@ -141,8 +141,11 @@ mod tests {
         let mut server = spec.clone().into_server(&*mech).expect("builds");
         server.prime();
         while !server.is_done() && server.step().expect("steps") {}
-        let (plain, journal) = server.finish().expect("finishes");
-        assert!(journal.is_none(), "journaling must be off by default");
+        assert!(
+            server.drain_journal().next().is_none(),
+            "journaling must be off by default"
+        );
+        let plain = server.finish().expect("finishes");
 
         let (journaled, j) = run_journaled(&spec).expect("runs");
         assert!(j.to_jsonl().contains("route "), "no routing verdict fired");

@@ -13,21 +13,27 @@ run() {
 }
 
 # Runs a step whose stdout is long, keeping that stdout in
-# target/check-logs/<name>.log instead of discarding it. When the step
-# exits non-zero, prints the log's last 40 lines and its path, then
-# exits with the step's status.
+# target/check-logs/<name>.log instead of printing it, and its stderr in
+# target/check-logs/<name>.err as well as on the terminal. When the
+# step exits non-zero, prints the last 40 lines of both files and their
+# paths, then exits with the step's status.
 logged() {
     local name="$1"
     shift
     local log="target/check-logs/$name.log"
+    local err="target/check-logs/$name.err"
     mkdir -p target/check-logs
-    echo "==> $* > $log"
+    echo "==> $* > $log 2> $err"
     local status=0
-    "$@" > "$log" || status=$?
+    # stdout to $log; stderr through the pipe to tee. With pipefail the
+    # pipeline's status is the step's whenever the step fails.
+    { "$@" 2>&1 > "$log" | tee "$err" >&2; } || status=$?
     if [ "$status" -ne 0 ]; then
         echo "--- last 40 lines of $log ---"
         tail -n 40 "$log"
-        echo "--- $* exited with status $status; its stdout is in $log ---"
+        echo "--- last 40 lines of $err ---"
+        tail -n 40 "$err"
+        echo "--- $* exited with status $status; its stdout is in $log, its stderr in $err ---"
         exit "$status"
     fi
 }

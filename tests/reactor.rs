@@ -296,6 +296,10 @@ fn hundred_node_fleet_replays_bit_identically() {
         j1.diff(&j2)
     );
     assert_eq!(j1.to_jsonl(), j2.to_jsonl());
+    // Entries land in the order the interleave ran them, and it never
+    // steps back in virtual time.
+    let backward = j1.entries().windows(2).position(|w| w[1].t_us < w[0].t_us);
+    assert_eq!(backward, None, "fleet journal steps back in time");
     assert_eq!(r1.served, r2.served);
     assert_eq!(r1.served, u64::from(spec.queries_total));
     assert!(r1.invariants_clean(), "{:?}", r1.violations);
