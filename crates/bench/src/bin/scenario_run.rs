@@ -12,7 +12,9 @@
 //!
 //! The exit code *is* the catalog verdict: zero only if every
 //! scenario at every seed passes every invariant. `--smoke` prints
-//! just the verdict lines (the `check.sh` gate).
+//! just the verdict lines (the `check.sh` gate). `--dir <dir>` reads
+//! the plans from another directory instead, such as one holding a
+//! case printed by `chaos_sweep --emit`; every mode below takes it.
 //!
 //! `--trace <name>` runs the one named single-node or fleet scenario
 //! traced at its committed seed instead, reconstructs its causal span
@@ -50,6 +52,7 @@
 //! cargo run --release -p bench --bin scenario_run -- --trace fleet-split-brain
 //! cargo run --release -p bench --bin scenario_run -- --record message-fault-mix > run.jsonl
 //! cargo run --release -p bench --bin scenario_run -- --replay run.jsonl
+//! cargo run --release -p bench --bin scenario_run -- --dir case   # an emitted chaos case
 //! ```
 
 use std::fs;

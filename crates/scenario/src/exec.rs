@@ -5,7 +5,9 @@
 //! anything itself:
 //!
 //! - `single-node` → a [`Server::with_supervision`] run (watchdog
-//!   attached, faults injected when the plan has any);
+//!   attached unless `[run] supervised = false`, faults injected when
+//!   the plan has any, a flight recorder when `[run] recorder_events`
+//!   is set);
 //! - `fleet` → [`fleet::run_fleet`] over a [`FleetSpec::small`] cluster
 //!   with the plan's arrivals, policy, mix and control-plane faults;
 //! - `cloning` → [`qsim::Cloning`] (processor-sharing clone races).
@@ -20,6 +22,7 @@
 //! invariants assert over; [`metric`] resolves a name against an
 //! executed outcome.
 
+use faults::FaultPlan;
 use fleet::{run_fleet, run_fleet_journaled, run_fleet_traced, FleetResult, FleetSpec};
 use obs::{RunTelemetry, TraceGraph};
 use qsim::{Cloning, CloningConfig, CloningResult};
@@ -100,8 +103,8 @@ pub fn build_policy(plan: &ScenarioPlan) -> SprintPolicy {
 }
 
 /// Builds the single-node run at the given seed: the plan's server
-/// configuration under its supervisor, with its fault plan unless the
-/// plan injects nothing.
+/// configuration under its supervisor (none when `supervised` is
+/// off), with its fault plan unless the plan injects nothing.
 ///
 /// # Errors
 ///
@@ -120,29 +123,46 @@ pub fn build_run_spec(plan: &ScenarioPlan, seed: u64) -> Result<RunSpec, SprintE
         cfg,
         mechanism: plan.workload.mechanism,
         plan: (!plan.faults.is_noop()).then(|| plan.faults.clone()),
-        supervisor: Some(SupervisorConfig {
+        supervisor: plan.run.supervised.then(|| SupervisorConfig {
             watchdog_secs: plan.run.watchdog_secs,
             ..SupervisorConfig::default()
         }),
     })
 }
 
-/// Builds the single-node plan's server at `seed` and hands it to
-/// `run`. [`execute`], [`trace_graph`], [`journal`] and the
-/// clean-twin invariant all build their server here; `faulted = false`
-/// drops the fault plan (the clean twin).
+/// Which fault plan [`with_server`] builds the server with.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Faults {
+    /// The plan's own (none when it injects nothing).
+    Planned,
+    /// None at all: the clean twin.
+    Off,
+    /// An all-off [`FaultPlan`], which must cost nothing.
+    AllOff,
+}
+
+/// Builds the single-node plan's server at `seed`, with the plan's
+/// flight recorder attached, and hands it to `run`. [`execute`],
+/// [`trace_graph`], [`journal`] and the clean-twin and noop-faults
+/// invariants all build their server here.
 pub(crate) fn with_server<T>(
     plan: &ScenarioPlan,
     seed: u64,
-    faulted: bool,
+    faults: Faults,
     run: impl FnOnce(Server<'_>) -> Result<T, SprintError>,
 ) -> Result<T, SprintError> {
     let mut spec = build_run_spec(plan, seed)?;
-    if !faulted {
-        spec.plan = None;
+    match faults {
+        Faults::Planned => {}
+        Faults::Off => spec.plan = None,
+        Faults::AllOff => spec.plan = Some(FaultPlan::default()),
     }
     let mech = spec.mechanism.build();
-    run(spec.into_server(mech.as_ref())?)
+    let mut server = spec.into_server(mech.as_ref())?;
+    if plan.run.recorder_events > 0 {
+        server.attach_recorder(plan.run.recorder_events);
+    }
+    run(server)
 }
 
 /// Builds the fleet spec at the given seed: a [`FleetSpec::small`]
@@ -219,7 +239,7 @@ pub fn build_cloning(plan: &ScenarioPlan, seed: u64) -> Result<CloningConfig, Sp
 pub fn execute(plan: &ScenarioPlan, seed: u64) -> Result<ScenarioOutcome, SprintError> {
     match plan.topology {
         Topology::SingleNode => {
-            let run = with_server(plan, seed, true, |server| server.run())?;
+            let run = with_server(plan, seed, Faults::Planned, |server| server.run())?;
             Ok(ScenarioOutcome::SingleNode(Box::new(run)))
         }
         Topology::Fleet => {
@@ -248,7 +268,7 @@ pub fn execute(plan: &ScenarioPlan, seed: u64) -> Result<ScenarioOutcome, Sprint
 pub fn trace_graph(plan: &ScenarioPlan, seed: u64) -> Result<Option<TraceGraph>, SprintError> {
     match plan.topology {
         Topology::SingleNode => {
-            let run = with_server(plan, seed, true, |mut server| {
+            let run = with_server(plan, seed, Faults::Planned, |mut server| {
                 server.attach_recorder(TRACE_CAPACITY);
                 server.enable_tracing(0);
                 server.run()
@@ -283,7 +303,8 @@ pub fn trace_graph(plan: &ScenarioPlan, seed: u64) -> Result<Option<TraceGraph>,
 pub fn journal(plan: &ScenarioPlan, seed: u64) -> Result<Option<Journal>, SprintError> {
     match plan.topology {
         Topology::SingleNode => {
-            let (_, journal) = with_server(plan, seed, true, |server| server.run_journaled())?;
+            let (_, journal) =
+                with_server(plan, seed, Faults::Planned, |server| server.run_journaled())?;
             Ok(Some(journal.rendered()))
         }
         Topology::Fleet => {

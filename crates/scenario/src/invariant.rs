@@ -6,8 +6,9 @@
 //! evaluated — simulator error on a replay, say — propagates as a
 //! typed [`SprintError`] (a harness failure). Some invariants trigger
 //! extra runs: `replay` re-executes the plan, `clean-twin-bounded`
-//! runs a fault-free twin, `root-cause` re-runs traced, and
-//! `bit-identity` runs the cloning reference engine.
+//! runs a fault-free twin, `noop-faults` runs an all-off fault plan,
+//! `root-cause` re-runs traced, and `bit-identity` runs the cloning
+//! reference engine.
 
 use fleet::FleetResult;
 use obs::CauseReason;
@@ -16,7 +17,7 @@ use simcore::SprintError;
 use testbed::RunResult;
 
 use crate::exec::{
-    self, build_cloning, execute, max_sprint_secs, metric, trace_graph, with_server,
+    self, build_cloning, execute, max_sprint_secs, metric, trace_graph, with_server, Faults,
     ScenarioOutcome,
 };
 use crate::plan::{InvariantSpec, ScenarioPlan, Topology};
@@ -59,6 +60,7 @@ pub fn check_invariants(
             InvariantSpec::CleanTwinBounded { slack_secs } => {
                 check_clean_twin(plan, seed, *slack_secs, &mut fail)?;
             }
+            InvariantSpec::NoopFaults => check_noop_faults(plan, outcome, seed, &mut fail)?,
             InvariantSpec::Metric {
                 metric: m,
                 op,
@@ -226,7 +228,7 @@ fn check_clean_twin(
     if plan.topology != Topology::SingleNode {
         return Ok(());
     }
-    let clean = with_server(plan, seed, false, |server| server.run())?;
+    let clean = with_server(plan, seed, Faults::Off, |server| server.run())?;
     let bound = plan.run.watchdog_secs + slack_secs;
     let max_sprint = max_sprint_secs(clean.records());
     if max_sprint > bound {
@@ -242,6 +244,34 @@ fn check_clean_twin(
                 "fault-free twin counted {} injected faults",
                 clean.fault_counters().total()
             ),
+        );
+    }
+    Ok(())
+}
+
+/// Runs the single-node plan with an all-off fault plan and checks it
+/// against the same server with no plan, which is the executed run
+/// itself when the plan injects nothing: an armed-but-empty injector
+/// must draw nothing and change nothing.
+fn check_noop_faults(
+    plan: &ScenarioPlan,
+    outcome: &ScenarioOutcome,
+    seed: u64,
+    fail: &mut impl FnMut(&'static str, String),
+) -> Result<(), SprintError> {
+    let ScenarioOutcome::SingleNode(run) = outcome else {
+        return Ok(());
+    };
+    let unplanned = if plan.faults.is_noop() {
+        None
+    } else {
+        Some(with_server(plan, seed, Faults::Off, |server| server.run())?)
+    };
+    let noop = with_server(plan, seed, Faults::AllOff, |server| server.run())?;
+    if !single_runs_identical(unplanned.as_ref().unwrap_or(run), &noop) {
+        fail(
+            "noop-faults",
+            "an all-off fault plan diverged from the no-plan run".to_string(),
         );
     }
     Ok(())

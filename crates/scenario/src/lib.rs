@@ -9,8 +9,9 @@
 //! node, lease-coordinated fleet, or request-cloning races — and a
 //! list of invariant assertions the executed run must satisfy: SLO
 //! bounds, query/clone conservation, budget conservation, replay
-//! bit-identity, and root-cause expectations recovered from
-//! `obs::trace`.
+//! bit-identity, free no-op fault plans, and root-cause expectations
+//! recovered from `obs::trace`. The chaos sweep (`bench::sweep`) runs
+//! its generated cases as plans through the same pipeline.
 //!
 //! Pipeline: file → [`ScenarioPlan`] (strict parse, unknown keys
 //! rejected) → [`execute`] (topology dispatch) → [`check_invariants`]
@@ -251,6 +252,104 @@ op = ">"
 value = 0.0
 "#
         .to_string()
+    }
+
+    /// `supervised` and `recorder_events` parse and round-trip, and the
+    /// encoder leaves them out at their defaults, so a plan that does not
+    /// set them keeps its canonical text.
+    #[test]
+    fn run_keys_round_trip_and_are_omitted_at_defaults() {
+        let base = ScenarioPlan::from_toml_str(&sample_plan_toml()).unwrap();
+        assert!(base.run.supervised);
+        assert_eq!(base.run.recorder_events, 0);
+        let text = base.to_toml_string().unwrap();
+        assert!(
+            !text.contains("supervised") && !text.contains("recorder_events"),
+            "{text}"
+        );
+        let doc = sample_plan_toml().replace(
+            "watchdog_secs = 20.0\n",
+            "watchdog_secs = 20.0\nsupervised = false\nrecorder_events = 64\n",
+        );
+        let plan = ScenarioPlan::from_toml_str(&doc).unwrap();
+        assert!(!plan.run.supervised);
+        assert_eq!(plan.run.recorder_events, 64);
+        let text = plan.to_toml_string().unwrap();
+        assert!(
+            text.contains("supervised = false\n") && text.contains("recorder_events = 64\n"),
+            "{text}"
+        );
+        assert_eq!(ScenarioPlan::from_toml_str(&text).unwrap(), plan);
+    }
+
+    fn single_node_run(plan: &ScenarioPlan) -> Box<testbed::RunResult> {
+        match execute(plan, plan.seed).unwrap() {
+            ScenarioOutcome::SingleNode(run) => run,
+            _ => panic!("{} is not single-node", plan.name),
+        }
+    }
+
+    /// Without a supervisor a faulted plan runs unrepaired: no recovery
+    /// counter moves, and the run differs from its supervised twin,
+    /// whose watchdog force-unsprints the stuck sprints.
+    #[test]
+    fn unsupervised_faulted_plans_run_without_recovery() {
+        let doc = sample_plan_toml().replace("drop_prob = 1.0\n", "");
+        let supervised = ScenarioPlan::from_toml_str(&doc).unwrap();
+        let mut unsupervised = supervised.clone();
+        unsupervised.run.supervised = false;
+        let on = single_node_run(&supervised);
+        let off = single_node_run(&unsupervised);
+        assert!(off.fault_counters().total() > 0, "the plan must inject");
+        assert_eq!(
+            *off.recovery_counters(),
+            testbed::RecoveryCounters::default()
+        );
+        assert!(on.recovery_counters().total() > 0, "the watchdog must act");
+        assert_ne!(on.records(), off.records());
+    }
+
+    /// An all-off fault plan costs nothing, whether the plan injects
+    /// faults or not, and with or without a supervisor and recorder.
+    #[test]
+    fn noop_faults_holds_on_faulted_and_clean_plans() {
+        let faulted = ScenarioPlan::from_toml_str(&sample_plan_toml()).unwrap();
+        let mut clean = faulted.clone();
+        clean.faults = faults::FaultPlan::default();
+        let mut bare = clean.clone();
+        bare.run.supervised = false;
+        bare.run.recorder_events = 32;
+        for mut plan in [faulted, clean, bare] {
+            plan.invariants = vec![InvariantSpec::NoopFaults];
+            let report = run_plan(&plan, plan.seed).unwrap();
+            assert!(report.passed(), "{:?}", report.violations);
+        }
+    }
+
+    #[test]
+    fn single_node_only_keys_are_rejected_on_fleet_and_cloning_plans() {
+        let fleet = "name = \"f\"\ntopology = \"fleet\"\n[fleet]\nnodes = 3\n[run]\nqueries = 8\n";
+        let cloning = "name = \"c\"\ntopology = \"cloning\"\n\
+                       [cloning]\nclones = 2\nslots = 2\nmean_service_secs = 10.0\n\
+                       [run]\nqueries = 8\n";
+        let conservation = "[[invariant]]\nkind = \"conservation\"\n";
+        for doc in [fleet, cloning] {
+            assert!(ScenarioPlan::from_toml_str(&format!("{doc}{conservation}")).is_ok());
+            for extra in [
+                "[[invariant]]\nkind = \"noop-faults\"\n".to_string(),
+                format!("recorder_events = 16\n{conservation}"),
+                format!("supervised = false\n{conservation}"),
+            ] {
+                let text = format!("{doc}{extra}");
+                assert!(
+                    matches!(
+                        ScenarioPlan::from_toml_str(&text),
+                        Err(SprintError::InvalidConfig { .. })
+                    ),
+                    "accepted:\n{text}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -158,6 +158,10 @@ pub struct RunPlan {
     pub slots: usize,
     /// Supervisor watchdog interval, seconds (single-node only).
     pub watchdog_secs: f64,
+    /// `false` runs the server without a supervisor (single-node only).
+    pub supervised: bool,
+    /// Flight-recorder ring size; `0` attaches none (single-node only).
+    pub recorder_events: usize,
 }
 
 /// Fleet-topology section.
@@ -284,6 +288,9 @@ pub enum InvariantSpec {
     /// Cloning only: the incremental engine must be bit-identical to
     /// the reference engine.
     BitIdentity,
+    /// Single-node only: the plan's server with an all-off fault plan
+    /// must be bit-identical to the same server with no plan.
+    NoopFaults,
 }
 
 /// A parsed, validated scenario file.
@@ -442,6 +449,17 @@ impl ScenarioPlan {
                 }
             }
         }
+        if self.topology != Topology::SingleNode
+            && (!self.run.supervised || self.run.recorder_events > 0)
+        {
+            return ctx(
+                "run",
+                format!(
+                    "supervised and recorder_events do not apply to {} topology",
+                    self.topology.name()
+                ),
+            );
+        }
         if self.invariants.is_empty() {
             return ctx(
                 "invariant",
@@ -453,7 +471,9 @@ impl ScenarioPlan {
                 InvariantSpec::Conservation
                 | InvariantSpec::Replay
                 | InvariantSpec::Metric { .. } => true,
-                InvariantSpec::CleanTwinBounded { .. } => self.topology == Topology::SingleNode,
+                InvariantSpec::CleanTwinBounded { .. } | InvariantSpec::NoopFaults => {
+                    self.topology == Topology::SingleNode
+                }
                 InvariantSpec::RootCause { .. } => self.topology != Topology::Cloning,
                 InvariantSpec::FleetClean => self.topology == Topology::Fleet,
                 InvariantSpec::BudgetConservation { .. } => self.topology != Topology::Fleet,
@@ -553,6 +573,8 @@ fn decode(doc: &TomlValue) -> Result<ScenarioPlan, SprintError> {
                 warmup: r.usize_or("warmup", 0)?,
                 slots: r.usize_or("slots", 1)?,
                 watchdog_secs: r.f64_or("watchdog_secs", 240.0)?,
+                supervised: r.bool_or("supervised", true)?,
+                recorder_events: r.usize_or("recorder_events", 0)?,
             };
             r.finish()?;
             plan
@@ -861,6 +883,7 @@ fn decode_invariant(v: &TomlValue) -> Result<InvariantSpec, SprintError> {
             slack_secs: i.f64_or("slack_secs", 1.0)?,
         },
         "bit-identity" => InvariantSpec::BitIdentity,
+        "noop-faults" => InvariantSpec::NoopFaults,
         other => {
             return Err(semantic(
                 "ScenarioPlan::invariant.kind",
@@ -907,21 +930,7 @@ fn encode(plan: &ScenarioPlan) -> TomlValue {
     ));
     root.push(("arrivals".to_string(), encode_arrivals(&plan.arrivals)));
     root.push(("policy".to_string(), encode_policy(&plan.policy)));
-    root.push((
-        "run".to_string(),
-        TomlValue::Table(vec![
-            (
-                "queries".to_string(),
-                TomlValue::Int(plan.run.queries as i64),
-            ),
-            ("warmup".to_string(), TomlValue::Int(plan.run.warmup as i64)),
-            ("slots".to_string(), TomlValue::Int(plan.run.slots as i64)),
-            (
-                "watchdog_secs".to_string(),
-                TomlValue::Float(plan.run.watchdog_secs),
-            ),
-        ]),
-    ));
+    root.push(("run".to_string(), encode_run(&plan.run)));
     root.push(("faults".to_string(), encode_faults(&plan.faults)));
     if let Some(f) = &plan.fleet {
         root.push(("fleet".to_string(), encode_fleet(f)));
@@ -981,6 +990,31 @@ fn encode_arrivals(a: &ArrivalsPlan) -> TomlValue {
                     })
                     .collect(),
             ),
+        ));
+    }
+    TomlValue::Table(t)
+}
+
+/// Keys added after the catalog was written are left out at their
+/// defaults, so the canonical text of every plan that does not set
+/// them, and the journal-file headers that carry it, stay as they were.
+fn encode_run(r: &RunPlan) -> TomlValue {
+    let mut t = vec![
+        ("queries".to_string(), TomlValue::Int(r.queries as i64)),
+        ("warmup".to_string(), TomlValue::Int(r.warmup as i64)),
+        ("slots".to_string(), TomlValue::Int(r.slots as i64)),
+        (
+            "watchdog_secs".to_string(),
+            TomlValue::Float(r.watchdog_secs),
+        ),
+    ];
+    if !r.supervised {
+        t.push(("supervised".to_string(), TomlValue::Bool(false)));
+    }
+    if r.recorder_events > 0 {
+        t.push((
+            "recorder_events".to_string(),
+            TomlValue::Int(r.recorder_events as i64),
         ));
     }
     TomlValue::Table(t)
@@ -1242,5 +1276,6 @@ fn encode_invariant(i: &InvariantSpec) -> TomlValue {
             ("slack_secs".to_string(), TomlValue::Float(*slack_secs)),
         ]),
         InvariantSpec::BitIdentity => TomlValue::Table(vec![kv("bit-identity")]),
+        InvariantSpec::NoopFaults => TomlValue::Table(vec![kv("noop-faults")]),
     }
 }

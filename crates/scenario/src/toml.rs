@@ -92,14 +92,6 @@ impl TomlValue {
         }
     }
 
-    /// The table payload, if this is a table.
-    pub fn as_table(&self) -> Option<&[(String, TomlValue)]> {
-        match self {
-            TomlValue::Table(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Inserts a key into a table, erroring on duplicates.
     fn insert(&mut self, key: &str, value: TomlValue, line: usize) -> Result<(), SprintError> {
         let TomlValue::Table(pairs) = self else {

@@ -189,11 +189,6 @@ impl RunResult {
         mean(self.steady(), |q| q.response_time().as_secs_f64())
     }
 
-    /// Mean queueing delay in seconds.
-    pub fn mean_queue_delay_secs(&self) -> f64 {
-        mean(self.steady(), |q| q.queue_delay().as_secs_f64())
-    }
-
     /// Mean processing time in seconds.
     pub fn mean_processing_secs(&self) -> f64 {
         mean(self.steady(), |q| q.processing_time().as_secs_f64())
@@ -294,14 +289,6 @@ impl RunResult {
         }
         let mean_secs = times.iter().sum::<f64>() / times.len() as f64;
         Some(Rate::per_hour(3_600.0 / mean_secs))
-    }
-
-    /// Steady-state response times in seconds (for distribution fits).
-    pub fn response_times_secs(&self) -> Vec<f64> {
-        self.steady()
-            .iter()
-            .map(|q| q.response_time().as_secs_f64())
-            .collect()
     }
 
     /// Steady-state processing times in seconds.

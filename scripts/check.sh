@@ -69,13 +69,22 @@ done
 # Exits non-zero on any violation.
 logged fleet_report ./target/release/fleet_report
 
-# Bounded chaos smoke sweep: randomized fault plans at fixed seeds over
-# the full (workload, mechanism, policy) grid, under a second. Exits
-# non-zero on any recovery-invariant violation or any cell where
-# supervision fails to improve SLO attainment. (The fixed-seed
-# scenarios, single-node message faults and the fleet coordinator
-# crash, split-brain and renewal storm, are in the TOML catalog below.)
+# Bounded chaos smoke sweep (the bench crate's chaos_sweep): randomized
+# fault plans at fixed seeds over the full (workload, mechanism, policy)
+# grid, under a second. Each case is a scenario plan run through the
+# catalog's executor and invariants. Exits non-zero on any invariant
+# violation or any cell where supervision fails to improve SLO
+# attainment. (The fixed-seed scenarios, single-node message faults and
+# the fleet coordinator crash, split-brain and renewal storm, are in the
+# TOML catalog below.)
 logged chaos_sweep ./target/release/chaos_sweep --seeds 8
+
+# Emit round trip: one sweep case printed as canonical TOML must run and
+# pass its invariants as a catalog of its own.
+mkdir -p target/chaos-case
+echo "==> ./target/release/chaos_sweep --seeds 8 --emit Jacobi/DVFS/sprint/seed3 > target/chaos-case/case.toml"
+./target/release/chaos_sweep --seeds 8 --emit Jacobi/DVFS/sprint/seed3 > target/chaos-case/case.toml
+logged chaos-case ./target/release/scenario_run --dir target/chaos-case --smoke
 
 # Prediction fast-path gate: asserts fast/reference bit-identity, the
 # >=3X explorer speedup, the >=1M preds/min warm model throughput (on

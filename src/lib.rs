@@ -69,7 +69,7 @@ pub use workloads;
 /// Commonly used types, re-exported for convenient glob import.
 pub mod prelude {
     pub use ann::{AnnConfig, Mlp};
-    pub use chaos::{random_plan, SweepConfig, SweepReport};
+    pub use chaos::random_plan;
     pub use cloud::{
         colocate, meets_slo, BurstablePolicy, Strategy, WorkloadDemand, PRICE_PER_WORKLOAD_HOUR,
     };
