@@ -103,8 +103,7 @@ fn observed_run(seed: u64, traced: bool) -> Result<testbed::RunResult, SprintErr
 
 /// Drives every registered metric family at least once: an annealing
 /// search, a guaranteed memo hit, a guaranteed trace-cache hit, pooled
-/// batch predictions, forest inference, and a fleet planning pass
-/// (per-node prediction timings).
+/// batch predictions, forest inference, and a faulted fleet run.
 ///
 /// # Errors
 ///
@@ -158,10 +157,6 @@ pub fn prediction_workload() -> Result<(), SprintError> {
     for i in 0..50 {
         forest.predict(&[(i % 40) as f64, (i % 10) as f64, (i % 5) as f64]);
     }
-
-    // Fleet planning pass: per-node prediction-path timings
-    // (fleet_predict_us).
-    fleet::plan_fleet(&fleet::FleetSpec::small(181, 2)?)?;
 
     // Faulted fleet run: a partition strands three nodes away from
     // both coordinators, so leases are granted, renewed on the healthy

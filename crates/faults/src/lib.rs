@@ -20,10 +20,10 @@
 
 #![deny(unreachable_pub)]
 
-use reactor::{Delivery, NetworkEffect};
+use reactor::Delivery;
 use simcore::error::SprintError;
 use simcore::rng::SimRng;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimDuration;
 
 /// A control-plane actor in the testbed's reactor: an endpoint of the
 /// simulated network that [`MessageFaults`] perturb.
@@ -701,12 +701,6 @@ impl FaultInjector {
             return Delivery::Dropped { partitioned: true };
         }
         m.draw_delivery(&mut self.msg_rng, &mut self.counters)
-    }
-}
-
-impl NetworkEffect<Peer> for FaultInjector {
-    fn route(&mut self, now: SimTime, from: Peer, to: Peer) -> Delivery {
-        self.route_message(now.as_secs_f64(), from, to)
     }
 }
 

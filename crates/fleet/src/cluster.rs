@@ -33,7 +33,7 @@ use simcore::json::Json;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::SprintError;
-use testbed::{NodeRecord, RunResult, Server};
+use testbed::{delivery_observation, NodeRecord, RunResult, Server};
 
 use crate::spec::{FleetPartition, FleetSpec};
 
@@ -122,26 +122,22 @@ enum FleetEv {
     Health,
 }
 
-/// A control-plane decision journaled beside the popped events: a
-/// network fault verdict or a lease-protocol step. Stored by value,
-/// floats as the inputs they are printed from; `Display` is the journal
-/// text.
+/// A control-plane decision: a network fault verdict or a lease-protocol
+/// step. It is the one observation of that decision: journaled beside
+/// the popped events, and the recorder event, span moves and metric
+/// follow from it ([`FleetObservers::note`]). Stored by value, floats as
+/// the inputs they are printed from; `Display` is the journal text.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Note {
-    NetDelay {
+    /// A message from flat address `from` to `to` was delayed, dropped
+    /// or duplicated (inline deliveries are not noted). `rpc` is the
+    /// node whose lease RPC the message carries, for the tracer; it is
+    /// not printed.
+    Net {
         from: u32,
         to: u32,
-        delay_us: u64,
-    },
-    NetDrop {
-        from: u32,
-        to: u32,
-        partitioned: bool,
-    },
-    NetDup {
-        from: u32,
-        to: u32,
-        extra_us: u64,
+        rpc: Option<u32>,
+        delivery: Delivery,
     },
     NetCoordDown {
         coord: u32,
@@ -164,8 +160,11 @@ enum Note {
         node: u32,
         epoch: u64,
     },
+    /// The node finished and returned its lease; `epoch` is recorded,
+    /// not printed.
     Released {
         node: u32,
+        epoch: u64,
     },
     StandbyIgnores {
         coord: u32,
@@ -206,21 +205,22 @@ enum Note {
 impl fmt::Display for Note {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Note::NetDelay { from, to, delay_us } => {
-                write!(f, "fleet net: delay {from}->{to} by {delay_us}us")
-            }
-            Note::NetDrop {
-                from,
-                to,
-                partitioned,
-            } => write!(
-                f,
-                "fleet net: drop {from}->{to}{}",
-                if partitioned { " (partitioned)" } else { "" }
-            ),
-            Note::NetDup { from, to, extra_us } => {
-                write!(f, "fleet net: dup {from}->{to} +{extra_us}us")
-            }
+            Note::Net {
+                from, to, delivery, ..
+            } => match delivery {
+                Delivery::Inline => write!(f, "fleet net: deliver {from}->{to}"),
+                Delivery::Delayed { delay } => {
+                    write!(f, "fleet net: delay {from}->{to} by {}us", delay.0)
+                }
+                Delivery::Dropped { partitioned } => write!(
+                    f,
+                    "fleet net: drop {from}->{to}{}",
+                    if partitioned { " (partitioned)" } else { "" }
+                ),
+                Delivery::Duplicated { extra_delay } => {
+                    write!(f, "fleet net: dup {from}->{to} +{}us", extra_delay.0)
+                }
+            },
             Note::NetCoordDown { coord } => {
                 write!(f, "fleet net: coord {coord} down, message lost")
             }
@@ -245,7 +245,7 @@ impl fmt::Display for Note {
                 expires.as_secs_f64()
             ),
             Note::Lapsed { node, epoch } => write!(f, "node {node}: lease epoch {epoch} lapsed"),
-            Note::Released { node } => write!(f, "node {node}: done, lease released"),
+            Note::Released { node, .. } => write!(f, "node {node}: done, lease released"),
             Note::StandbyIgnores { coord, node } => write!(
                 f,
                 "coord {coord}: standby ignores lease request from node {node}"
@@ -284,12 +284,39 @@ impl fmt::Display for Note {
     }
 }
 
+impl Note {
+    /// The flight-recorder event this decision writes, if any.
+    fn event(self) -> Option<EventKind> {
+        match self {
+            Note::Net {
+                from, to, delivery, ..
+            } => delivery_observation(from, to, delivery).map(|(kind, _)| kind),
+            Note::Leased { node, epoch, .. } => Some(EventKind::LeaseGranted {
+                node,
+                epoch,
+                power: 1,
+            }),
+            Note::Lapsed { node, epoch } => Some(EventKind::LeaseExpired { node, epoch }),
+            Note::Released { node, epoch } => Some(EventKind::LeaseReleased { node, epoch }),
+            Note::Elected { coord, epoch } => Some(EventKind::CoordinatorElected {
+                coordinator: coord,
+                epoch,
+            }),
+            Note::Crashed { coord } => Some(EventKind::CoordinatorCrashed { coordinator: coord }),
+            _ => None,
+        }
+    }
+}
+
 /// One entry of a fleet's decision journal: a control-plane event or
 /// decision, or an entry of one node server's journal, in the order the
 /// interleave ran them. Stored by value; its text is the source's own,
 /// prefixed by `f ` for the control plane or `n<i> ` for node `i`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetRecord(FleetItem);
+
+// A large fleet's journal is most of its replay's memory.
+const _: () = assert!(std::mem::size_of::<FleetRecord>() <= 48);
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FleetItem {
@@ -708,18 +735,30 @@ struct FleetTracer {
 }
 
 impl FleetTracer {
-    fn new(trace: u64, nodes: usize, coordinators: usize) -> FleetTracer {
-        FleetTracer {
-            trace,
+    /// A tracer for `spec`'s fleet. Partition windows are spec-defined
+    /// time spans, so their open and close events are recorded up
+    /// front, and the initial primary's term opens at time zero.
+    fn new(rec: &mut FlightRecorder, spec: &FleetSpec) -> FleetTracer {
+        let mut t = FleetTracer {
+            trace: spec.seed,
             next_seq: 0,
-            rpc_span: vec![0; nodes],
-            lease_span: vec![0; nodes],
-            term_span: vec![0; coordinators],
+            rpc_span: vec![0; spec.nodes as usize],
+            lease_span: vec![0; spec.nodes as usize],
+            term_span: vec![0; spec.coordinators as usize],
             partitions: Vec::new(),
             in_flight: BTreeMap::new(),
             current: None,
             crashed_term: 0,
+        };
+        for p in &spec.faults.partitions {
+            let start = SimTime::from_secs_f64(p.start_secs);
+            let span = t.open(rec, start, SpanKind::PartitionWindow, 0, 0);
+            let end = p.start_secs + p.duration_secs;
+            Self::close(rec, SimTime::from_secs_f64(end), span, SpanOutcome::Healed);
+            t.partitions.push((span, p.start_secs, end));
         }
+        t.term_span[0] = t.open(rec, SimTime::ZERO, SpanKind::CoordinatorTerm, 0, 0);
+        t
     }
 
     fn mint(&mut self) -> u64 {
@@ -767,6 +806,128 @@ impl FleetTracer {
         }
     }
 
+    /// Moves the spans a decision implies. Returns the node's lease span
+    /// after a [`Note::Leased`], else 0.
+    fn on_note(&mut self, rec: &mut FlightRecorder, at: SimTime, note: Note) -> u64 {
+        match note {
+            // A delayed or dropped message is a cause of the control RPC
+            // it was carrying, and a partition drop is caused in turn by
+            // the partition window that swallowed it.
+            Note::Net {
+                from,
+                to,
+                rpc: Some(n),
+                delivery,
+            } => {
+                if let Some((_, Some(reason))) = delivery_observation(from, to, delivery) {
+                    let cause = if reason == CauseReason::Partition {
+                        self.active_partition(at.as_secs_f64())
+                    } else {
+                        0
+                    };
+                    Self::link(rec, at, self.rpc_span[n as usize], cause, reason);
+                }
+            }
+            Note::RequestTimeout { node, .. } => {
+                let n = node as usize;
+                let rpc = std::mem::take(&mut self.rpc_span[n]);
+                if rpc != 0 {
+                    // A timed-out round while holding a lease is a failed
+                    // renewal: link the lease's eventual fate back to it.
+                    Self::link(
+                        rec,
+                        at,
+                        self.lease_span[n],
+                        rpc,
+                        CauseReason::RenewalTimeout,
+                    );
+                    Self::close(rec, at, rpc, SpanOutcome::TimedOut);
+                }
+            }
+            Note::Leased { node, .. } => {
+                let n = node as usize;
+                let rpc = std::mem::take(&mut self.rpc_span[n]);
+                Self::close(rec, at, rpc, SpanOutcome::Granted);
+                if self.lease_span[n] == 0 {
+                    // Parent the lease under the RPC that carried the
+                    // grant (the propagated context survives delays and
+                    // duplication).
+                    let parent = self
+                        .current
+                        .map(|c| c.span)
+                        .filter(|&s| s != 0)
+                        .unwrap_or(rpc);
+                    self.lease_span[n] = self.open(rec, at, SpanKind::LeaseLifecycle, node, parent);
+                }
+                return self.lease_span[n];
+            }
+            Note::Lapsed { node, .. } => {
+                let span = std::mem::take(&mut self.lease_span[node as usize]);
+                Self::close(rec, at, span, SpanOutcome::Lapsed);
+            }
+            Note::Released { node, .. } => {
+                let span = std::mem::take(&mut self.lease_span[node as usize]);
+                Self::close(rec, at, span, SpanOutcome::Released);
+            }
+            Note::StepDown { coord, .. } => {
+                let span = std::mem::take(&mut self.term_span[coord as usize]);
+                Self::close(rec, at, span, SpanOutcome::SteppedDown);
+            }
+            Note::Elected { coord, .. } => {
+                let span = self.open(rec, at, SpanKind::CoordinatorTerm, coord, 0);
+                self.term_span[coord as usize] = span;
+                // The fresh term exists because the previous primary died.
+                let crashed = std::mem::take(&mut self.crashed_term);
+                if crashed != 0 {
+                    Self::link(rec, at, span, crashed, CauseReason::CoordinatorCrash);
+                }
+            }
+            Note::Crashed { coord } => {
+                // Only a primary holds an open term.
+                let span = std::mem::take(&mut self.term_span[coord as usize]);
+                if span != 0 {
+                    self.crashed_term = span;
+                }
+                Self::close(rec, at, span, SpanOutcome::Crashed);
+            }
+            _ => {}
+        }
+        0
+    }
+
+    /// Opens node `node`'s control-RPC span for a lease request, under
+    /// its lease span, unless one is already open.
+    fn request(&mut self, rec: &mut FlightRecorder, at: SimTime, node: u32) {
+        let n = node as usize;
+        if self.rpc_span[n] == 0 {
+            let parent = self.lease_span[n];
+            self.rpc_span[n] = self.open(rec, at, SpanKind::ControlRpc, node, parent);
+        }
+    }
+
+    /// Closes node `n`'s control-RPC span on a denial.
+    fn denied(&mut self, rec: &mut FlightRecorder, at: SimTime, n: usize) {
+        let rpc = std::mem::take(&mut self.rpc_span[n]);
+        Self::close(rec, at, rpc, SpanOutcome::Denied);
+    }
+
+    /// Carries the sender's context beside the message scheduled as
+    /// reactor event `id`.
+    fn carry(&mut self, id: u64, from: Addr, msg: &FleetMsg, to: Addr) {
+        let span = match Self::rpc_node(msg, to) {
+            Some(n) => self.rpc_span[n as usize],
+            None => match from {
+                Addr::Coordinator(c) => self.term_span[c as usize],
+                Addr::Node(_) => 0,
+            },
+        };
+        let ctx = TraceCtx {
+            trace: self.trace,
+            span,
+        };
+        self.in_flight.insert(id, ctx);
+    }
+
     /// The partition-window span active at `now_secs`, if any.
     fn active_partition(&self, now_secs: f64) -> u64 {
         self.partitions
@@ -776,28 +937,61 @@ impl FleetTracer {
     }
 
     /// The node whose control RPC a message concerns, if any.
-    fn rpc_node(msg: &FleetMsg, to: Addr) -> Option<usize> {
+    fn rpc_node(msg: &FleetMsg, to: Addr) -> Option<u32> {
         match (msg, to) {
-            (FleetMsg::LeaseRequest { node, .. }, _) => Some(*node as usize),
-            (FleetMsg::LeaseGrant { .. } | FleetMsg::LeaseDeny { .. }, Addr::Node(n)) => {
-                Some(n as usize)
-            }
+            (FleetMsg::LeaseRequest { node, .. }, _) => Some(*node),
+            (FleetMsg::LeaseGrant { .. } | FleetMsg::LeaseDeny { .. }, Addr::Node(n)) => Some(n),
             _ => None,
         }
     }
+}
 
-    /// The sender-side context a message carries through the network.
-    fn ctx_for(&self, from: Addr, msg: &FleetMsg, to: Addr) -> TraceCtx {
-        let span = match Self::rpc_node(msg, to) {
-            Some(n) => self.rpc_span[n],
-            None => match from {
-                Addr::Coordinator(c) => self.term_span[c as usize],
-                Addr::Node(_) => 0,
-            },
-        };
-        TraceCtx {
-            trace: self.trace,
-            span,
+/// The control plane's observers: the flight recorder (always on), the
+/// causal tracer that writes spans into it, and the decision journal.
+/// Each decision is one [`Note`] and reaches all of them, and the
+/// metrics registry, through [`FleetObservers::note`]. They draw no
+/// randomness and schedule no events, so an observed run is
+/// bit-identical to an unobserved one.
+struct FleetObservers {
+    recorder: FlightRecorder,
+    tracer: Option<FleetTracer>,
+    journal: Option<Journal<FleetRecord>>,
+}
+
+impl FleetObservers {
+    fn new(spec: &FleetSpec, journaled: bool, traced: bool) -> FleetObservers {
+        let mut recorder = FlightRecorder::new(16_384);
+        let tracer = traced.then(|| FleetTracer::new(&mut recorder, spec));
+        FleetObservers {
+            recorder,
+            tracer,
+            journal: journaled.then(Journal::new),
+        }
+    }
+
+    fn journal(&mut self, at: SimTime, item: FleetItem) {
+        if let Some(j) = self.journal.as_mut() {
+            j.push(at, FleetRecord(item));
+        }
+    }
+
+    /// Reports one decision: journals the note, records its event, moves
+    /// the spans it implies and counts the lease renewal or expiry it
+    /// is. Returns the node's lease span after a traced
+    /// [`Note::Leased`], else 0.
+    fn note(&mut self, at: SimTime, note: Note) -> u64 {
+        self.journal(at, FleetItem::Note(note));
+        if let Some(kind) = note.event() {
+            self.recorder.record(at, kind);
+        }
+        match note {
+            Note::Grant { renew: true, .. } => obs::global().lease_renewals.incr(),
+            Note::Lapsed { .. } => obs::global().lease_expiries.incr(),
+            _ => {}
+        }
+        match self.tracer.as_mut() {
+            Some(t) => t.on_note(&mut self.recorder, at, note),
+            None => 0,
         }
     }
 }
@@ -816,7 +1010,10 @@ struct Cluster<'m> {
     results: Vec<Option<RunResult>>,
     coords: Vec<Coordinator>,
     tracker: Tracker,
-    recorder: FlightRecorder,
+    /// Where each control-plane decision is reported. The run's one
+    /// decision journal there holds control plane and nodes in
+    /// execution order.
+    obs: FleetObservers,
     stats: LeaseStats,
     forced_unsprints: u64,
     last_degradation: FleetDegradation,
@@ -824,10 +1021,6 @@ struct Cluster<'m> {
     done_count: u32,
     horizon: SimTime,
     iterations: u64,
-    /// The run's one decision journal, control plane and nodes in
-    /// execution order; `None` journals nothing.
-    journal: Option<Journal<FleetRecord>>,
-    tracer: Option<FleetTracer>,
 }
 
 impl<'m> Cluster<'m> {
@@ -850,9 +1043,6 @@ impl<'m> Cluster<'m> {
                 server.attach_recorder(16_384);
                 server.enable_tracing(i);
             }
-            // Metric increments land on both the global and this node's
-            // scoped registry (no-ops while metrics are disabled).
-            server.set_metrics_scope(i);
             // Fail safe from the very first instant: no sprint without
             // a lease.
             server.set_sprint_permit(false);
@@ -898,7 +1088,7 @@ impl<'m> Cluster<'m> {
                 counters: FaultCounters::default(),
             },
             tracker: Tracker::new(spec.budget_power, spec.lease_secs),
-            recorder: FlightRecorder::new(16_384),
+            obs: FleetObservers::new(spec, journaled, traced),
             agents,
             servers,
             next_t: vec![None; n as usize],
@@ -916,8 +1106,6 @@ impl<'m> Cluster<'m> {
             done_count: 0,
             horizon: SimTime::ZERO,
             iterations: 0,
-            journal: journaled.then(Journal::new),
-            tracer: traced.then(|| FleetTracer::new(spec.seed, n as usize, c as usize)),
             spec: spec.clone(),
         })
     }
@@ -927,36 +1115,6 @@ impl<'m> Cluster<'m> {
     }
 
     fn init(&mut self) {
-        // Trace bootstrap: partition windows are spec-defined time
-        // spans, so their open/close events are recorded up front; the
-        // initial primary's term span opens at time zero.
-        if let Some(mut t) = self.tracer.take() {
-            for p in &self.spec.faults.partitions {
-                let span = t.open(
-                    &mut self.recorder,
-                    SimTime::from_secs_f64(p.start_secs),
-                    SpanKind::PartitionWindow,
-                    0,
-                    0,
-                );
-                let end = p.start_secs + p.duration_secs;
-                FleetTracer::close(
-                    &mut self.recorder,
-                    SimTime::from_secs_f64(end),
-                    span,
-                    SpanOutcome::Healed,
-                );
-                t.partitions.push((span, p.start_secs, end));
-            }
-            t.term_span[0] = t.open(
-                &mut self.recorder,
-                SimTime::ZERO,
-                SpanKind::CoordinatorTerm,
-                0,
-                0,
-            );
-            self.tracer = Some(t);
-        }
         let nodes = self.spec.nodes as usize;
         let coordinators = self.spec.coordinators;
         let backoff_base = self.spec.backoff_base_secs;
@@ -1048,7 +1206,7 @@ impl<'m> Cluster<'m> {
         let server = self.servers[n].as_mut()?;
         let out = f(server);
         self.next_t[n] = server.peek_time();
-        if let Some(journal) = self.journal.as_mut() {
+        if let Some(journal) = self.obs.journal.as_mut() {
             for e in server.drain_journal() {
                 let record = FleetRecord(FleetItem::Node(n as u32, e.what));
                 journal.push(SimTime(e.t_us), record);
@@ -1060,134 +1218,41 @@ impl<'m> Cluster<'m> {
     /// Pops the control plane's next event, journaling it.
     fn pop(&mut self) -> Option<(SimTime, FleetEv)> {
         let (at, ev) = self.reactor.pop()?;
-        if let Some(j) = self.journal.as_mut() {
-            j.push(at, FleetRecord(FleetItem::Event(ev)));
-        }
+        self.obs.journal(at, FleetItem::Event(ev));
         Some((at, ev))
-    }
-
-    /// Journals a control-plane decision.
-    fn note(&mut self, at: SimTime, note: Note) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push(at, FleetRecord(FleetItem::Note(note)));
-        }
     }
 
     // -----------------------------------------------------------------
     // Network
 
     fn send(&mut self, now: SimTime, from: Addr, to: Addr, msg: FleetMsg) {
-        let verdict = self.net.route(&self.spec, now, from, to);
-        let c = self.spec.coordinators;
-        let (fi, ti) = (from.flat(c), to.flat(c));
-        let ctx = self.tracer.as_ref().map(|t| t.ctx_for(from, &msg, to));
-        match verdict {
-            Delivery::Inline => {
-                let id = self
-                    .reactor
-                    .schedule(now, FleetEv::Deliver { from, to, msg });
-                if let (Some(t), Some(ctx)) = (self.tracer.as_mut(), ctx) {
-                    t.in_flight.insert(id, ctx);
-                }
-            }
-            Delivery::Delayed { delay } => {
-                self.recorder.record(
-                    now,
-                    EventKind::MessageDelayed {
-                        from: fi,
-                        to: ti,
-                        delay_micros: delay.0,
-                    },
-                );
-                self.note_net_fault(now, &msg, to, CauseReason::MessageDelay);
-                self.note(
-                    now,
-                    Note::NetDelay {
-                        from: fi,
-                        to: ti,
-                        delay_us: delay.0,
-                    },
-                );
-                let id = self.reactor.schedule(
-                    now.saturating_add(delay),
-                    FleetEv::Deliver { from, to, msg },
-                );
-                if let (Some(t), Some(ctx)) = (self.tracer.as_mut(), ctx) {
-                    t.in_flight.insert(id, ctx);
-                }
-            }
-            Delivery::Dropped { partitioned } => {
-                self.recorder.record(
-                    now,
-                    EventKind::MessageDropped {
-                        from: fi,
-                        to: ti,
-                        partitioned,
-                    },
-                );
-                let reason = if partitioned {
-                    CauseReason::Partition
-                } else {
-                    CauseReason::MessageDrop
-                };
-                self.note_net_fault(now, &msg, to, reason);
-                self.note(
-                    now,
-                    Note::NetDrop {
-                        from: fi,
-                        to: ti,
-                        partitioned,
-                    },
-                );
-            }
+        let delivery = self.net.route(&self.spec, now, from, to);
+        if delivery != Delivery::Inline {
+            let c = self.spec.coordinators;
+            let note = Note::Net {
+                from: from.flat(c),
+                to: to.flat(c),
+                rpc: FleetTracer::rpc_node(&msg, to),
+                delivery,
+            };
+            self.obs.note(now, note);
+        }
+        let (copy, echo) = match delivery {
+            Delivery::Inline => (Some(now), None),
+            Delivery::Delayed { delay } => (Some(now.saturating_add(delay)), None),
+            Delivery::Dropped { .. } => (None, None),
             Delivery::Duplicated { extra_delay } => {
-                self.recorder.record(
-                    now,
-                    EventKind::MessageDuplicated {
-                        from: fi,
-                        to: ti,
-                        delay_micros: extra_delay.0,
-                    },
-                );
-                self.note(
-                    now,
-                    Note::NetDup {
-                        from: fi,
-                        to: ti,
-                        extra_us: extra_delay.0,
-                    },
-                );
-                let id = self
-                    .reactor
-                    .schedule(now, FleetEv::Deliver { from, to, msg });
-                let id2 = self.reactor.schedule(
-                    now.saturating_add(extra_delay),
-                    FleetEv::Deliver { from, to, msg },
-                );
-                if let (Some(t), Some(ctx)) = (self.tracer.as_mut(), ctx) {
-                    t.in_flight.insert(id, ctx);
-                    t.in_flight.insert(id2, ctx);
-                }
+                (Some(now), Some(now.saturating_add(extra_delay)))
+            }
+        };
+        for at in [copy, echo].into_iter().flatten() {
+            let id = self
+                .reactor
+                .schedule(at, FleetEv::Deliver { from, to, msg });
+            if let Some(t) = self.obs.tracer.as_mut() {
+                t.carry(id, from, &msg, to);
             }
         }
-    }
-
-    /// Trace hook: links a delayed or dropped message to the control
-    /// RPC it was carrying, and that drop to the partition window that
-    /// swallowed it when one is active.
-    fn note_net_fault(&mut self, now: SimTime, msg: &FleetMsg, to: Addr, reason: CauseReason) {
-        let Some(t) = self.tracer.as_mut() else {
-            return;
-        };
-        let Some(n) = FleetTracer::rpc_node(msg, to) else {
-            return;
-        };
-        let cause = if reason == CauseReason::Partition {
-            t.active_partition(now.as_secs_f64())
-        } else {
-            0
-        };
-        FleetTracer::link(&mut self.recorder, now, t.rpc_span[n], cause, reason);
     }
 
     // -----------------------------------------------------------------
@@ -1207,11 +1272,8 @@ impl<'m> Cluster<'m> {
         if done || seq != cur_seq {
             return;
         }
-        if let Some(t) = self.tracer.as_mut() {
-            if t.rpc_span[n] == 0 {
-                let parent = t.lease_span[n];
-                t.rpc_span[n] = t.open(&mut self.recorder, now, SpanKind::ControlRpc, node, parent);
-            }
+        if let Some(t) = self.obs.tracer.as_mut() {
+            t.request(&mut self.obs.recorder, now, node);
         }
         self.send(
             now,
@@ -1243,22 +1305,7 @@ impl<'m> Cluster<'m> {
             )
         };
         self.stats.retries += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            let rpc = std::mem::take(&mut t.rpc_span[n]);
-            if rpc != 0 {
-                // A timed-out round while holding a lease is a failed
-                // renewal: link the lease's eventual fate back to it.
-                FleetTracer::link(
-                    &mut self.recorder,
-                    now,
-                    t.lease_span[n],
-                    rpc,
-                    CauseReason::RenewalTimeout,
-                );
-                FleetTracer::close(&mut self.recorder, now, rpc, SpanOutcome::TimedOut);
-            }
-        }
-        self.note(
+        self.obs.note(
             now,
             Note::RequestTimeout {
                 node,
@@ -1279,7 +1326,7 @@ impl<'m> Cluster<'m> {
             (a.done, a.highest_epoch, a.target)
         };
         if epoch < highest {
-            self.note(now, Note::FencedGrant { node, epoch });
+            self.obs.note(now, Note::FencedGrant { node, epoch });
             return;
         }
         if done {
@@ -1309,34 +1356,7 @@ impl<'m> Cluster<'m> {
         if !had {
             self.tracker.on_node_acquire(now);
         }
-        self.recorder.record(
-            now,
-            EventKind::LeaseGranted {
-                node,
-                epoch,
-                power: 1,
-            },
-        );
-        if let Some(mut t) = self.tracer.take() {
-            let rpc = std::mem::take(&mut t.rpc_span[n]);
-            FleetTracer::close(&mut self.recorder, now, rpc, SpanOutcome::Granted);
-            if t.lease_span[n] == 0 {
-                // Parent the lease under the RPC that carried the grant
-                // (the propagated context survives delays/duplication).
-                let parent = t.current.map(|c| c.span).filter(|&s| s != 0).unwrap_or(rpc);
-                t.lease_span[n] = t.open(
-                    &mut self.recorder,
-                    now,
-                    SpanKind::LeaseLifecycle,
-                    node,
-                    parent,
-                );
-            }
-            let parent = t.lease_span[n];
-            self.on_server(n, |server| server.set_trace_parent(parent));
-            self.tracer = Some(t);
-        }
-        self.note(
+        let lease_span = self.obs.note(
             now,
             Note::Leased {
                 node,
@@ -1344,7 +1364,10 @@ impl<'m> Cluster<'m> {
                 expires,
             },
         );
-        self.on_server(n, |server| server.set_sprint_permit(true));
+        self.on_server(n, |server| {
+            server.set_trace_parent(lease_span);
+            server.set_sprint_permit(true);
+        });
         let renew_at = if expires > now.saturating_add(Self::secs(renew_lead)) {
             expires - Self::secs(renew_lead)
         } else {
@@ -1380,17 +1403,7 @@ impl<'m> Cluster<'m> {
         };
         self.tracker.on_node_drop(now);
         self.stats.expiries += 1;
-        self.recorder
-            .record(now, EventKind::LeaseExpired { node, epoch });
-        if let Some(t) = self.tracer.as_mut() {
-            let lease = std::mem::take(&mut t.lease_span[n]);
-            FleetTracer::close(&mut self.recorder, now, lease, SpanOutcome::Lapsed);
-        }
-        if obs::is_enabled() {
-            obs::global().lease_expiries.incr();
-            obs::scoped(node).lease_expiries.incr();
-        }
-        self.note(now, Note::Lapsed { node, epoch });
+        self.obs.note(now, Note::Lapsed { node, epoch });
         // Fail safe: the permit dies with the lease and any in-flight
         // sprint is force-ended immediately.
         let unsprinted = self.on_server(n, |server| {
@@ -1423,16 +1436,13 @@ impl<'m> Cluster<'m> {
 
     fn node_on_deny(&mut self, now: SimTime, n: usize, epoch: u64) {
         let lease_secs = self.spec.lease_secs;
-        if !self.agents[n].done {
-            if let Some(t) = self.tracer.as_mut() {
-                let rpc = std::mem::take(&mut t.rpc_span[n]);
-                FleetTracer::close(&mut self.recorder, now, rpc, SpanOutcome::Denied);
-            }
-        }
-        let a = &mut self.agents[n];
-        if a.done {
+        if self.agents[n].done {
             return;
         }
+        if let Some(t) = self.obs.tracer.as_mut() {
+            t.denied(&mut self.obs.recorder, now, n);
+        }
+        let a = &mut self.agents[n];
         a.highest_epoch = a.highest_epoch.max(epoch);
         a.seq += 1;
         a.attempt = 0;
@@ -1460,18 +1470,8 @@ impl<'m> Cluster<'m> {
         if let Some(lease) = held {
             self.tracker.on_node_drop(now);
             self.stats.releases += 1;
-            self.recorder.record(
-                now,
-                EventKind::LeaseReleased {
-                    node,
-                    epoch: lease.epoch,
-                },
-            );
-            if let Some(t) = self.tracer.as_mut() {
-                let span = std::mem::take(&mut t.lease_span[n]);
-                FleetTracer::close(&mut self.recorder, now, span, SpanOutcome::Released);
-            }
-            self.note(now, Note::Released { node });
+            let epoch = lease.epoch;
+            self.obs.note(now, Note::Released { node, epoch });
             let target = self.agents[n].target % self.spec.coordinators;
             self.send(
                 now,
@@ -1495,7 +1495,7 @@ impl<'m> Cluster<'m> {
             (co.role, co.epoch)
         };
         if role != Role::Primary {
-            self.note(now, Note::StandbyIgnores { coord, node });
+            self.obs.note(now, Note::StandbyIgnores { coord, node });
             return;
         }
         let expires = now.saturating_add(Self::secs(lease_secs));
@@ -1521,7 +1521,7 @@ impl<'m> Cluster<'m> {
         match decision {
             "deny" => {
                 self.stats.denials += 1;
-                self.note(now, Note::Deny { coord, node });
+                self.obs.note(now, Note::Deny { coord, node });
                 self.send(
                     now,
                     Addr::Coordinator(coord),
@@ -1532,16 +1532,12 @@ impl<'m> Cluster<'m> {
             verb => {
                 if verb == "renew" {
                     self.stats.renewals += 1;
-                    if obs::is_enabled() {
-                        obs::global().lease_renewals.incr();
-                        obs::scoped(node).lease_renewals.incr();
-                    }
                 } else {
                     self.stats.grants += 1;
                 }
                 self.stats.max_epoch = self.stats.max_epoch.max(epoch);
                 self.tracker.on_coord_grant(now, epoch, coord);
-                self.note(
+                self.obs.note(
                     now,
                     Note::Grant {
                         coord,
@@ -1608,11 +1604,7 @@ impl<'m> Cluster<'m> {
             co.last_hb_heard = now;
         }
         self.stats.step_downs += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            let span = std::mem::take(&mut t.term_span[c]);
-            FleetTracer::close(&mut self.recorder, now, span, SpanOutcome::SteppedDown);
-        }
-        self.note(now, Note::StepDown { coord, why });
+        self.obs.note(now, Note::StepDown { coord, why });
         let gen = self.coords[c].gen;
         let jitter = self.coords[c].rng.uniform(1.0, 1.25);
         self.schedule_coord(
@@ -1649,30 +1641,7 @@ impl<'m> Cluster<'m> {
         };
         self.stats.elections += 1;
         self.stats.max_epoch = self.stats.max_epoch.max(epoch);
-        self.recorder.record(
-            now,
-            EventKind::CoordinatorElected {
-                coordinator: coord,
-                epoch,
-            },
-        );
-        if let Some(mut t) = self.tracer.take() {
-            let span = t.open(&mut self.recorder, now, SpanKind::CoordinatorTerm, coord, 0);
-            t.term_span[c] = span;
-            // The fresh term exists because the previous primary died.
-            let crashed = std::mem::take(&mut t.crashed_term);
-            if crashed != 0 {
-                FleetTracer::link(
-                    &mut self.recorder,
-                    now,
-                    span,
-                    crashed,
-                    CauseReason::CoordinatorCrash,
-                );
-            }
-            self.tracer = Some(t);
-        }
-        self.note(now, Note::Elected { coord, epoch });
+        self.obs.note(now, Note::Elected { coord, epoch });
         let gen = self.coords[c].gen;
         // Announce immediately, then settle into the periodic beat.
         self.coord_heartbeat_now(now, c);
@@ -1777,7 +1746,7 @@ impl<'m> Cluster<'m> {
                     }
                 }
                 if reclaimed > 0 {
-                    self.note(now, Note::Swept { coord, reclaimed });
+                    self.obs.note(now, Note::Swept { coord, reclaimed });
                 }
                 self.schedule_coord(
                     Self::secs(self.spec.lease_secs / 4.0),
@@ -1795,19 +1764,9 @@ impl<'m> Cluster<'m> {
         if !co.up {
             return;
         }
-        let was_primary = co.role == Role::Primary;
         co.up = false;
         co.gen += 1;
-        self.recorder
-            .record(now, EventKind::CoordinatorCrashed { coordinator: coord });
-        if let Some(t) = self.tracer.as_mut() {
-            let span = std::mem::take(&mut t.term_span[c]);
-            if was_primary && span != 0 {
-                t.crashed_term = span;
-            }
-            FleetTracer::close(&mut self.recorder, now, span, SpanOutcome::Crashed);
-        }
-        self.note(now, Note::Crashed { coord });
+        self.obs.note(now, Note::Crashed { coord });
     }
 
     fn coord_repair(&mut self, now: SimTime, c: usize) {
@@ -1826,7 +1785,7 @@ impl<'m> Cluster<'m> {
             co.last_hb_heard = now;
             co.gen
         };
-        self.note(now, Note::Repaired { coord });
+        self.obs.note(now, Note::Repaired { coord });
         let jitter = self.coords[c].rng.uniform(1.0, 1.25);
         self.schedule_coord(
             Self::secs(self.spec.election_secs * jitter),
@@ -1876,7 +1835,7 @@ impl<'m> Cluster<'m> {
         if !self.all_done() {
             self.last_degradation = d;
             self.sampled_degradation = true;
-            self.recorder.record(
+            self.obs.recorder.record(
                 now,
                 EventKind::FleetDegradationSample {
                     sprintable: d.sprintable,
@@ -1896,7 +1855,7 @@ impl<'m> Cluster<'m> {
 
     fn dispatch(&mut self, now: SimTime, ev: FleetEv) -> Result<(), SprintError> {
         self.horizon = self.horizon.max(now);
-        if let Some(t) = self.tracer.as_mut() {
+        if let Some(t) = self.obs.tracer.as_mut() {
             // The context the in-flight envelope carried, if this event
             // is a delivery (keyed by the reactor-assigned event id).
             t.current = t.in_flight.remove(&self.reactor.current_event_id());
@@ -1905,7 +1864,7 @@ impl<'m> Cluster<'m> {
             FleetEv::Deliver { from, to, msg } => match to {
                 Addr::Coordinator(c) => {
                     if !self.coords[c as usize].up {
-                        self.note(now, Note::NetCoordDown { coord: c });
+                        self.obs.note(now, Note::NetCoordDown { coord: c });
                         return Ok(());
                     }
                     match msg {
@@ -2101,7 +2060,7 @@ impl<'m> Cluster<'m> {
                 ),
             });
         }
-        let node_telemetries = if self.tracer.is_some() {
+        let node_telemetries = if self.obs.tracer.is_some() {
             self.results
                 .iter()
                 .map(|r| {
@@ -2135,10 +2094,10 @@ impl<'m> Cluster<'m> {
             degradation: self.last_degradation,
             counters: self.net.counters,
             violations,
-            telemetry: self.recorder.finish(),
+            telemetry: self.obs.recorder.finish(),
             node_telemetries,
         };
-        Ok((result, self.journal.take()))
+        Ok((result, self.obs.journal.take()))
     }
 }
 

@@ -18,6 +18,11 @@
 //! grants; nodes cut off from every coordinator degrade to `NoSprint`
 //! and re-admit once connectivity heals.
 //!
+//! Each control-plane decision is one typed journal note, and its
+//! recorder event, trace spans and lease metric follow from that note,
+//! so the journal, the flight recorder, the tracer and the metrics see
+//! the same decisions.
+//!
 //! Everything descends from one root seed through the reactor's entropy
 //! tower, so a fleet of hundreds of nodes replays bit-identically from
 //! its [`FleetSpec`] — the run's one journal, holding control-plane and
@@ -25,12 +30,10 @@
 //! proof.
 
 pub mod cluster;
-pub mod plan;
 pub mod spec;
 
 pub use cluster::{
     run_fleet, run_fleet_journaled, run_fleet_traced, FleetDegradation, FleetRecord, FleetResult,
     FleetViolation, LeaseStats,
 };
-pub use plan::{plan_fleet, FleetPlan, NodePlan};
 pub use spec::{CoordinatorCrash, FleetFaults, FleetPartition, FleetSpec};

@@ -32,9 +32,8 @@ pub mod trace;
 
 pub use event::{render_timeline, AdmissionMode, BreakerLevel, Event, EventKind, UnsprintReason};
 pub use metrics::{
-    global, is_enabled, reset_scoped, scoped, scoped_snapshots, set_enabled, start_timer, Counter,
-    CounterSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, FAMILY_NAMES,
-    HISTOGRAM_BUCKETS,
+    global, is_enabled, set_enabled, start_timer, Counter, CounterSnapshot, Histogram,
+    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, FAMILY_NAMES, HISTOGRAM_BUCKETS,
 };
 pub use recorder::{FlightRecorder, RunTelemetry};
 pub use trace::{

@@ -15,9 +15,8 @@
 
 use simcore::json::Json;
 use simcore::table::TextTable;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -196,7 +195,6 @@ pub const FAMILY_NAMES: &[&str] = &[
     "anneal_searches",
     "anneal_candidates",
     "forest_infer_ns",
-    "fleet_predict_us",
     "sprints_engaged",
     "lease_renewals",
     "lease_expiries",
@@ -234,13 +232,9 @@ pub struct MetricsRegistry {
     pub anneal_candidates: Counter,
     /// Random-forest inference time (ns per call).
     pub forest_infer_ns: Histogram,
-    /// Per-node prediction-path time (µs) spent in the fleet planning
-    /// pass's model evaluations — proves fleet-scale runs ride the
-    /// pooled/shared-cache fast path.
-    pub fleet_predict_us: Histogram,
-    /// Sprints engaged by the testbed server (per node when scoped).
+    /// Sprints engaged by the testbed server.
     pub sprints_engaged: Counter,
-    /// Fleet lease renewals granted (per node when scoped).
+    /// Fleet lease renewals granted.
     pub lease_renewals: Counter,
     /// Fleet lease expiries — each one a fail-safe unsprint window.
     pub lease_expiries: Counter,
@@ -261,7 +255,6 @@ impl MetricsRegistry {
             anneal_searches: Counter::default(),
             anneal_candidates: Counter::default(),
             forest_infer_ns: Histogram::new(),
-            fleet_predict_us: Histogram::new(),
             sprints_engaged: Counter::default(),
             lease_renewals: Counter::default(),
             lease_expiries: Counter::default(),
@@ -282,7 +275,6 @@ impl MetricsRegistry {
         self.anneal_searches.reset();
         self.anneal_candidates.reset();
         self.forest_infer_ns.reset();
-        self.fleet_predict_us.reset();
         self.sprints_engaged.reset();
         self.lease_renewals.reset();
         self.lease_expiries.reset();
@@ -345,7 +337,6 @@ impl MetricsRegistry {
                 self.pool_queue_wait_us.snapshot("pool_queue_wait_us"),
                 self.pool_task_run_us.snapshot("pool_task_run_us"),
                 self.forest_infer_ns.snapshot("forest_infer_ns"),
-                self.fleet_predict_us.snapshot("fleet_predict_us"),
             ],
         }
     }
@@ -355,38 +346,6 @@ impl MetricsRegistry {
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-fn scoped_map() -> &'static Mutex<BTreeMap<u32, &'static MetricsRegistry>> {
-    static SCOPED: OnceLock<Mutex<BTreeMap<u32, &'static MetricsRegistry>>> = OnceLock::new();
-    SCOPED.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// The per-node metrics registry for `node`, created on first use and
-/// kept for the life of the process. Instrumentation sites write
-/// through: the [`global`] registry stays the fleet-wide aggregate,
-/// and the scoped registry holds the per-node view.
-pub fn scoped(node: u32) -> &'static MetricsRegistry {
-    let mut map = scoped_map().lock().unwrap_or_else(|e| e.into_inner());
-    map.entry(node)
-        .or_insert_with(|| Box::leak(Box::new(MetricsRegistry::new())))
-}
-
-/// Point-in-time snapshots of every per-node registry touched so far,
-/// node-ascending. The fleet roll-up is the [`global`] registry.
-pub fn scoped_snapshots() -> Vec<(u32, MetricsSnapshot)> {
-    let map = scoped_map().lock().unwrap_or_else(|e| e.into_inner());
-    map.iter().map(|(&n, r)| (n, r.snapshot())).collect()
-}
-
-/// Zeroes every per-node registry (benchmark/test hygiene; the
-/// registries themselves survive, so outstanding references stay
-/// valid).
-pub fn reset_scoped() {
-    let map = scoped_map().lock().unwrap_or_else(|e| e.into_inner());
-    for r in map.values() {
-        r.reset();
-    }
 }
 
 /// Frozen value of one counter family.
@@ -539,7 +498,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{MutexGuard, PoisonError};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// Serializes the tests that set the process-wide `ENABLED` flag: the
     /// harness runs tests on parallel threads, and one test turning
@@ -649,28 +608,6 @@ mod tests {
         let empty = Histogram::new().snapshot("e");
         assert_eq!(empty.p50(), 0);
         assert_eq!(empty.p99(), 0);
-    }
-
-    #[test]
-    fn scoped_registries_are_stable_and_isolated() {
-        let _flag = FlagGuard::set(true);
-        scoped(1001).reset();
-        scoped(1002).reset();
-        scoped(1001).lease_renewals.incr();
-        scoped(1001).lease_renewals.incr();
-        scoped(1002).lease_expiries.incr();
-        assert_eq!(scoped(1001).lease_renewals.get(), 2);
-        assert_eq!(scoped(1001).lease_expiries.get(), 0);
-        assert_eq!(scoped(1002).lease_expiries.get(), 1);
-        // Same node resolves to the same registry.
-        assert!(std::ptr::eq(scoped(1001), scoped(1001)));
-        let snaps = scoped_snapshots();
-        assert!(snaps.iter().any(|(n, s)| {
-            *n == 1001
-                && s.counters
-                    .iter()
-                    .any(|c| c.name == "lease_renewals" && c.value == 2)
-        }));
     }
 
     #[test]

@@ -14,11 +14,8 @@
 //! - **One seed.** [`EntropyTower`] hands out namespaced child RNG
 //!   streams (per-actor, per-fault, per-arrival) derived from a single
 //!   root seed, so adding a consumer never perturbs existing streams.
-//! - **Effects behind traits.** Time ([`TimeEffect`]), entropy
-//!   ([`EntropyEffect`]) and message delivery ([`NetworkEffect`]) are
-//!   injectable: the same server logic runs against the reactor's
-//!   virtual clock in simulation or a [`WallClock`] live, and against a
-//!   [`PerfectNetwork`] or a fault-injecting router.
+//! - **One routing verdict.** Every control message a driver sends gets
+//!   a [`Delivery`]: inline, delayed, dropped or duplicated.
 //! - **Journaled decisions.** A driver with journaling on appends every
 //!   event it pops and every routing decision it makes to a
 //!   [`Journal`] of its own typed records, stored by value; text is
@@ -30,14 +27,12 @@
 
 #![deny(unreachable_pub)]
 
-pub mod effects;
 pub mod entropy;
 pub mod journal;
 pub mod net;
 mod runtime;
 
-pub use effects::{EntropyEffect, TimeEffect, WallClock};
 pub use entropy::EntropyTower;
 pub use journal::{Journal, JournalDivergence, JournalEntry};
-pub use net::{Delivery, NetworkEffect, PerfectNetwork};
+pub use net::Delivery;
 pub use runtime::Reactor;

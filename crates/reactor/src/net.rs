@@ -1,16 +1,16 @@
-//! The simulated "network" effect: typed message delivery between
-//! actors, with an injectable routing policy.
+//! The simulated network's routing verdict.
 //!
-//! Actors (sprint controller, budget sensor, watchdog, slots) exchange
-//! typed messages; the *router* decides each message's fate. A perfect
-//! network delivers everything inline (synchronously, at the send
-//! site), which makes a fault-free run bit-identical to direct method
-//! calls. A fault-injecting router (see the `faults` crate) can delay,
-//! drop, duplicate, or partition links instead — and because delays are
-//! drawn independently per message, two delayed messages can overtake
-//! each other, so *reordering* emerges without a dedicated knob.
+//! Actors (sprint controller, budget sensor, watchdog, slots; fleet
+//! nodes and coordinators) exchange typed messages, and a router
+//! decides each message's fate. Without faults everything delivers
+//! inline (synchronously, at the send site), which makes a fault-free
+//! run bit-identical to direct method calls. A fault-injecting router
+//! (see the `faults` crate) can delay, drop, duplicate, or partition
+//! links instead — and because delays are drawn independently per
+//! message, two delayed messages can overtake each other, so
+//! *reordering* emerges without a dedicated knob.
 
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimDuration;
 
 /// The routing verdict for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,38 +34,4 @@ pub enum Delivery {
         /// is a distinct event).
         extra_delay: SimDuration,
     },
-}
-
-/// A routing policy over addresses of type `A`: given the clock and the
-/// link's endpoints, decide one message's fate. Implementations must be
-/// deterministic in their own seeded state.
-pub trait NetworkEffect<A> {
-    /// Routes one message sent at `now` from `from` to `to`.
-    fn route(&mut self, now: SimTime, from: A, to: A) -> Delivery;
-}
-
-/// The live/fault-free network: every message delivers inline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerfectNetwork;
-
-impl<A> NetworkEffect<A> for PerfectNetwork {
-    fn route(&mut self, _now: SimTime, _from: A, _to: A) -> Delivery {
-        Delivery::Inline
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn perfect_network_is_always_inline() {
-        let mut net = PerfectNetwork;
-        for i in 0..8u32 {
-            assert_eq!(
-                net.route(SimTime::from_secs(i as u64), i, i + 1),
-                Delivery::Inline
-            );
-        }
-    }
 }

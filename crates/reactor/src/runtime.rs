@@ -1,17 +1,13 @@
-//! The reactor proper: one event queue, one virtual clock, and the
-//! cause id of every event.
+//! The reactor proper: one event queue, one virtual clock, and the id
+//! of every event.
 
-use crate::effects::TimeEffect;
 use simcore::event::EventQueue;
 use simcore::time::SimTime;
 
-/// An event plus its causal bookkeeping: the id the reactor assigned to
-/// it at scheduling time and the id of the event whose handler
-/// scheduled it (`0` for root events scheduled outside any handler).
+/// An event and the id the reactor assigned to it at scheduling time.
 #[derive(Debug)]
 struct Traced<E> {
     id: u64,
-    cause: u64,
     ev: E,
 }
 
@@ -25,20 +21,18 @@ struct Traced<E> {
 /// tracer, so the run's entire decision sequence replays and diffs from
 /// `(seed, plan)` alone.
 ///
-/// Every event additionally carries a *cause id*: [`Reactor::schedule`]
-/// assigns each event a sequential id and records the id of the event
-/// being handled when it was scheduled. Drivers that build causal
-/// traces read [`Reactor::current_event_id`] /
-/// [`Reactor::current_cause`] after each pop. The ids are derived
-/// purely from scheduling order, so they are bit-identical across
-/// replays of the same `(seed, plan)` and cost two `u64` stores when
-/// unused.
+/// [`Reactor::schedule`] assigns each event a sequential id, and
+/// [`Reactor::current_event_id`] names the event just popped, so a
+/// driver can key state it carries beside an event (the fleet tracer's
+/// in-flight trace contexts) by that id. The ids are derived purely
+/// from scheduling order, so they are bit-identical across replays of
+/// the same `(seed, plan)`.
 #[derive(Debug)]
 pub struct Reactor<E> {
     queue: EventQueue<Traced<E>>,
     next_id: u64,
-    /// `(id, cause)` of the most recently popped event.
-    current: (u64, u64),
+    /// Id of the most recently popped event.
+    current: u64,
 }
 
 impl<E> Default for Reactor<E> {
@@ -53,7 +47,7 @@ impl<E> Reactor<E> {
         Reactor {
             queue: EventQueue::new(),
             next_id: 1,
-            current: (0, 0),
+            current: 0,
         }
     }
 
@@ -62,9 +56,7 @@ impl<E> Reactor<E> {
         self.queue.now()
     }
 
-    /// Schedules `event` at `at`, returning its assigned event id. The
-    /// event's cause is the event currently being handled (`0` when
-    /// scheduled outside any handler, e.g. during setup).
+    /// Schedules `event` at `at`, returning its assigned event id.
     ///
     /// # Panics
     ///
@@ -72,33 +64,20 @@ impl<E> Reactor<E> {
     pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.queue.schedule(
-            at,
-            Traced {
-                id,
-                cause: self.current.0,
-                ev: event,
-            },
-        );
+        self.queue.schedule(at, Traced { id, ev: event });
         id
     }
 
     /// Pops the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (at, t) = self.queue.pop()?;
-        self.current = (t.id, t.cause);
+        self.current = t.id;
         Some((at, t.ev))
     }
 
     /// Id of the most recently popped event (`0` before the first pop).
     pub fn current_event_id(&self) -> u64 {
-        self.current.0
-    }
-
-    /// Id of the event whose handler scheduled the most recently popped
-    /// event (`0` for root events).
-    pub fn current_cause(&self) -> u64 {
-        self.current.1
+        self.current
     }
 
     /// The instant of the next pending event, if any.
@@ -114,12 +93,6 @@ impl<E> Reactor<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-}
-
-impl<E> TimeEffect for Reactor<E> {
-    fn now(&self) -> SimTime {
-        Reactor::now(self)
     }
 }
 
@@ -151,24 +124,20 @@ mod tests {
     }
 
     #[test]
-    fn cause_ids_link_events_to_their_scheduler() {
+    fn event_ids_name_the_popped_event() {
         let mut r: Reactor<Ev> = Reactor::new();
-        // Root events scheduled outside any handler have cause 0.
         let root = r.schedule(SimTime::from_secs(1), Ev::Tick(0));
         assert_eq!(root, 1);
         assert_eq!(r.current_event_id(), 0);
         let (_, _) = r.pop().unwrap();
         assert_eq!(r.current_event_id(), root);
-        assert_eq!(r.current_cause(), 0);
-        // An event scheduled while handling `root` is caused by it.
         let child = r.schedule(SimTime::from_secs(2), Ev::Tick(1));
         let (_, _) = r.pop().unwrap();
         assert_eq!(r.current_event_id(), child);
-        assert_eq!(r.current_cause(), root);
     }
 
     #[test]
-    fn cause_ids_are_identical_across_replays() {
+    fn event_ids_are_identical_across_replays() {
         let drive = || {
             let mut r: Reactor<Ev> = Reactor::new();
             let mut seen = Vec::new();
@@ -176,7 +145,7 @@ mod tests {
                 r.schedule(SimTime::from_secs(i % 3), Ev::Tick(i as u32));
             }
             while let Some((_, ev)) = r.pop() {
-                seen.push((r.current_event_id(), r.current_cause(), ev));
+                seen.push((r.current_event_id(), ev));
                 if seen.len() < 12 {
                     r.schedule(r.now(), Ev::Msg { from: 0, to: 1 });
                 }

@@ -87,7 +87,9 @@ pub fn parse_journal_file(text: &str) -> Result<(ScenarioPlan, Journal), SprintE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{build_fleet_spec, with_server, Faults, TRACE_CAPACITY};
     use crate::{catalog_dir, journal, load_catalog, Topology};
+    use fleet::{run_fleet, run_fleet_traced};
 
     fn committed(name: &str) -> ScenarioPlan {
         load_catalog(catalog_dir())
@@ -216,6 +218,131 @@ mod tests {
                     "{name}: digest {got:#018x} over {} entries, committed {want:#018x} \
                      over {entries}",
                     journal.len()
+                ));
+            }
+        }
+        assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    }
+
+    /// The flight-recorder JSONL of `plan` at its committed seed, traced
+    /// or plain. A single-node plan records into a [`TRACE_CAPACITY`]
+    /// ring, traced as node 0 the way [`crate::trace_graph`] runs it. A
+    /// fleet plan gives its control plane's stream and, traced, each
+    /// node's stream after it in node order.
+    fn telemetry_text(plan: &ScenarioPlan, traced: bool) -> String {
+        match plan.topology {
+            Topology::SingleNode => {
+                let run = with_server(plan, plan.seed, Faults::Planned, |mut server| {
+                    server.attach_recorder(TRACE_CAPACITY);
+                    if traced {
+                        server.enable_tracing(0);
+                    }
+                    server.run()
+                })
+                .unwrap();
+                run.telemetry().expect("recorded run").to_jsonl()
+            }
+            Topology::Fleet => {
+                let spec = build_fleet_spec(plan, plan.seed).unwrap();
+                if !traced {
+                    return run_fleet(&spec).unwrap().telemetry.to_jsonl();
+                }
+                let run = run_fleet_traced(&spec).unwrap();
+                let mut text = run.telemetry.to_jsonl();
+                for node in &run.node_telemetries {
+                    text.push_str(&node.to_jsonl());
+                }
+                text
+            }
+            Topology::Cloning => unreachable!("cloning plans record no telemetry"),
+        }
+    }
+
+    /// Pins what the observers write, as the journal digests pin the
+    /// journal: the traced and the plain recorder stream of each
+    /// single-node and fleet catalog plan at its committed seed must
+    /// hash to its committed digest, so an event that moves, vanishes
+    /// or changes in every run shows here even though two runs of one
+    /// build still agree with each other.
+    #[test]
+    fn telemetry_streams_match_committed_digests() {
+        const DIGESTS: [(&str, u64, u64); 12] = [
+            (
+                "delayed-budget-telemetry",
+                0xeeb5_6ab2_20e9_4a00,
+                0xcb24_f760_fc6e_f28d,
+            ),
+            (
+                "diurnal-budget-pressure",
+                0x359a_429d_6a29_f7b9,
+                0xd90c_e6af_d7f5_2a6b,
+            ),
+            (
+                "flash-crowd-single",
+                0x30e9_5678_2639_5712,
+                0x8e77_2a25_1eab_5881,
+            ),
+            (
+                "lost-unsprint-command",
+                0xe0e4_3c69_c79f_2c94,
+                0x1759_a598_4ea9_c342,
+            ),
+            (
+                "message-fault-mix",
+                0x715f_5235_0eac_0a8f,
+                0xe016_f25a_835c_5903,
+            ),
+            (
+                "pareto-heavy-tail",
+                0x55b5_ad80_6e9a_72a5,
+                0x85d4_9622_6350_d668,
+            ),
+            (
+                "watchdog-partition",
+                0xe283_7600_472b_6773,
+                0x0aaf_7380_6320_4ea8,
+            ),
+            (
+                "fleet-100-node-failover",
+                0xfc65_01d6_dfe9_bcc9,
+                0x907d_f7fe_e0de_1fd3,
+            ),
+            (
+                "fleet-coordinator-crash",
+                0xa60f_5772_3eb4_cbe6,
+                0x67f9_2924_2739_d0b9,
+            ),
+            (
+                "fleet-flash-crowd",
+                0x1b33_bae5_6c40_5cea,
+                0x737e_1091_d7ef_9c81,
+            ),
+            (
+                "fleet-renewal-storm",
+                0x3508_cdb9_d749_c0c5,
+                0x8bf4_07b2_5fae_3d5b,
+            ),
+            (
+                "fleet-split-brain",
+                0xad9c_e70a_9dc8_0b24,
+                0x521a_0479_c43d_f7aa,
+            ),
+        ];
+        let plans = load_catalog(catalog_dir()).unwrap();
+        let recorded = plans
+            .iter()
+            .filter(|p| p.topology != Topology::Cloning)
+            .count();
+        assert_eq!(recorded, DIGESTS.len(), "a recorded plan has no digest");
+        let mut mismatches = Vec::new();
+        for (name, traced_want, plain_want) in DIGESTS {
+            let plan = committed(name);
+            let traced = fnv1a(telemetry_text(&plan, true).as_bytes());
+            let plain = fnv1a(telemetry_text(&plan, false).as_bytes());
+            if (traced, plain) != (traced_want, plain_want) {
+                mismatches.push(format!(
+                    "{name}: traced {traced:#018x}, plain {plain:#018x}; committed traced \
+                     {traced_want:#018x}, plain {plain_want:#018x}"
                 ));
             }
         }

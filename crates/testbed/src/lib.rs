@@ -41,7 +41,11 @@
 //! [`Server::run`] (or [`Server::run_journaled`] for the decision
 //! journal, whose entries are typed [`NodeRecord`]s). Observers are
 //! byte-invisible: records and counters are bit-identical with or
-//! without them.
+//! without them. Each decision reaches every attached observer, and
+//! the metrics registry, through one call, and
+//! [`delivery_observation`] maps a control message's routing verdict to
+//! its recorder event and cause reason for this server and the fleet
+//! control plane alike.
 
 pub mod budget;
 pub mod engine;
@@ -59,6 +63,6 @@ pub use metrics::{RunResult, RunResultBuilder};
 pub use policy::{ArrivalSpec, BudgetSpec, RateSegment, ServerConfig, SprintPolicy};
 pub use query::QueryRecord;
 pub use reactor::Journal;
-pub use server::{NodeRecord, Server};
+pub use server::{delivery_observation, NodeRecord, Server};
 pub use spec::{run_journaled, RunSpec};
 pub use supervision::{RecoveryCounters, Supervisor, SupervisorConfig};

@@ -135,6 +135,9 @@ enum CtrlMsg {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeRecord(NodeItem);
 
+// A journaled fleet holds one of these per node decision.
+const _: () = assert!(std::mem::size_of::<NodeRecord>() <= 32);
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum NodeItem {
     Event(Ev),
@@ -239,23 +242,128 @@ pub struct Server<'m> {
     /// fault plan's out-of-band repair. Supervised runs track downness
     /// in the supervisor instead and never set these flags.
     down: Vec<bool>,
-    /// Flight recorder; `None` (the default) records nothing. The
-    /// recorder is a pure observer — it draws no randomness and
-    /// schedules no events — so a recorded run is bit-identical to an
-    /// unrecorded one.
+    /// Where each decision is reported: recorder, tracer, journal and
+    /// metrics.
+    obs: Observers,
+}
+
+/// A server's observers, each `None` (the default) until attached: the
+/// flight recorder, the causal tracer that writes spans into it, and
+/// the decision journal. Each decision reaches all of them, and the
+/// metrics registry, through one call. They draw no randomness and
+/// schedule no events, so an observed run is bit-identical to an
+/// unobserved one.
+#[derive(Debug, Default)]
+struct Observers {
     recorder: Option<FlightRecorder>,
-    /// Causal tracer; `None` (the default) traces nothing. Like the
-    /// recorder it only writes events, so a traced run is bit-identical
-    /// to an untraced one.
     tracer: Option<NodeTracer>,
-    /// Node id for per-node metrics scoping; `None` increments only the
-    /// process-global registry.
-    metrics_scope: Option<u32>,
-    /// Decision journal; `None` (the default) journals nothing. Like
-    /// the recorder it only observes: it draws no randomness and
-    /// schedules nothing, so a journaled run is bit-identical to an
-    /// unjournaled one.
     journal: Option<Journal<NodeRecord>>,
+}
+
+impl Observers {
+    fn journal(&mut self, at: SimTime, item: NodeItem) {
+        if let Some(j) = self.journal.as_mut() {
+            j.push(at, NodeRecord(item));
+        }
+    }
+
+    /// A decision only the recorder sees.
+    fn record(&mut self, at: SimTime, kind: EventKind) {
+        note(&mut self.recorder, at, kind);
+    }
+
+    /// The routing verdict for a control message: journaled, recorded,
+    /// and a delayed or lost message linked as a cause of the sprint
+    /// episode on `slot` (of any open episode when `None`).
+    fn routed(
+        &mut self,
+        at: SimTime,
+        from: Peer,
+        to: Peer,
+        delivery: Delivery,
+        slot: Option<usize>,
+    ) {
+        self.journal(at, NodeItem::Route { from, to, delivery });
+        let Some((kind, cause)) = delivery_observation(from.index(), to.index(), delivery) else {
+            return;
+        };
+        self.record(at, kind);
+        if let (Some(t), Some(reason)) = (self.tracer.as_mut(), cause) {
+            t.fault(&mut self.recorder, at, slot, reason);
+        }
+    }
+
+    /// A sprint engaged on `slot`: recorded, its episode span opened,
+    /// and counted.
+    fn sprint_engaged(&mut self, at: SimTime, slot: usize, stuck: bool) {
+        let kind = EventKind::SprintEngaged {
+            slot: slot as u32,
+            stuck,
+        };
+        self.record(at, kind);
+        if let Some(t) = self.tracer.as_mut() {
+            t.open_sprint(&mut self.recorder, at, slot);
+        }
+        obs::global().sprints_engaged.incr();
+    }
+
+    /// The sprint on `slot` ended for `reason`: recorded, then its
+    /// episode span closed with the matching outcome.
+    fn sprint_ended(&mut self, at: SimTime, slot: usize, reason: UnsprintReason) {
+        let kind = EventKind::SprintEnded {
+            slot: slot as u32,
+            reason,
+        };
+        self.record(at, kind);
+        if let Some(t) = self.tracer.as_mut() {
+            let outcome = SpanOutcome::from_unsprint(reason);
+            t.close_sprint(&mut self.recorder, at, slot, outcome);
+        }
+    }
+}
+
+/// What the flight recorder and the causal tracer make of one routing
+/// verdict for a message from peer `from` to peer `to`: the event that
+/// records it and, for a delayed or lost message, the reason it is a
+/// cause of what follows. An inline delivery is not observed. The
+/// testbed server and the fleet control plane both report their
+/// verdicts through this one mapping.
+pub fn delivery_observation(
+    from: u32,
+    to: u32,
+    delivery: Delivery,
+) -> Option<(EventKind, Option<CauseReason>)> {
+    match delivery {
+        Delivery::Inline => None,
+        Delivery::Delayed { delay } => Some((
+            EventKind::MessageDelayed {
+                from,
+                to,
+                delay_micros: delay.0,
+            },
+            Some(CauseReason::MessageDelay),
+        )),
+        Delivery::Dropped { partitioned } => Some((
+            EventKind::MessageDropped {
+                from,
+                to,
+                partitioned,
+            },
+            Some(if partitioned {
+                CauseReason::Partition
+            } else {
+                CauseReason::MessageDrop
+            }),
+        )),
+        Delivery::Duplicated { extra_delay } => Some((
+            EventKind::MessageDuplicated {
+                from,
+                to,
+                delay_micros: extra_delay.0,
+            },
+            None,
+        )),
+    }
 }
 
 /// Pending-cause list bound: fault links observed before any sprint
@@ -384,9 +492,7 @@ impl NodeTracer {
     }
 }
 
-/// Records an event if a recorder is attached. A free function over
-/// the field (rather than a `&mut self` method) so emission sites can
-/// coexist with outstanding borrows of other server fields.
+/// Records an event if a recorder is attached.
 fn note(recorder: &mut Option<FlightRecorder>, at: SimTime, kind: EventKind) {
     if let Some(r) = recorder.as_mut() {
         r.record(at, kind);
@@ -464,10 +570,7 @@ impl<'m> Server<'m> {
             iterations: 0,
             end: SimTime::ZERO,
             down,
-            recorder: None,
-            tracer: None,
-            metrics_scope: None,
-            journal: None,
+            obs: Observers::default(),
         })
     }
 
@@ -475,7 +578,7 @@ impl<'m> Server<'m> {
     /// Recording is observation-only: the run's records, counters and
     /// RNG streams are bit-identical with or without it.
     pub fn attach_recorder(&mut self, capacity: usize) {
-        self.recorder = Some(FlightRecorder::new(capacity));
+        self.obs.recorder = Some(FlightRecorder::new(capacity));
     }
 
     /// Turns on causal tracing: sprint episodes become spans and
@@ -486,8 +589,8 @@ impl<'m> Server<'m> {
     /// node 0. Observation-only: records, counters and RNG streams are
     /// bit-identical to an untraced run.
     pub fn enable_tracing(&mut self, node: u32) {
-        if self.tracer.is_none() {
-            self.tracer = Some(NodeTracer::new(node, self.cfg.slots));
+        if self.obs.tracer.is_none() {
+            self.obs.tracer = Some(NodeTracer::new(node, self.cfg.slots));
         }
     }
 
@@ -495,16 +598,9 @@ impl<'m> Server<'m> {
     /// spans (a fleet driver passes the node's lease span here). No-op
     /// unless tracing is enabled.
     pub fn set_trace_parent(&mut self, span: u64) {
-        if let Some(t) = self.tracer.as_mut() {
+        if let Some(t) = self.obs.tracer.as_mut() {
             t.parent = span;
         }
-    }
-
-    /// Scopes this server's metric increments to `node`: counters fire
-    /// on both the process-global registry and the node's scoped
-    /// registry (see `obs::scoped`).
-    pub fn set_metrics_scope(&mut self, node: u32) {
-        self.metrics_scope = Some(node);
     }
 
     /// Builds a server that injects the faults described by `plan`.
@@ -596,7 +692,7 @@ impl<'m> Server<'m> {
                 break;
             }
         }
-        let journal = self.journal.take();
+        let journal = self.obs.journal.take();
         Ok((self.finish()?, journal))
     }
 
@@ -641,9 +737,7 @@ impl<'m> Server<'m> {
         let Some((now, ev)) = self.reactor.pop() else {
             return Ok(false);
         };
-        if let Some(j) = self.journal.as_mut() {
-            j.push(now, NodeRecord(NodeItem::Event(ev)));
-        }
+        self.obs.journal(now, NodeItem::Event(ev));
         self.iterations += 1;
         self.end = now;
         // Safety valve: a healthy run needs a small constant number
@@ -711,7 +805,7 @@ impl<'m> Server<'m> {
             let recovery = sup.finalize(end.as_secs_f64());
             builder = builder.recovery(recovery, self.cfg.num_queries);
         }
-        if let Some(recorder) = self.recorder.take() {
+        if let Some(recorder) = self.obs.recorder.take() {
             builder = builder.telemetry(recorder.finish());
         }
         Ok(builder.build())
@@ -730,8 +824,7 @@ impl<'m> Server<'m> {
             None => true,
             Some((outcome, before, after)) => {
                 if before != after {
-                    note(
-                        &mut self.recorder,
+                    self.obs.record(
                         now,
                         EventKind::AdmissionModeChanged {
                             from: before,
@@ -744,8 +837,7 @@ impl<'m> Server<'m> {
                 match outcome {
                     AdmitOutcome::Admit => true,
                     AdmitOutcome::Shed => {
-                        note(
-                            &mut self.recorder,
+                        self.obs.record(
                             now,
                             EventKind::QueryShed {
                                 query: arrival_idx,
@@ -755,8 +847,7 @@ impl<'m> Server<'m> {
                         false
                     }
                     AdmitOutcome::Reject => {
-                        note(
-                            &mut self.recorder,
+                        self.obs.record(
                             now,
                             EventKind::QueryRejected {
                                 query: arrival_idx,
@@ -805,8 +896,7 @@ impl<'m> Server<'m> {
                 self.queue.push_back(id);
                 self.update_drag(now)?;
             }
-            note(
-                &mut self.recorder,
+            self.obs.record(
                 now,
                 EventKind::QueueDepth {
                     depth: self.queue.len() as u32,
@@ -869,11 +959,6 @@ impl<'m> Server<'m> {
             return self.budget.level();
         };
         let fresh = f.sensed_level(self.budget.level());
-        if !f.has_message_faults() {
-            return fresh;
-        }
-        let delivery = f.route_message(now.as_secs_f64(), Peer::BudgetSensor, Peer::Controller);
-        self.note_route(now, Peer::BudgetSensor, Peer::Controller, delivery);
         let report = Ev::Msg {
             from: Peer::BudgetSensor,
             to: Peer::Controller,
@@ -881,57 +966,17 @@ impl<'m> Server<'m> {
                 level_us: (fresh * 1e6).round() as u64,
             },
         };
-        match delivery {
+        match self.route(now, Peer::BudgetSensor, Peer::Controller, None) {
             Delivery::Inline => {
                 self.budget_cache_secs = fresh;
                 fresh
             }
             Delivery::Delayed { delay } => {
-                note(
-                    &mut self.recorder,
-                    now,
-                    EventKind::MessageDelayed {
-                        from: Peer::BudgetSensor.index(),
-                        to: Peer::Controller.index(),
-                        delay_micros: delay.0,
-                    },
-                );
-                if let Some(t) = self.tracer.as_mut() {
-                    t.fault(&mut self.recorder, now, None, CauseReason::MessageDelay);
-                }
                 self.reactor.schedule(now + delay, report);
                 self.budget_cache_secs
             }
-            Delivery::Dropped { partitioned } => {
-                note(
-                    &mut self.recorder,
-                    now,
-                    EventKind::MessageDropped {
-                        from: Peer::BudgetSensor.index(),
-                        to: Peer::Controller.index(),
-                        partitioned,
-                    },
-                );
-                if let Some(t) = self.tracer.as_mut() {
-                    let reason = if partitioned {
-                        CauseReason::Partition
-                    } else {
-                        CauseReason::MessageDrop
-                    };
-                    t.fault(&mut self.recorder, now, None, reason);
-                }
-                self.budget_cache_secs
-            }
+            Delivery::Dropped { .. } => self.budget_cache_secs,
             Delivery::Duplicated { extra_delay } => {
-                note(
-                    &mut self.recorder,
-                    now,
-                    EventKind::MessageDuplicated {
-                        from: Peer::BudgetSensor.index(),
-                        to: Peer::Controller.index(),
-                        delay_micros: extra_delay.0,
-                    },
-                );
                 self.reactor.schedule(now + extra_delay, report);
                 self.budget_cache_secs = fresh;
                 fresh
@@ -966,10 +1011,18 @@ impl<'m> Server<'m> {
         }
     }
 
-    /// Journals one routing verdict.
-    fn note_route(&mut self, now: SimTime, from: Peer, to: Peer, delivery: Delivery) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push(now, NodeRecord(NodeItem::Route { from, to, delivery }));
+    /// Routes a control message from `from` to `to` through the fault
+    /// plan's network and reports the verdict, `slot` naming the sprint
+    /// the message concerns. Without message faults every message
+    /// delivers inline, unrouted and unobserved.
+    fn route(&mut self, now: SimTime, from: Peer, to: Peer, slot: Option<usize>) -> Delivery {
+        match self.faults.as_mut() {
+            Some(f) if f.has_message_faults() => {
+                let delivery = f.route_message(now.as_secs_f64(), from, to);
+                self.obs.routed(now, from, to, delivery, slot);
+                delivery
+            }
+            _ => Delivery::Inline,
         }
     }
 
@@ -1072,23 +1125,7 @@ impl<'m> Server<'m> {
                     EngageOutcome::Engaged | EngageOutcome::EngagedStuck => {
                         s.stuck = matches!(outcome, EngageOutcome::EngagedStuck);
                         s.engine.set_mode(ExecMode::Sprinting);
-                        note(
-                            &mut self.recorder,
-                            now,
-                            EventKind::SprintEngaged {
-                                slot: slot as u32,
-                                stuck: matches!(outcome, EngageOutcome::EngagedStuck),
-                            },
-                        );
-                        if let Some(t) = self.tracer.as_mut() {
-                            t.open_sprint(&mut self.recorder, now, slot);
-                        }
-                        if obs::is_enabled() {
-                            obs::global().sprints_engaged.incr();
-                            if let Some(n) = self.metrics_scope {
-                                obs::scoped(n).sprints_engaged.incr();
-                            }
-                        }
+                        self.obs.sprint_engaged(now, slot, s.stuck);
                         self.budget.start_sprint();
                         // Arm the sprint watchdog: if this same engage
                         // is still sprinting when the deadline passes,
@@ -1109,11 +1146,8 @@ impl<'m> Server<'m> {
                         // failure; a stall that never wanted to sprint
                         // (or lost its budget) is normal operation.
                         if wants_sprint {
-                            note(
-                                &mut self.recorder,
-                                now,
-                                EventKind::SprintEngageFailed { slot: slot as u32 },
-                            );
+                            let kind = EventKind::SprintEngageFailed { slot: slot as u32 };
+                            self.obs.record(now, kind);
                         }
                         self.reschedule_slot(now, slot)?;
                     }
@@ -1133,17 +1167,7 @@ impl<'m> Server<'m> {
                     // draining until completion or a thermal emergency.
                     let s = occupied(&mut self.slots, slot, "Server::on_slot_event")?;
                     s.engine.set_mode(ExecMode::Normal);
-                    note(
-                        &mut self.recorder,
-                        now,
-                        EventKind::SprintEnded {
-                            slot: slot as u32,
-                            reason: UnsprintReason::BudgetDry,
-                        },
-                    );
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.close_sprint(&mut self.recorder, now, slot, SpanOutcome::BudgetDry);
-                    }
+                    self.obs.sprint_ended(now, slot, UnsprintReason::BudgetDry);
                     self.budget.end_sprint();
                     self.reschedule_all_sprinting(now)?;
                     self.reschedule_slot(now, slot)?;
@@ -1182,75 +1206,22 @@ impl<'m> Server<'m> {
         if !self.watchdog_live(slot, token) {
             return Ok(());
         }
-        let delivery = match self.faults.as_mut() {
-            Some(f) if f.has_message_faults() => {
-                let d = f.route_message(now.as_secs_f64(), Peer::Watchdog, Peer::Controller);
-                self.note_route(now, Peer::Watchdog, Peer::Controller, d);
-                d
-            }
-            _ => Delivery::Inline,
-        };
         let command = Ev::Msg {
             from: Peer::Watchdog,
             to: Peer::Controller,
             msg: CtrlMsg::ForceUnsprint { slot, token },
         };
-        match delivery {
+        match self.route(now, Peer::Watchdog, Peer::Controller, Some(slot)) {
             Delivery::Inline => self.force_unsprint(now, slot, token),
             Delivery::Delayed { delay } => {
-                note(
-                    &mut self.recorder,
-                    now,
-                    EventKind::MessageDelayed {
-                        from: Peer::Watchdog.index(),
-                        to: Peer::Controller.index(),
-                        delay_micros: delay.0,
-                    },
-                );
-                if let Some(t) = self.tracer.as_mut() {
-                    t.fault(
-                        &mut self.recorder,
-                        now,
-                        Some(slot),
-                        CauseReason::MessageDelay,
-                    );
-                }
                 self.reactor.schedule(now + delay, command);
                 Ok(())
             }
-            Delivery::Dropped { partitioned } => {
-                // The unsprint command is lost: nobody retries it, so
-                // the stuck sprint keeps draining until completion or
-                // budget exhaustion.
-                note(
-                    &mut self.recorder,
-                    now,
-                    EventKind::MessageDropped {
-                        from: Peer::Watchdog.index(),
-                        to: Peer::Controller.index(),
-                        partitioned,
-                    },
-                );
-                if let Some(t) = self.tracer.as_mut() {
-                    let reason = if partitioned {
-                        CauseReason::Partition
-                    } else {
-                        CauseReason::MessageDrop
-                    };
-                    t.fault(&mut self.recorder, now, Some(slot), reason);
-                }
-                Ok(())
-            }
+            // The unsprint command is lost: nobody retries it, so the
+            // stuck sprint keeps draining until completion or budget
+            // exhaustion.
+            Delivery::Dropped { .. } => Ok(()),
             Delivery::Duplicated { extra_delay } => {
-                note(
-                    &mut self.recorder,
-                    now,
-                    EventKind::MessageDuplicated {
-                        from: Peer::Watchdog.index(),
-                        to: Peer::Controller.index(),
-                        delay_micros: extra_delay.0,
-                    },
-                );
                 self.reactor.schedule(now + extra_delay, command);
                 // The echo goes stale on receipt (the token no longer
                 // matches a live sprint), so double delivery is safe.
@@ -1273,22 +1244,9 @@ impl<'m> Server<'m> {
         s.engine.advance(now, self.mech);
         s.engine.set_mode(ExecMode::Normal);
         s.stuck = false;
-        note(
-            &mut self.recorder,
-            now,
-            EventKind::WatchdogFired { slot: slot as u32 },
-        );
-        note(
-            &mut self.recorder,
-            now,
-            EventKind::SprintEnded {
-                slot: slot as u32,
-                reason: UnsprintReason::Watchdog,
-            },
-        );
-        if let Some(t) = self.tracer.as_mut() {
-            t.close_sprint(&mut self.recorder, now, slot, SpanOutcome::Watchdog);
-        }
+        let fired = EventKind::WatchdogFired { slot: slot as u32 };
+        self.obs.record(now, fired);
+        self.obs.sprint_ended(now, slot, UnsprintReason::Watchdog);
         self.budget.end_sprint();
         if let Some(sup) = self.supervisor.as_mut() {
             sup.record_forced_unsprint();
@@ -1305,11 +1263,8 @@ impl<'m> Server<'m> {
         if let Some(sup) = self.supervisor.as_mut() {
             sup.on_slot_up(slot);
         }
-        note(
-            &mut self.recorder,
-            now,
-            EventKind::SlotUp { slot: slot as u32 },
-        );
+        self.obs
+            .record(now, EventKind::SlotUp { slot: slot as u32 });
         let available = self
             .supervisor
             .as_ref()
@@ -1340,8 +1295,7 @@ impl<'m> Server<'m> {
         let s = self.slots[slot].take().ok_or_else(|| {
             SprintError::runtime("Server::on_crash", format!("crashing slot {slot} empty"))
         })?;
-        note(
-            &mut self.recorder,
+        self.obs.record(
             now,
             EventKind::SlotCrashed {
                 slot: slot as u32,
@@ -1349,17 +1303,7 @@ impl<'m> Server<'m> {
             },
         );
         if matches!(s.engine.mode(), ExecMode::Sprinting) {
-            note(
-                &mut self.recorder,
-                now,
-                EventKind::SprintEnded {
-                    slot: slot as u32,
-                    reason: UnsprintReason::Crash,
-                },
-            );
-            if let Some(t) = self.tracer.as_mut() {
-                t.close_sprint(&mut self.recorder, now, slot, SpanOutcome::Crash);
-            }
+            self.obs.sprint_ended(now, slot, UnsprintReason::Crash);
             self.budget.end_sprint();
             self.reschedule_all_sprinting(now)?;
         }
@@ -1386,8 +1330,7 @@ impl<'m> Server<'m> {
                 match directive {
                     SlotDirective::Restart { delay_secs } => {
                         let delay = SimDuration::from_secs_f64(delay_secs);
-                        note(
-                            &mut self.recorder,
+                        self.obs.record(
                             now,
                             EventKind::SlotRestartScheduled {
                                 slot: slot as u32,
@@ -1397,11 +1340,8 @@ impl<'m> Server<'m> {
                         self.reactor.schedule(now + delay, Ev::SlotUp { slot });
                     }
                     SlotDirective::Quarantine => {
-                        note(
-                            &mut self.recorder,
-                            now,
-                            EventKind::SlotQuarantined { slot: slot as u32 },
-                        );
+                        self.obs
+                            .record(now, EventKind::SlotQuarantined { slot: slot as u32 });
                     }
                 }
                 if let Some(other) = self.free_slot() {
@@ -1419,8 +1359,7 @@ impl<'m> Server<'m> {
                 if repair_secs > 0.0 {
                     self.down[slot] = true;
                     let repair = SimDuration::from_secs_f64(repair_secs);
-                    note(
-                        &mut self.recorder,
+                    self.obs.record(
                         now,
                         EventKind::SlotRestartScheduled {
                             slot: slot as u32,
@@ -1464,22 +1403,7 @@ impl<'m> Server<'m> {
             s.engine.advance(now, self.mech);
             s.engine.set_mode(ExecMode::Normal);
             s.stuck = false;
-            note(
-                &mut self.recorder,
-                now,
-                EventKind::SprintEnded {
-                    slot: i as u32,
-                    reason,
-                },
-            );
-            if let Some(t) = self.tracer.as_mut() {
-                t.close_sprint(
-                    &mut self.recorder,
-                    now,
-                    i,
-                    SpanOutcome::from_unsprint(reason),
-                );
-            }
+            self.obs.sprint_ended(now, i, reason);
             self.budget.end_sprint();
             unsprinted += 1;
             self.reschedule_slot(now, i)?;
@@ -1532,14 +1456,14 @@ impl<'m> Server<'m> {
     /// Turns on the decision journal (observation-only; idempotent,
     /// keeping any entries already recorded).
     pub fn enable_journal(&mut self) {
-        self.journal.get_or_insert_with(Journal::new);
+        self.obs.journal.get_or_insert_with(Journal::new);
     }
 
     /// Hands over the journal entries recorded since the last call, in
     /// decision order (none while journaling is off), so a fleet can
     /// journal its nodes in the order it ran them.
     pub fn drain_journal(&mut self) -> impl Iterator<Item = JournalEntry<NodeRecord>> + '_ {
-        self.journal.iter_mut().flat_map(Journal::drain)
+        self.obs.journal.iter_mut().flat_map(Journal::drain)
     }
 
     /// Fault injection: a thermal emergency forces every sprinting
@@ -1548,8 +1472,7 @@ impl<'m> Server<'m> {
     fn on_thermal(&mut self, now: SimTime) -> Result<(), SprintError> {
         self.budget.update(now);
         let unsprinted = self.unsprint_all(now, UnsprintReason::Thermal)?;
-        note(
-            &mut self.recorder,
+        self.obs.record(
             now,
             EventKind::ThermalEmergency {
                 unsprinted: unsprinted as u32,
@@ -1572,17 +1495,7 @@ impl<'m> Server<'m> {
             SprintError::runtime("Server::complete", format!("completing empty slot {slot}"))
         })?;
         if matches!(s.engine.mode(), ExecMode::Sprinting) {
-            note(
-                &mut self.recorder,
-                now,
-                EventKind::SprintEnded {
-                    slot: slot as u32,
-                    reason: UnsprintReason::Completed,
-                },
-            );
-            if let Some(t) = self.tracer.as_mut() {
-                t.close_sprint(&mut self.recorder, now, slot, SpanOutcome::Completed);
-            }
+            self.obs.sprint_ended(now, slot, UnsprintReason::Completed);
             self.budget.end_sprint();
             self.reschedule_all_sprinting(now)?;
         }

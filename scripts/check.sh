@@ -63,12 +63,6 @@ for plan in message-fault-mix fleet-100-node-failover; do
     logged "replay-$plan" ./target/release/scenario_run --replay "$journal"
 done
 
-# Fleet smoke: the canonical coordinator-crash run (fleet_report)
-# re-checks the four fleet invariants — bounded power, epoch fencing,
-# fail-safe sprinting, convergence — plus failover actually happening.
-# Exits non-zero on any violation.
-logged fleet_report ./target/release/fleet_report
-
 # Bounded chaos smoke sweep (the bench crate's chaos_sweep): randomized
 # fault plans at fixed seeds over the full (workload, mechanism, policy)
 # grid, under a second. Each case is a scenario plan run through the
