@@ -3,11 +3,11 @@
 //! number of simulated queries per prediction grows, at 1 thread and
 //! at the machine's core count.
 //!
-//! Each size is measured on two batch backends side by side: the
-//! persistent worker pool (the default prediction path) and the
-//! spawn-per-call reference it replaced, so the table shows what pool
-//! reuse itself buys at each simulation size. Both backends produce
-//! bit-identical estimates; only wall-clock differs.
+//! Each size is measured on two batch backends side by side at one
+//! thread: the fast backend (the direct k = 1 engine, the default
+//! prediction path) and the event-calendar reference, so the table
+//! shows what the direct engine buys at each simulation size. Both
+//! backends produce bit-identical estimates; only wall-clock differs.
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig11_throughput
@@ -44,28 +44,28 @@ fn main() -> Result<(), SprintError> {
     let r = fig11::compute(&cfg)?;
     let mut table = TextTable::new(vec![
         "queries/prediction".to_string(),
-        "pool 1t preds/min".to_string(),
-        "spawn 1t preds/min".to_string(),
-        "pool gain".to_string(),
-        format!("pool {cores}t preds/min"),
+        "fast 1t preds/min".to_string(),
+        "reference 1t preds/min".to_string(),
+        "fast gain".to_string(),
+        format!("fast {cores}t preds/min"),
         "scaling".to_string(),
         "CoV (%)".to_string(),
     ]);
     for row in &r.rows {
         table.row(vec![
             format!("{}", row.queries),
-            fmt_f(row.pool_single, 0),
-            fmt_f(row.spawn_single, 0),
-            format!("{:.1}X", row.pool_gain()),
-            fmt_f(row.pool_multi, 0),
+            fmt_f(row.fast_single, 0),
+            fmt_f(row.reference_single, 0),
+            format!("{:.1}X", row.fast_gain()),
+            fmt_f(row.fast_multi, 0),
             format!("{:.1}X", row.scaling()),
             fmt_f(row.cov_percent, 2),
         ]);
     }
     println!("{}", table.render());
     println!(
-        "\"pool gain\" is persistent-pool + direct-engine throughput over \
-         the frozen spawn-per-call, event-calendar reference at 1 thread."
+        "\"fast gain\" is direct-engine throughput over the event-calendar \
+         reference at 1 thread."
     );
     println!("Paper (on a 12-core Xeon): ~100 preds/min at 100K queries per");
     println!("prediction, 11.4X scaling from 1 to 12 cores, CoV knee at 100K.");

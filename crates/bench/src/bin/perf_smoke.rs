@@ -4,13 +4,14 @@
 //! fast path against their frozen pre-fast-path counterparts:
 //!
 //! 1. **Explorer**: one default `explore_timeout` annealing search
-//!    through a simulator-backed model, fast path (persistent pool +
-//!    direct engine + common-random-number trace replay) vs the
-//!    reference backend (spawn-per-call, event calendar, deep config
-//!    clones), both from cold private caches. Same seeds; the best
-//!    timeout must agree bit-for-bit.
-//! 2. **Batch throughput**: cold-batch predictions/minute through the
-//!    persistent pool vs the spawn-per-call reference, plus the gated
+//!    through a simulator-backed model, fast path (direct engine +
+//!    common-random-number trace replay + prediction memo) vs the
+//!    reference path (event calendar, live sampling, no memo), both
+//!    from cold private caches. Same seeds; the best timeout must
+//!    agree bit-for-bit.
+//! 2. **Batch throughput**: cold-batch predictions/minute at one thread
+//!    on the fast backend vs the event-calendar reference backend
+//!    (recorded as `pool_1t` and `spawn_1t`), plus the gated
 //!    *warm* leg — steady-state model predictions through a CRN trace
 //!    cache warmed by one prediction (distinct policy conditions
 //!    replaying one cached trace), the rate that bounds candidate
@@ -140,13 +141,13 @@ fn main() -> Result<(), SprintError> {
     );
     explorer.check()?;
 
-    eprintln!("perf_smoke: throughput leg (warm model path + cold pool vs spawn) ...");
+    eprintln!("perf_smoke: throughput leg (warm model path + cold fast vs reference) ...");
     let queries = args.get_usize("queries", 5_000)?;
     let predictions = args.get_usize("predictions", 24)?;
     let mut t = perf::bench_throughput(&p, &c, queries, predictions, cores)?;
     let fmt = |t: &ThroughputPoint| format!("{:.0} preds/min", t.predictions_per_minute);
     println!(
-        "throughput: cold @{queries} q/pred pool(1t) {}  spawn(1t) {}  warm @{} q/pred {}",
+        "throughput: cold @{queries} q/pred fast(1t) {}  reference(1t) {}  warm @{} q/pred {}",
         fmt(&t.pool_1t),
         fmt(&t.spawn_1t),
         perf::WARM_QUERIES_PER_PREDICTION,

@@ -41,15 +41,6 @@ impl Fig10Result {
     pub fn cluster_ratio(&self) -> f64 {
         self.out_median / self.in_median
     }
-
-    /// A named split row's median, if the group was populated.
-    pub fn row_median(&self, label: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.label == label)
-            .and_then(|r| r.summary.as_ref())
-            .map(|s| s.p50)
-    }
 }
 
 /// Profiles `num_workloads` workloads, trains Hybrid models, and pools

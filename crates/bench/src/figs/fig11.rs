@@ -1,7 +1,9 @@
 //! Figure 11: prediction throughput (predictions/minute) and estimate
 //! variance (CoV) of the timeout-aware simulator as the number of
-//! simulated queries per prediction grows, comparing the persistent
-//! worker pool against the spawn-per-call reference backend.
+//! simulated queries per prediction grows. Each size is measured on
+//! the fast backend (the direct k = 1 engine) and the event-calendar
+//! reference backend at one thread, and on the fast backend fanned out
+//! over `cores` threads.
 
 use mechanisms::Dvfs;
 use profiler::{Condition, Profiler, WorkloadProfile};
@@ -37,25 +39,25 @@ impl Default for Fig11Config {
 pub struct Fig11Row {
     /// Simulated queries per prediction.
     pub queries: usize,
-    /// Pool backend, 1 thread (preds/min).
-    pub pool_single: f64,
-    /// Spawn-per-call reference backend, 1 thread (preds/min).
-    pub spawn_single: f64,
-    /// Pool backend at `cores` threads (preds/min).
-    pub pool_multi: f64,
+    /// Fast backend, 1 thread (preds/min).
+    pub fast_single: f64,
+    /// Reference (event-calendar) backend, 1 thread (preds/min).
+    pub reference_single: f64,
+    /// Fast backend at `cores` threads (preds/min).
+    pub fast_multi: f64,
     /// Estimate coefficient of variation at `cores` threads (%).
     pub cov_percent: f64,
 }
 
 impl Fig11Row {
-    /// Persistent-pool gain over the spawn-per-call reference (1t).
-    pub fn pool_gain(&self) -> f64 {
-        self.pool_single / self.spawn_single
+    /// Fast-backend gain over the reference backend (1t).
+    pub fn fast_gain(&self) -> f64 {
+        self.fast_single / self.reference_single
     }
 
     /// Multi-thread over single-thread throughput scaling.
     pub fn scaling(&self) -> f64 {
-        self.pool_multi / self.pool_single
+        self.fast_multi / self.fast_single
     }
 }
 
@@ -68,23 +70,6 @@ pub struct Fig11Result {
     pub rows: Vec<Fig11Row>,
     /// The profiled service profile the measurements used.
     pub profile: WorkloadProfile,
-}
-
-impl Fig11Result {
-    /// CoV at a given simulation size.
-    pub fn cov_at(&self, queries: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.queries == queries)
-            .map(|r| r.cov_percent)
-    }
-
-    /// Whether CoV shrinks monotonically as simulation size grows.
-    pub fn cov_monotone(&self) -> bool {
-        self.rows
-            .windows(2)
-            .all(|w| w[1].cov_percent <= w[0].cov_percent)
-    }
 }
 
 /// The Fig. 11 measurement condition (a mid-grid operating point).
@@ -111,14 +96,14 @@ pub fn compute(cfg: &Fig11Config) -> Result<Fig11Result, SprintError> {
     let mut rows = Vec::new();
     for &q in &cfg.sizes {
         let single = measure_throughput(&profile, &cond, q, 1, cfg.predictions)?;
-        let spawn =
+        let reference =
             measure_throughput_with(&profile, &cond, q, 1, cfg.predictions, Backend::Reference)?;
         let multi = measure_throughput(&profile, &cond, q, cfg.cores, cfg.predictions)?;
         rows.push(Fig11Row {
             queries: q,
-            pool_single: single.predictions_per_minute,
-            spawn_single: spawn.predictions_per_minute,
-            pool_multi: multi.predictions_per_minute,
+            fast_single: single.predictions_per_minute,
+            reference_single: reference.predictions_per_minute,
+            fast_multi: multi.predictions_per_minute,
             cov_percent: multi.cov_percent,
         });
     }

@@ -311,13 +311,3 @@ pub fn panel_c(settings: &EvalSettings) -> Result<PanelCResult, SprintError> {
         rows,
     })
 }
-
-/// Default Fig. 12 settings (the bin's knobs).
-pub fn default_settings() -> EvalSettings {
-    EvalSettings {
-        conditions: 56,
-        queries_per_run: 400,
-        seed: 0xF1_612,
-        ..EvalSettings::default()
-    }
-}

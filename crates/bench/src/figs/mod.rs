@@ -17,5 +17,4 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod perf;
-pub mod report;
 pub mod table1;

@@ -1,23 +1,21 @@
 //! Fast-path performance smoke measurements: the explorer, batch
-//! throughput, forest inference and telemetry legs that back the
-//! `perf_smoke` gate, each returning typed results instead of
+//! throughput, forest inference, telemetry and tracing legs that back
+//! the `perf_smoke` gate, each returning typed results instead of
 //! aborting the process on violation.
 
 use forest::{ForestConfig, RandomForest};
+use mechanisms::{Dvfs, Mechanism};
 use mlcore::Dataset;
 use policy::{explore_timeout, AnnealingConfig};
 use profiler::{Condition, WorkloadProfile};
 use simcore::dist::DistKind;
-use simcore::time::Rate;
+use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
 use sprint_core::throughput::{measure_model_throughput, measure_throughput_with, ThroughputPoint};
 use sprint_core::{NoMlModel, ResponseTimeModel, SimOptions};
 use std::time::Instant;
+use testbed::{ArrivalSpec, BudgetSpec, Server, ServerConfig, SprintPolicy, SupervisorConfig};
 use workloads::{QueryMix, WorkloadKind};
-
-/// Fail the gate if pooled throughput drops below this fraction of the
-/// committed baseline.
-pub const REGRESSION_FLOOR: f64 = 0.7;
 
 /// The explorer fast path must beat the pre-fast-path reference by at
 /// least this factor.
@@ -106,8 +104,9 @@ impl ExplorerLeg {
 pub fn bench_explorer(p: &WorkloadProfile) -> Result<ExplorerLeg, SprintError> {
     let accfg = AnnealingConfig::default();
     let base = cond();
-    // One throwaway evaluation first so one-time costs (pool spawn)
-    // don't land in either timed search.
+    // One throwaway evaluation first so one-time costs (first-touch
+    // allocations, the shared caches' creation) don't land in either
+    // timed search.
     let _ = NoMlModel::new(p.clone(), SimOptions::default()).predict_response_secs(&base);
     // Min-of-K with a FRESH model per repetition, detached from the
     // process-global shared caches (`with_private_caches`): every
@@ -285,8 +284,42 @@ impl TracingLeg {
     }
 }
 
-/// Runs the tracing leg: interleaved repetitions of the `sprint_report`
-/// recorder scenario, untraced vs traced, alternating per seed inside
+/// The faulted, supervised flight-recorder run the tracing leg times:
+/// a two-slot Jacobi server at 60% load under a seeded random fault
+/// plan, with a default-capacity recorder attached, plus causal
+/// tracing (as node 0) when `traced`.
+fn recorded_run(seed: u64, traced: bool) -> Result<testbed::RunResult, SprintError> {
+    let mech = Dvfs::new();
+    let sustained = mech.sustained_rate(WorkloadKind::Jacobi);
+    let mean_service_secs = sustained.mean_interval().as_secs_f64();
+    let utilization = 0.6;
+    let num_queries = 140;
+    let scfg = ServerConfig {
+        mix: QueryMix::single(WorkloadKind::Jacobi),
+        arrivals: ArrivalSpec::poisson(sustained.scale(utilization)),
+        policy: SprintPolicy::new(
+            SimDuration::from_secs_f64(mean_service_secs * 0.5),
+            BudgetSpec::FractionOfRefill(0.3),
+            SimDuration::from_secs_f64(mean_service_secs * 10.0),
+        ),
+        slots: 2,
+        num_queries,
+        warmup: 0,
+        seed,
+    };
+    let horizon_secs = num_queries as f64 * mean_service_secs / utilization;
+    let plan = chaos::random_plan(seed ^ 0xFA17, 2, horizon_secs);
+    let mut server =
+        Server::with_supervision(scfg, &mech, Some(plan), SupervisorConfig::default())?;
+    server.attach_recorder(obs::FlightRecorder::DEFAULT_CAPACITY);
+    if traced {
+        server.enable_tracing(0);
+    }
+    server.run()
+}
+
+/// Runs the tracing leg: interleaved repetitions of a faulted,
+/// supervised recorder run, untraced vs traced, alternating per seed inside
 /// each repetition so scheduler noise and thermal drift land on both
 /// sides equally. Tracing is a pure observer: records and counters of
 /// every paired run must agree bit-for-bit.
@@ -296,7 +329,6 @@ impl TracingLeg {
 /// Propagates testbed failures; [`SprintError::Runtime`] when tracing
 /// perturbs a run.
 pub fn bench_tracing() -> Result<TracingLeg, SprintError> {
-    use super::report::{recorded_run, traced_run};
     const REPS: usize = 7;
     /// Testbed runs per timed side per repetition: a single faulted
     /// run is well under a millisecond, too short to time against
@@ -306,9 +338,9 @@ pub fn bench_tracing() -> Result<TracingLeg, SprintError> {
     let mut on_min = [f64::MAX; RUNS_PER_SIDE as usize];
     for _ in 0..REPS {
         for s in 0..RUNS_PER_SIDE {
-            let (off, t) = time(|| recorded_run(0xB5 + s));
+            let (off, t) = time(|| recorded_run(0xB5 + s, false));
             off_min[s as usize] = off_min[s as usize].min(t);
-            let (on, t) = time(|| traced_run(0xB5 + s));
+            let (on, t) = time(|| recorded_run(0xB5 + s, true));
             on_min[s as usize] = on_min[s as usize].min(t);
             let (a, b) = (off?, on?);
             if a.records() != b.records()
@@ -401,20 +433,22 @@ pub const WARM_REPS: usize = 5;
 /// predictions per minute.
 pub const MIN_WARM_PREDS_PER_MIN: f64 = 1_000_000.0;
 
-/// The batch-throughput leg: warm model predictions, plus
-/// persistent pool vs spawn-per-call cold batches.
+/// The batch-throughput leg: warm model predictions, plus cold
+/// batches on the fast and reference backends at one thread. The
+/// field names match the committed baseline's keys.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputLeg {
-    /// Pool backend at 1 thread (cold batch, distinct seeds).
+    /// Fast backend at 1 thread (cold batch, distinct seeds).
     pub pool_1t: ThroughputPoint,
-    /// Spawn-per-call reference at 1 thread (cold batch).
+    /// Reference (event-calendar) backend at 1 thread (cold batch).
     pub spawn_1t: ThroughputPoint,
     /// Steady-state model predictions through a warmed CRN trace
     /// cache (distinct policy conditions, one replayed trace) —
     /// the rate that bounds candidate evaluation in policy search and
     /// per-node evaluation at fleet scale.
     pub pool_warm: ThroughputPoint,
-    /// Threads used (1 on this container).
+    /// The `--cores` value, recorded as the baseline's
+    /// `multi_threads`; every leg above runs on one thread.
     pub cores: usize,
 }
 
@@ -455,7 +489,7 @@ pub fn bench_throughput(
     cores: usize,
 ) -> Result<ThroughputLeg, SprintError> {
     Ok(ThroughputLeg {
-        pool_1t: measure_throughput_with(p, c, queries, 1, predictions, qsim::Backend::Pool)?,
+        pool_1t: measure_throughput_with(p, c, queries, 1, predictions, qsim::Backend::Fast)?,
         spawn_1t: measure_throughput_with(p, c, queries, 1, predictions, qsim::Backend::Reference)?,
         pool_warm: measure_model_throughput(
             p,

@@ -117,13 +117,13 @@ fn config_matrix(seed: u64) -> Vec<QsimConfig> {
 fn check_backend_identity(seed: u64) -> Result<String, SprintError> {
     let configs = config_matrix(seed);
     let n = configs.len();
-    let pool = qsim::run_batch_with(configs.clone(), 2, Backend::Pool)?;
+    let fast = qsim::run_batch_with(configs.clone(), 2, Backend::Fast)?;
     let reference = qsim::run_batch_with(configs, 2, Backend::Reference)?;
-    for (i, (p, r)) in pool.iter().zip(&reference).enumerate() {
-        if p.queries != r.queries {
+    for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
+        if f.queries != r.queries {
             return Err(diverged(
                 "oracle::backends",
-                format!("config {i}: Pool and Reference disagree"),
+                format!("config {i}: Fast and Reference disagree"),
             ));
         }
     }
@@ -131,28 +131,24 @@ fn check_backend_identity(seed: u64) -> Result<String, SprintError> {
 }
 
 fn check_direct_vs_calendar(seed: u64) -> Result<String, SprintError> {
-    // Every config in the matrix at every k in the direct grid: k = 1
-    // exercises the heap-free recurrence engine, k ∈ {2, 4, 8} the
-    // DirectCalendar (arrival slot + monotone timeout queue + per-slot
-    // latest event); `run_event_driven` pins the binary-heap calendar
-    // either way.
+    // Every config in the matrix at one slot, where `Qsim::run` takes
+    // the heap-free recurrence engine; `run_event_driven` pins the
+    // binary-heap calendar. (At k > 1 both sides are the heap.)
     let mut checked = 0usize;
-    for k in [1usize, 2, 4, 8] {
-        for (i, mut cfg) in config_matrix(seed).into_iter().enumerate() {
-            cfg.slots = k;
-            let direct = Qsim::new(cfg.clone())?.run()?;
-            let calendar = Qsim::new(cfg)?.run_event_driven()?;
-            if direct.queries != calendar.queries {
-                return Err(diverged(
-                    "oracle::direct_engine",
-                    format!("k={k} config {i}: direct and event-calendar engines disagree"),
-                ));
-            }
-            checked += 1;
+    for (i, mut cfg) in config_matrix(seed).into_iter().enumerate() {
+        cfg.slots = 1;
+        let direct = Qsim::new(cfg.clone())?.run()?;
+        let calendar = Qsim::new(cfg)?.run_event_driven()?;
+        if direct.queries != calendar.queries {
+            return Err(diverged(
+                "oracle::direct_engine",
+                format!("config {i}: direct and event-calendar engines disagree"),
+            ));
         }
+        checked += 1;
     }
     Ok(format!(
-        "{checked} configs bit-identical, direct vs event calendar, k in {{1, 2, 4, 8}}"
+        "{checked} configs bit-identical, direct vs event calendar, k = 1"
     ))
 }
 
@@ -223,15 +219,14 @@ pub fn run_all(seed: u64) -> Vec<OracleOutcome> {
     vec![
         OracleOutcome::from(
             "oracle/backend_identity",
-            "the Pool and Reference batch backends produce bit-identical \
+            "the Fast and Reference batch backends produce bit-identical \
              per-query results on shared seeds",
             check_backend_identity(seed),
         ),
         OracleOutcome::from(
             "oracle/direct_vs_calendar",
-            "the heap-free direct engines (k=1 recurrence and the k<=8 \
-             DirectCalendar) match the event-calendar engine bit-for-bit \
-             across k in {1, 2, 4, 8}",
+            "the heap-free direct engine (the k=1 recurrence) matches the \
+             event-calendar engine bit-for-bit",
             check_direct_vs_calendar(seed),
         ),
         OracleOutcome::from(

@@ -5,7 +5,7 @@ use forest::RandomForest;
 use profiler::{Condition, WorkloadProfile};
 use qsim::{
     predict_mean_response, predict_mean_response_reference, predict_mean_response_traced,
-    AtomicTable, QsimConfig, TraceCache,
+    CappedMap, QsimConfig, TraceCache,
 };
 use simcore::dist::{Dist, DistKind};
 use simcore::time::SimDuration;
@@ -26,12 +26,12 @@ pub struct SimOptions {
     pub threads: usize,
     /// Base seed.
     pub seed: u64,
-    /// Use the prediction fast path (persistent pool, direct k = 1
-    /// engine, and — through the models' trace caches — common-random-
+    /// Use the prediction fast path (direct k = 1 engine and —
+    /// through the models' trace caches and memo — common-random-
     /// number trace replay). `false` routes every simulation through
-    /// the frozen pre-fast-path reference backend; outputs are
-    /// bit-identical either way, only the cost profile changes, so this
-    /// exists for benchmarks and oracle tests.
+    /// the event-calendar reference backend; outputs are bit-identical
+    /// either way, only the cost profile changes, so this exists for
+    /// benchmarks and oracle tests.
     pub fast_path: bool,
 }
 
@@ -192,16 +192,13 @@ fn context_fingerprint(profile: &WorkloadProfile, sim: &SimOptions) -> u64 {
     h
 }
 
-/// Slot capacity of the memo table. Inserts beyond capacity are
-/// dropped (the caller keeps its computed value), so a pathological
-/// workload degrades to re-simulating, never to unbounded growth. An
-/// annealing search revisits a few dozen distinct conditions at most.
-const MEMO_TABLE_SLOTS: usize = 131_072;
+/// Entry cap of the memo. Inserts beyond it are dropped (the caller
+/// keeps its computed value), so a pathological workload degrades to
+/// re-simulating, never to unbounded growth. An annealing search
+/// revisits a few dozen distinct conditions at most.
+const MEMO_CAP: usize = 131_072;
 
-/// Memo of fast-path predictions with a lock-free read path
-/// ([`AtomicTable`]): a warm hit is a hash plus a few atomic loads, so
-/// the explorer's workers and fleet-scale model evaluations never
-/// contend on a mutex.
+/// Memo of fast-path predictions, held in a [`CappedMap`].
 ///
 /// Sound because a fast-path prediction is a *pure* function of
 /// (model context, condition, speedup): common-random-number traces
@@ -218,13 +215,13 @@ const MEMO_TABLE_SLOTS: usize = 131_072;
 /// Clones share storage (`Arc`), mirroring [`TraceCache`].
 #[derive(Clone)]
 struct PredictionMemo {
-    inner: Arc<AtomicTable<MemoKey, f64>>,
+    inner: Arc<CappedMap<MemoKey, f64>>,
 }
 
 impl Default for PredictionMemo {
     fn default() -> Self {
         PredictionMemo {
-            inner: Arc::new(AtomicTable::new(MEMO_TABLE_SLOTS)),
+            inner: Arc::new(CappedMap::new(MEMO_CAP)),
         }
     }
 }
@@ -238,17 +235,15 @@ impl PredictionMemo {
     }
 
     fn get_or_insert_with(&self, key: MemoKey, compute: impl FnOnce() -> f64) -> f64 {
-        if let Some(&v) = self.inner.get(&key) {
+        if let Some(v) = self.inner.get(&key) {
             obs::global().memo_hits.incr();
             return v;
         }
         obs::global().memo_misses.incr();
-        let v = compute();
-        // A racer that computed the same key first published an
-        // identical value (purity); either copy is the answer. A full
-        // table drops the insert and we return our own computation.
-        self.inner.insert(key, v);
-        v
+        // A racer that computed the same key first stored an identical
+        // value (purity); either copy is the answer. A full memo drops
+        // the insert and we return our own computation.
+        self.inner.insert(key, compute())
     }
 }
 
@@ -446,11 +441,6 @@ impl AnnModel {
             ensemble,
             log_space,
         }
-    }
-
-    /// Number of networks in the ensemble.
-    pub fn ensemble_size(&self) -> usize {
-        self.ensemble.len()
     }
 }
 

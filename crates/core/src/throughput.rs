@@ -45,13 +45,13 @@ pub fn measure_throughput(
         queries_per_prediction,
         threads,
         num_predictions,
-        Backend::Pool,
+        Backend::Fast,
     )
 }
 
 /// [`measure_throughput`] with an explicit batch [`Backend`], so the
-/// persistent-pool and spawn-per-call strategies can be compared side
-/// by side (Fig. 11 reporting).
+/// fast and reference engines can be compared side by side (Fig. 11
+/// reporting).
 ///
 /// # Errors
 ///
@@ -108,8 +108,8 @@ pub fn measure_throughput_with(
 /// `queries_per_prediction`-query run) but the *same* seed and
 /// arrival/service process (so every call replays the one cached
 /// trace — the common-random-numbers design). This is the number that
-/// bounds candidate-evaluation rate in policy search; the
-/// spawn-per-call / cold-cache batch legs measure first-touch cost
+/// bounds candidate-evaluation rate in policy search; the cold batch
+/// legs of [`measure_throughput_with`] measure first-touch cost
 /// instead.
 ///
 /// The model runs on private caches: the timeouts repeat from one
@@ -229,11 +229,11 @@ mod tests {
 
     #[test]
     fn backends_estimate_identically() {
-        let pool = measure_throughput_with(&profile(), &cond(), 400, 2, 6, Backend::Pool).unwrap();
-        let spawn =
+        let fast = measure_throughput_with(&profile(), &cond(), 400, 2, 6, Backend::Fast).unwrap();
+        let reference =
             measure_throughput_with(&profile(), &cond(), 400, 2, 6, Backend::Reference).unwrap();
         // Wall-clock differs; the estimates (and thus CoV) must not.
-        assert_eq!(pool.cov_percent.to_bits(), spawn.cov_percent.to_bits());
+        assert_eq!(fast.cov_percent.to_bits(), reference.cov_percent.to_bits());
     }
 
     #[test]

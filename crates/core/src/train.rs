@@ -7,9 +7,7 @@ use forest::{ForestConfig, RandomForest};
 use mlcore::Dataset;
 use profiler::features::MU_M_FEATURE;
 use profiler::{ProfileData, FEATURE_NAMES};
-use simcore::SprintError;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use simcore::{par, SprintError};
 
 /// Options shared by the training pipelines.
 #[derive(Debug, Clone)]
@@ -39,13 +37,14 @@ impl Default for TrainOptions {
 }
 
 /// Trains the paper's hybrid model: calibrate µe for every profiling
-/// run (in parallel), then fit the random forest over the calibrated
-/// rates.
+/// run (in parallel, on `opts.threads` workers), then fit the random
+/// forest over the calibrated rates.
 ///
 /// # Errors
 ///
 /// Returns [`SprintError::InvalidConfig`] if the campaign has no runs
-/// or `opts.threads` is zero.
+/// or `opts.threads` is zero, and [`SprintError::WorkerPanic`] if a
+/// calibration panicked (naming the run by its index).
 pub fn train_hybrid(data: &ProfileData, opts: &TrainOptions) -> Result<HybridModel, SprintError> {
     if data.runs.is_empty() {
         return Err(SprintError::invalid(
@@ -54,30 +53,16 @@ pub fn train_hybrid(data: &ProfileData, opts: &TrainOptions) -> Result<HybridMod
         ));
     }
     SprintError::require_nonzero("TrainOptions::threads", opts.threads)?;
-    let n = data.runs.len();
-    let rates: Vec<Mutex<Option<f64>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let threads = opts.threads.clamp(1, n);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (rate, _err) =
-                    effective_sprint_rate(&data.profile, &data.runs[i], &opts.calibration);
-                *rates[i].lock().expect("slot poisoned") = Some(rate.qph());
-            });
-        }
+    let rates = par::map(data.runs.iter().collect(), opts.threads, |run| {
+        effective_sprint_rate(&data.profile, run, &opts.calibration)
+            .0
+            .qph()
     });
-
     let mut train = Dataset::new(FEATURE_NAMES.to_vec());
-    for (run, rate) in data.runs.iter().zip(&rates) {
-        let mu_e = rate.lock().expect("slot poisoned").expect("calibrated");
+    for (run, rate) in data.runs.iter().zip(rates) {
         train.push(
             run.condition.features(data.profile.mu, data.profile.mu_m),
-            mu_e,
+            rate?,
         );
     }
     let forest = RandomForest::train(&train, MU_M_FEATURE, opts.forest);
@@ -175,6 +160,23 @@ mod tests {
         let pred = model.predict_response_secs(&run.condition);
         let err = (pred - run.observed_response_secs).abs() / run.observed_response_secs;
         assert!(err < 0.5, "hybrid error {err} on training condition");
+    }
+
+    #[test]
+    fn a_panicking_calibration_is_a_typed_error() {
+        // With no service samples the simulator's empirical service
+        // distribution is empty, and sampling it panics mid-calibration.
+        let mut data = small_campaign();
+        data.profile.service_samples_secs.clear();
+        let mut opts = TrainOptions::default();
+        opts.calibration.max_steps = 2;
+        match train_hybrid(&data, &opts) {
+            Err(SprintError::WorkerPanic { index, message }) => {
+                assert_eq!(index, 0, "the first run by input order: {message}");
+            }
+            Err(other) => panic!("expected WorkerPanic, got {other}"),
+            Ok(_) => panic!("expected WorkerPanic, training succeeded"),
+        }
     }
 
     #[test]

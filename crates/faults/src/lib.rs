@@ -475,19 +475,6 @@ impl FaultCounters {
             + self.partition_drops
     }
 
-    /// Per-class message-fault counts with stable human labels, in the
-    /// order the router checks them (partition, drop, dup, delay).
-    /// Human reports iterate this instead of hand-picking fields so new
-    /// message classes show up everywhere at once.
-    pub fn message_classes(&self) -> [(&'static str, u64); 4] {
-        [
-            ("partitioned", self.partition_drops),
-            ("dropped", self.msgs_dropped),
-            ("duplicated", self.msgs_duplicated),
-            ("delayed", self.msgs_delayed),
-        ]
-    }
-
     /// Total message-level faults across every class.
     pub fn messages_total(&self) -> u64 {
         self.msgs_delayed + self.msgs_dropped + self.msgs_duplicated + self.partition_drops

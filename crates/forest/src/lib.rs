@@ -40,8 +40,6 @@
 //! assert!(light > heavy, "heavy load lowers the effective rate");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod forest;
 pub mod tree;
 

@@ -13,17 +13,19 @@
 //!   seed. A finished recorder snapshots into [`RunTelemetry`].
 //! - [`metrics`]: a process-wide registry of hand-rolled atomic
 //!   counters and log₂-bucketed histograms (no floats on the
-//!   increment path) covering the prediction fast path — pool
-//!   utilization and queue waits, trace-cache and prediction-memo
-//!   hit rates, forest inference timings, annealing evaluation
-//!   counts. Disabled (the default), every increment is a single
-//!   relaxed atomic load; wall-clock timers are only started when
-//!   enabled.
+//!   increment path). Its 11 families ([`FAMILY_NAMES`]) cover the
+//!   prediction fast path — trace-cache and prediction-memo hit
+//!   rates, simulator evaluations, annealing evaluation counts,
+//!   forest inference timings — plus sprint engages and fleet lease
+//!   renewals and expiries. Disabled (the default), every increment is
+//!   a single relaxed atomic load; wall-clock timers are only started
+//!   when enabled. The `bench` crate's `metric_families` test fails if
+//!   a family goes missing or stops firing.
 //!
 //! Export goes through `simcore::json`: [`RunTelemetry::to_jsonl`]
 //! dumps one event per line, [`metrics::MetricsSnapshot::to_json`]
 //! serializes the registry, and [`render_timeline`] renders the text
-//! timeline used by the `sprint_report` and `fig1_timeline` bins.
+//! timeline the `fig1_timeline` bin prints.
 
 pub mod event;
 pub mod metrics;

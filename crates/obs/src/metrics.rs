@@ -32,8 +32,7 @@ pub fn is_enabled() -> bool {
 }
 
 /// Starts a wall-clock timer if metrics are enabled; `None` otherwise.
-/// Pair with [`Histogram::record_elapsed_us`] /
-/// [`Histogram::record_elapsed_ns`].
+/// Pair with [`Histogram::record_elapsed_ns`].
 pub fn start_timer() -> Option<Instant> {
     if is_enabled() {
         Some(Instant::now())
@@ -126,16 +125,8 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records the microseconds elapsed since a [`start_timer`] call
+    /// Records the nanoseconds elapsed since a [`start_timer`] call
     /// (no-op when the timer was never started, i.e. metrics were off).
-    #[inline]
-    pub fn record_elapsed_us(&self, started: Option<Instant>) {
-        if let Some(t0) = started {
-            self.record(t0.elapsed().as_micros() as u64);
-        }
-    }
-
-    /// Records the nanoseconds elapsed since a [`start_timer`] call.
     #[inline]
     pub fn record_elapsed_ns(&self, started: Option<Instant>) {
         if let Some(t0) = started {
@@ -179,14 +170,11 @@ impl Histogram {
     }
 }
 
-/// The fixed set of metric families the stack registers. `sprint_report`
-/// refuses to render (exits non-zero) unless every family appears in
-/// its output, so the list and the report cannot drift apart.
+/// The fixed set of metric families the stack registers. The `bench`
+/// crate's `metric_families` test runs a workload that must make every
+/// family appear in the snapshot and fire, so the list, the registry
+/// and the instrumentation hooks cannot drift apart.
 pub const FAMILY_NAMES: &[&str] = &[
-    "pool_batches",
-    "pool_tasks",
-    "pool_queue_wait_us",
-    "pool_task_run_us",
     "trace_cache_hits",
     "trace_cache_misses",
     "memo_hits",
@@ -204,16 +192,6 @@ pub const FAMILY_NAMES: &[&str] = &[
 /// are lock-free; reach it through [`global`].
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    /// Batches submitted to the qsim worker pool.
-    pub pool_batches: Counter,
-    /// Tasks executed by the pool (workers and the draining caller).
-    pub pool_tasks: Counter,
-    /// Per-task wait between batch submission and task start (µs) —
-    /// the pool's queueing delay.
-    pub pool_queue_wait_us: Histogram,
-    /// Per-task execution time (µs) — worker utilization comes from
-    /// `sum(pool_task_run_us) / wall time`.
-    pub pool_task_run_us: Histogram,
     /// CRN trace-cache lookups served from cache.
     pub trace_cache_hits: Counter,
     /// CRN trace-cache lookups that materialized a fresh trace.
@@ -243,10 +221,6 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     fn new() -> MetricsRegistry {
         MetricsRegistry {
-            pool_batches: Counter::default(),
-            pool_tasks: Counter::default(),
-            pool_queue_wait_us: Histogram::new(),
-            pool_task_run_us: Histogram::new(),
             trace_cache_hits: Counter::default(),
             trace_cache_misses: Counter::default(),
             memo_hits: Counter::default(),
@@ -263,10 +237,6 @@ impl MetricsRegistry {
 
     /// Zeroes every family (benchmark/test hygiene).
     pub fn reset(&self) {
-        self.pool_batches.reset();
-        self.pool_tasks.reset();
-        self.pool_queue_wait_us.reset();
-        self.pool_task_run_us.reset();
         self.trace_cache_hits.reset();
         self.trace_cache_misses.reset();
         self.memo_hits.reset();
@@ -284,14 +254,6 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: vec![
-                CounterSnapshot {
-                    name: "pool_batches",
-                    value: self.pool_batches.get(),
-                },
-                CounterSnapshot {
-                    name: "pool_tasks",
-                    value: self.pool_tasks.get(),
-                },
                 CounterSnapshot {
                     name: "trace_cache_hits",
                     value: self.trace_cache_hits.get(),
@@ -333,11 +295,7 @@ impl MetricsRegistry {
                     value: self.lease_expiries.get(),
                 },
             ],
-            histograms: vec![
-                self.pool_queue_wait_us.snapshot("pool_queue_wait_us"),
-                self.pool_task_run_us.snapshot("pool_task_run_us"),
-                self.forest_infer_ns.snapshot("forest_infer_ns"),
-            ],
+            histograms: vec![self.forest_infer_ns.snapshot("forest_infer_ns")],
         }
     }
 }

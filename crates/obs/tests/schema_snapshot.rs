@@ -1,5 +1,5 @@
-//! Schema snapshot: pins the exact JSONL/JSON shapes `sprint_report`
-//! emits (event lines, telemetry envelope, metrics snapshot) against
+//! Schema snapshot: pins the exact JSONL/JSON shapes the telemetry
+//! export emits (event lines, telemetry envelope, metrics snapshot) against
 //! committed fixtures. Any field rename, reorder, or format change
 //! fails here first, making export-schema drift a reviewed decision
 //! instead of an accident.

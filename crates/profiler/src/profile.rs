@@ -2,9 +2,8 @@
 
 use crate::features::Condition;
 use mechanisms::Mechanism;
+use simcore::par;
 use simcore::time::Rate;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use testbed::{ArrivalSpec, BudgetSpec, RunResult, Server, ServerConfig, SprintPolicy};
 use workloads::QueryMix;
 
@@ -176,6 +175,11 @@ impl Profiler {
 
     /// Runs a full campaign over `conditions`, fanning out across
     /// worker threads. Results keep input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replay panics, naming the condition by its index
+    /// (see [`Profiler::run_conditions`]).
     pub fn profile(
         &self,
         mix: &QueryMix,
@@ -192,39 +196,26 @@ impl Profiler {
         ProfileData { profile, runs }
     }
 
-    /// Replays many conditions in parallel against an existing profile.
+    /// Replays many conditions in parallel (on [`Profiler::threads`]
+    /// workers) against an existing profile. Results keep input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replay panics; the message names the condition by
+    /// its index and carries the replay's own panic message.
     pub fn run_conditions(
         &self,
         profile: &WorkloadProfile,
         mech: &dyn Mechanism,
         conditions: &[Condition],
     ) -> Vec<(ProfilingRun, f64)> {
-        let n = conditions.len();
-        let slots: Vec<Mutex<Option<(ProfilingRun, f64)>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let threads = self.threads.clamp(1, n.max(1));
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let seed = derive_seed(self.seed, i as u64);
-                    let out = self.run_condition(profile, mech, conditions[i], seed);
-                    *slots[i].lock().expect("slot poisoned") = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot poisoned")
-                    .expect("all conditions profiled")
-            })
-            .collect()
+        par::map((0..conditions.len()).collect(), self.threads, |i| {
+            let seed = derive_seed(self.seed, i as u64);
+            self.run_condition(profile, mech, conditions[i], seed)
+        })
+        .into_iter()
+        .map(|run| run.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Heap-free direct engines for small-k simulations.
+//! The heap-free direct engine for single-slot simulations.
 //!
 //! The entire prediction path simulates G/G/1 queues (the paper's
 //! conditions fix one execution slot), yet the general engine pays for
@@ -9,21 +9,6 @@
 //! previous departure)` plus a tiny per-query state machine with at
 //! most four instants of interest — dispatch, the query's own timeout,
 //! a budget-exhaustion wake-up, and completion.
-//!
-//! For 2 ≤ k ≤ [`DIRECT_MAX_SLOTS`](crate::sim::DIRECT_MAX_SLOTS) the
-//! FIFO recurrence no longer applies (departures interleave across
-//! slots), but the binary heap is still overkill: the event loop only
-//! ever has **one** pending arrival, timeout events whose due times
-//! are *monotone in schedule order* (each is its query's arrival plus
-//! the one configured timeout), and at most one *live* event per slot
-//! (rescheduling bumps the generation, turning the previously
-//! scheduled event into a guaranteed no-op). [`DirectCalendar`]
-//! encodes exactly that: an `Option` for the arrival, a `VecDeque` for
-//! the timeouts, a fixed slot array holding each slot's latest event,
-//! and an O(k) scan for the next event — no heap, no stale-event
-//! traffic. It replicates the heap's sequence-number assignment (one
-//! per `schedule` call, in call order) so (time, seq) tie-breaking is
-//! bit-compatible, and the same event loop runs over either calendar.
 //!
 //! **Bit-identity contract.** This engine reproduces the event
 //! calendar's results exactly, not approximately. That requires
@@ -53,132 +38,9 @@
 //!
 //! [advance]: crate::sim
 use crate::config::{QsimConfig, QsimResult, SimQuery};
-use crate::sim::{sprinting_possible, Ev, Inputs, Pool};
+use crate::sim::{sprinting_possible, Inputs, Pool};
 use simcore::time::{SimDuration, SimTime};
 use simcore::SprintError;
-use std::collections::VecDeque;
-
-/// Heap-free event calendar for small multi-slot simulations
-/// (2 ≤ k ≤ [`DIRECT_MAX_SLOTS`](crate::sim::DIRECT_MAX_SLOTS)).
-///
-/// Exploits three structural facts about the qsim event loop:
-///
-/// 1. **One pending arrival.** The loop schedules arrival *n + 1*
-///    only while handling arrival *n*, so a single `Option` replaces
-///    the heap's arrival entries.
-/// 2. **Monotone timeouts.** Every timeout is scheduled as its
-///    query's arrival instant plus the one configured timeout, and
-///    arrivals are scheduled in increasing time order — so timeout
-///    due times are non-decreasing in schedule order and a FIFO
-///    `VecDeque` keeps them sorted for free. Timeouts for queries
-///    that already completed stay queued and pop as no-ops, exactly
-///    like under the heap.
-/// 3. **One live event per slot.** The loop bumps a slot's generation
-///    counter before every reschedule, so at most one scheduled slot
-///    event can ever match; superseded events would pop as
-///    gen-mismatch no-ops (checked before any state is touched), so
-///    overwriting the slot's entry drops nothing observable.
-///
-/// Sequence numbers are assigned one per `schedule` call, in call
-/// order, replicating [`simcore::event::EventQueue`] — so (time, seq)
-/// tie-breaking, and therefore every popped event and every result
-/// bit, is identical to the heap calendar. Asserted by the k-grid
-/// tests below and the conformance oracle.
-#[derive(Debug)]
-pub(crate) struct DirectCalendar {
-    /// Insertion counter, incremented on every `schedule` exactly like
-    /// the heap's, so tie-breaks are bit-compatible.
-    next_seq: u64,
-    /// Clock of the last popped event; only guards the
-    /// no-scheduling-into-the-past contract.
-    now: SimTime,
-    /// The single pending arrival as (due, seq).
-    arrival: Option<(SimTime, u64)>,
-    /// Pending timeouts as (due, seq, query id), due-monotone.
-    timeouts: VecDeque<(SimTime, u64, u64)>,
-    /// Latest scheduled event per slot as (due, seq, generation).
-    slots: Vec<Option<(SimTime, u64, u64)>>,
-}
-
-/// Where the winning pop candidate lives.
-#[derive(Clone, Copy)]
-enum Src {
-    Arrival,
-    Timeout,
-    Slot(usize),
-}
-
-impl DirectCalendar {
-    pub(crate) fn new(slots: usize) -> Self {
-        Self {
-            next_seq: 0,
-            now: SimTime::ZERO,
-            arrival: None,
-            timeouts: VecDeque::new(),
-            slots: vec![None; slots],
-        }
-    }
-
-    pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match ev {
-            Ev::Arrival => {
-                debug_assert!(self.arrival.is_none(), "second pending arrival");
-                self.arrival = Some((at, seq));
-            }
-            Ev::Timeout(id) => {
-                debug_assert!(
-                    self.timeouts
-                        .back()
-                        .is_none_or(|&(bat, bseq, _)| (bat, bseq) < (at, seq)),
-                    "timeout due times must be monotone in schedule order"
-                );
-                self.timeouts.push_back((at, seq, id));
-            }
-            Ev::Slot { slot, gen } => self.slots[slot] = Some((at, seq, gen)),
-        }
-    }
-
-    /// O(k) scan for the candidate with the smallest (time, seq),
-    /// matching the heap's ordering exactly.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        let mut best: Option<(SimTime, u64, Src)> = None;
-        if let Some((at, seq)) = self.arrival {
-            best = Some((at, seq, Src::Arrival));
-        }
-        if let Some(&(at, seq, _)) = self.timeouts.front() {
-            if best.is_none_or(|(b, s, _)| (at, seq) < (b, s)) {
-                best = Some((at, seq, Src::Timeout));
-            }
-        }
-        for (i, e) in self.slots.iter().enumerate() {
-            if let Some((at, seq, _)) = *e {
-                if best.is_none_or(|(b, s, _)| (at, seq) < (b, s)) {
-                    best = Some((at, seq, Src::Slot(i)));
-                }
-            }
-        }
-        let (at, _seq, src) = best?;
-        self.now = at;
-        let ev = match src {
-            Src::Arrival => {
-                self.arrival = None;
-                Ev::Arrival
-            }
-            Src::Timeout => {
-                let (_, _, id) = self.timeouts.pop_front()?;
-                Ev::Timeout(id)
-            }
-            Src::Slot(i) => {
-                let (_, _, gen) = self.slots[i].take()?;
-                Ev::Slot { slot: i, gen }
-            }
-        };
-        Some((at, ev))
-    }
-}
 
 /// Runs a single-slot simulation to completion without an event heap.
 ///
@@ -486,63 +348,6 @@ mod tests {
                 c.service = Dist::deterministic(SimDuration::from_secs(60));
             }
             assert_engines_agree(&c, &format!("fuzz trial {trial}"));
-        }
-    }
-
-    #[test]
-    fn direct_calendar_matches_heap_across_k_grid() {
-        // k > 1 routes through DirectCalendar (see `Qsim::run`);
-        // run_event_driven pins the binary heap. Any divergence in
-        // event ordering — arrival vs timeout vs slot tie-breaks,
-        // dropped-stale-slot-event bookkeeping — diverges a query.
-        for k in [2, 4, 8] {
-            for util in [0.3, 0.8, 1.2] {
-                let mut c = base(util, 29);
-                c.slots = k;
-                assert_engines_agree(&c, &format!("M/M/{k} util {util}"));
-            }
-            for (timeout, budget, refill, speedup) in [
-                (80.0, 80.0, 200.0, 1.5),
-                (100.0, 20.0, 2_000.0, 2.5),
-                (300.0, 5.0, 50.0, 1.8),
-            ] {
-                let mut c = base(0.9, 31);
-                c.slots = k;
-                c.timeout = SimDuration::from_secs_f64(timeout);
-                c.budget_capacity_secs = budget;
-                c.refill_secs = refill;
-                c.sprint_speedup = speedup;
-                assert_engines_agree(&c, &format!("sprint k={k} t={timeout} b={budget}"));
-            }
-        }
-    }
-
-    #[test]
-    fn direct_calendar_matches_heap_randomized_sweep() {
-        let mut rng = SimRng::new(0xCA1E);
-        for trial in 0..30 {
-            let mut c = base(rng.uniform(0.2, 1.4), 3_000 + trial);
-            c.num_queries = 400;
-            c.warmup = 40;
-            c.slots = 2 + (trial as usize % 7); // 2..=8
-            c.sprint_speedup = rng.uniform(0.7, 3.0);
-            c.timeout = match trial % 4 {
-                0 => SimDuration::MAX,
-                1 => SimDuration::ZERO,
-                _ => SimDuration::from_secs_f64(rng.uniform(1.0, 400.0)),
-            };
-            c.budget_capacity_secs = match trial % 5 {
-                0 => 0.0,
-                1 => f64::INFINITY,
-                _ => rng.uniform(1.0, 300.0),
-            };
-            c.refill_secs = rng.uniform(0.0, 1_000.0);
-            c.arrival_kind = match trial % 3 {
-                0 => DistKind::Exponential,
-                1 => DistKind::Pareto { alpha: 1.5 },
-                _ => DistKind::Hyperexponential { cov: 2.0 },
-            };
-            assert_engines_agree(&c, &format!("k-grid fuzz trial {trial} k={}", c.slots));
         }
     }
 

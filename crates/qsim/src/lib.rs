@@ -42,13 +42,20 @@
 //! [`simcore::SprintError`] instead of panicking, and
 //! [`parallel::run_batch`] survives worker panics by converting them to
 //! typed errors.
+//!
+//! The prediction fast path is three pieces, each bit-identical to the
+//! engine it replaces: the heap-free direct recurrence that
+//! [`Qsim::run`] takes at one slot (the binary-heap event calendar
+//! serves every other slot count), common-random-number trace replay
+//! ([`trace`]), and the capped memo map ([`shared::CappedMap`]) behind
+//! the trace cache and the sprint-core prediction memo. Batches and
+//! replications fan out over [`simcore::par::map`].
 
 pub mod cloning;
 pub mod config;
 mod direct;
 pub mod multiclass;
 pub mod parallel;
-pub mod pool;
 pub mod shared;
 pub mod sim;
 pub mod trace;
@@ -60,7 +67,6 @@ pub use parallel::{
     predict_mean_response, predict_mean_response_reference, predict_mean_response_traced,
     replication_seed, run_batch, run_batch_with, Backend,
 };
-pub use pool::SimPool;
-pub use shared::AtomicTable;
+pub use shared::CappedMap;
 pub use sim::Qsim;
 pub use trace::{SimTrace, TraceCache};

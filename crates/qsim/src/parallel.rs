@@ -4,40 +4,36 @@
 //! across multiple cores and servers easily", and Fig. 11 measures
 //! prediction throughput scaling from 1 to 12 cores. A *prediction*
 //! averages a handful of replicated runs with different seeds; a batch
-//! fans independent configurations out over workers.
+//! fans independent configurations out over workers. Both fan out
+//! through [`simcore::par::map`], which keeps input order and turns a
+//! worker panic into a typed error for that item alone.
 //!
 //! Two interchangeable backends execute a batch:
 //!
-//! - [`Backend::Pool`] (the default) reuses the process-wide
-//!   [`SimPool`](crate::pool::SimPool) — no thread spawns per call, and
-//!   configurations are shared by `Arc` instead of deep-cloned per
-//!   task.
-//! - [`Backend::Reference`] is the frozen pre-fast-path code: scoped
-//!   threads, a deep `QsimConfig` clone per task (including any
-//!   empirical service table), and the event-calendar engine. It exists
+//! - [`Backend::Fast`] (the default) runs each configuration on
+//!   [`Qsim::run`]: the heap-free direct recurrence at one slot.
+//! - [`Backend::Reference`] runs every configuration on the
+//!   binary-heap event calendar ([`Qsim::run_event_driven`]). It exists
 //!   as the perf baseline and bit-identity oracle for `perf_smoke`.
 //!
 //! Both return input-ordered, bit-identical results for any thread
 //! count.
 
 use crate::config::{QsimConfig, QsimResult};
-use crate::pool::SimPool;
 use crate::sim::Qsim;
 use crate::trace::TraceCache;
-use simcore::SprintError;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use simcore::{par, SprintError};
+use std::sync::Arc;
 
-/// Which execution strategy a batch uses. See the module docs.
+/// Which engine a batch runs on. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Persistent process-wide worker pool, `Arc`-shared configs.
+    /// [`Qsim::run`]: the direct recurrence at one slot, the binary
+    /// heap otherwise.
     #[default]
-    Pool,
-    /// Pre-fast-path baseline: scoped threads, deep config clone per
-    /// task, event-calendar engine. Slow on purpose — do not use
-    /// outside benchmarks and oracle tests.
+    Fast,
+    /// The event-calendar engine at every slot count. Slow on purpose
+    /// — do not use outside benchmarks and oracle tests.
     Reference,
 }
 
@@ -52,47 +48,10 @@ pub fn replication_seed(base: u64, i: usize) -> u64 {
     base.wrapping_add(SEED_STRIDE * (i as u64 + 1))
 }
 
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Simulates one shared config, converting a worker panic into a typed
-/// error instead of unwinding into shared batch state.
-fn run_one_shared(cfg: Arc<QsimConfig>, index: usize) -> Result<QsimResult, SprintError> {
-    match catch_unwind(AssertUnwindSafe(|| Qsim::shared(cfg).and_then(Qsim::run))) {
-        Ok(result) => result,
-        Err(payload) => Err(SprintError::WorkerPanic {
-            index,
-            message: panic_message(payload),
-        }),
-    }
-}
-
-/// The frozen baseline worker: deep config clone, event-calendar
-/// engine.
-fn run_one_reference(cfg: QsimConfig, index: usize) -> Result<QsimResult, SprintError> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        Qsim::new(cfg).and_then(Qsim::run_event_driven)
-    })) {
-        Ok(result) => result,
-        Err(payload) => Err(SprintError::WorkerPanic {
-            index,
-            message: panic_message(payload),
-        }),
-    }
-}
-
-/// Runs each configuration to completion on the default backend (the
-/// persistent pool), fanning out over `threads` concurrent executors
-/// (1 = sequential). Results keep input order and are identical
-/// regardless of thread count or backend.
+/// Runs each configuration to completion on the default backend,
+/// fanning out over `threads` workers (1 = sequential). Results keep
+/// input order and are identical regardless of thread count or
+/// backend.
 ///
 /// A panicking worker does not abort the batch: the panic is caught,
 /// the failing config's slot is marked with
@@ -106,7 +65,7 @@ fn run_one_reference(cfg: QsimConfig, index: usize) -> Result<QsimResult, Sprint
 /// config fails validation, and [`SprintError::WorkerPanic`] if a
 /// worker panicked mid-simulation.
 pub fn run_batch(configs: Vec<QsimConfig>, threads: usize) -> Result<Vec<QsimResult>, SprintError> {
-    run_batch_with(configs, threads, Backend::Pool)
+    run_batch_with(configs, threads, Backend::Fast)
 }
 
 /// [`run_batch`] with an explicit [`Backend`].
@@ -120,89 +79,16 @@ pub fn run_batch_with(
     backend: Backend,
 ) -> Result<Vec<QsimResult>, SprintError> {
     SprintError::require_nonzero("run_batch::threads", threads)?;
-    match backend {
-        Backend::Pool => {
-            if threads == 1 {
-                // Sequential fast path: skip the batch bookkeeping
-                // entirely. Same per-task code, same order.
-                return configs
-                    .into_iter()
-                    .map(Arc::new)
-                    .enumerate()
-                    .map(|(i, cfg)| run_one_shared(cfg, i))
-                    .collect();
-            }
-            let tasks: Vec<_> = configs
-                .into_iter()
-                .map(Arc::new)
-                .enumerate()
-                .map(|(i, cfg)| move || run_one_shared(cfg, i))
-                .collect();
-            SimPool::global()
-                .run_ordered(tasks, threads)
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    slot.unwrap_or_else(|| {
-                        Err(SprintError::WorkerPanic {
-                            index: i,
-                            message: "pool task panicked".to_string(),
-                        })
-                    })
-                })
-                .collect()
+    par::map(configs, threads, |cfg| {
+        let sim = Qsim::new(cfg)?;
+        match backend {
+            Backend::Fast => sim.run(),
+            Backend::Reference => sim.run_event_driven(),
         }
-        Backend::Reference => run_batch_reference(configs, threads),
-    }
-}
-
-/// The frozen pre-fast-path batch: deep clones and the event calendar.
-fn run_batch_reference(
-    configs: Vec<QsimConfig>,
-    threads: usize,
-) -> Result<Vec<QsimResult>, SprintError> {
-    if threads == 1 || configs.len() <= 1 {
-        return configs
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| run_one_reference(c, i))
-            .collect();
-    }
-    let n = configs.len();
-    let slots: Vec<Mutex<Option<Result<QsimResult, SprintError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let configs = &configs;
-    let slots_ref = &slots;
-    let next_ref = &next;
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let out = run_one_reference(configs[i].clone(), i);
-                let mut slot = slots_ref[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                *slot = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    Err(SprintError::runtime(
-                        "qsim::run_batch_reference",
-                        "worker exited before filling its result slot",
-                    ))
-                })
-        })
-        .collect()
+    })
+    .into_iter()
+    .map(|slot| slot.and_then(|r| r))
+    .collect()
 }
 
 /// Predicts mean response time by averaging `replications` simulator
@@ -219,26 +105,18 @@ pub fn predict_mean_response(
 ) -> Result<f64, SprintError> {
     SprintError::require_nonzero("predict_mean_response::replications", replications)?;
     SprintError::require_nonzero("predict_mean_response::threads", threads)?;
-    let tasks: Vec<_> = (0..replications)
-        .map(|i| {
-            let c = cfg.with_seed(replication_seed(cfg.seed, i));
-            move || match catch_unwind(AssertUnwindSafe(|| {
-                Qsim::new(c).and_then(Qsim::run_mean_response)
-            })) {
-                Ok(result) => result,
-                Err(payload) => Err(SprintError::WorkerPanic {
-                    index: i,
-                    message: panic_message(payload),
-                }),
-            }
-        })
+    let configs: Vec<QsimConfig> = (0..replications)
+        .map(|i| cfg.with_seed(replication_seed(cfg.seed, i)))
         .collect();
-    average_pool_tasks(tasks, threads, replications)
+    let means = par::map(configs, threads, |c| {
+        Qsim::new(c).and_then(Qsim::run_mean_response)
+    });
+    average(means, replications)
 }
 
-/// [`predict_mean_response`] on the frozen pre-fast-path baseline.
-/// Bit-identical output, pre-PR cost profile; exists for `perf_smoke`
-/// and oracle tests.
+/// [`predict_mean_response`] on the reference backend. Bit-identical
+/// output at the event calendar's cost; exists for `perf_smoke` and
+/// oracle tests.
 ///
 /// # Errors
 ///
@@ -253,7 +131,11 @@ pub fn predict_mean_response_reference(
         .map(|i| cfg.with_seed(replication_seed(cfg.seed, i)))
         .collect();
     let results = run_batch_with(configs, threads, Backend::Reference)?;
-    Ok(average_mean_response(&results, replications))
+    Ok(results
+        .iter()
+        .map(QsimResult::mean_response_secs)
+        .sum::<f64>()
+        / replications as f64)
 }
 
 /// [`predict_mean_response`] with common-random-number traces: each
@@ -281,66 +163,27 @@ pub fn predict_mean_response_traced(
     // simulator never reads `cfg.seed`, so the deep per-replication
     // `with_seed` clone of the live path is unnecessary.
     let shared = Arc::new(cfg.clone());
-    let tasks: Vec<_> = (0..replications)
-        .map(|i| {
-            let trace = cache.trace_for(cfg, replication_seed(cfg.seed, i));
-            let cfg = Arc::clone(&shared);
-            move || match catch_unwind(AssertUnwindSafe(|| {
-                Qsim::with_trace(cfg, trace).and_then(Qsim::run_mean_response)
-            })) {
-                Ok(result) => result,
-                Err(payload) => Err(SprintError::WorkerPanic {
-                    index: i,
-                    message: panic_message(payload),
-                }),
-            }
-        })
+    let traces: Vec<_> = (0..replications)
+        .map(|i| cache.trace_for(cfg, replication_seed(cfg.seed, i)))
         .collect();
-    average_pool_tasks(tasks, threads, replications)
+    let means = par::map(traces, threads, |trace| {
+        Qsim::with_trace(Arc::clone(&shared), trace).and_then(Qsim::run_mean_response)
+    });
+    average(means, replications)
 }
 
-/// Runs per-replication mean-response tasks on the global pool and
-/// averages them in input order — the summation order every prediction
-/// variant shares, so their floating-point results can be compared
-/// bitwise.
-fn average_pool_tasks(
-    tasks: Vec<impl FnOnce() -> Result<f64, SprintError> + Send + 'static>,
-    threads: usize,
+/// Averages per-replication means in input order — the summation order
+/// every prediction variant shares, so their floating-point results
+/// can be compared bitwise. The first failure by input order wins.
+fn average(
+    means: Vec<Result<Result<f64, SprintError>, SprintError>>,
     replications: usize,
 ) -> Result<f64, SprintError> {
-    if threads == 1 {
-        // Sequential fast path: no boxing, no batch bookkeeping. Same
-        // task order, so the sum is bitwise the pooled result.
-        let mut sum = 0.0;
-        for task in tasks {
-            sum += task()?;
-        }
-        return Ok(sum / replications as f64);
+    let mut sum = 0.0;
+    for mean in means {
+        sum += mean??;
     }
-    let means: Vec<f64> = SimPool::global()
-        .run_ordered(tasks, threads)
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| {
-                Err(SprintError::WorkerPanic {
-                    index: i,
-                    message: "pool task panicked".to_string(),
-                })
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(means.into_iter().sum::<f64>() / replications as f64)
-}
-
-/// Input-order average of full batch results; keeps the same summation
-/// order as [`average_pool_tasks`].
-fn average_mean_response(results: &[QsimResult], replications: usize) -> f64 {
-    results
-        .iter()
-        .map(QsimResult::mean_response_secs)
-        .sum::<f64>()
-        / replications as f64
+    Ok(sum / replications as f64)
 }
 
 #[cfg(test)]
@@ -373,10 +216,10 @@ mod tests {
     #[test]
     fn backends_are_bit_identical() {
         let configs: Vec<QsimConfig> = (0..6).map(small_cfg).collect();
-        let pool = run_batch_with(configs.clone(), 4, Backend::Pool).unwrap();
+        let fast = run_batch_with(configs.clone(), 4, Backend::Fast).unwrap();
         let reference = run_batch_with(configs, 4, Backend::Reference).unwrap();
-        for (p, r) in pool.iter().zip(reference.iter()) {
-            assert_eq!(p.queries, r.queries, "pool vs reference");
+        for (f, r) in fast.iter().zip(reference.iter()) {
+            assert_eq!(f.queries, r.queries, "fast vs reference");
         }
     }
 
@@ -438,14 +281,17 @@ mod tests {
         // mid-run worker panic, not a config-validation failure. The
         // batch must finish the healthy configs and report the panic as
         // a typed error instead of poisoning shared state.
-        for backend in [Backend::Pool, Backend::Reference] {
-            let mut poisoned = small_cfg(2);
-            poisoned.service = Dist::Empirical { samples: vec![] };
-            let configs = vec![small_cfg(1), poisoned, small_cfg(3)];
-            let err = run_batch_with(configs, 4, backend).expect_err("worker panic must surface");
-            match err {
-                SprintError::WorkerPanic { index, .. } => assert_eq!(index, 1),
-                other => panic!("expected WorkerPanic, got {other} ({backend:?})"),
+        for backend in [Backend::Fast, Backend::Reference] {
+            for threads in [1, 4] {
+                let mut poisoned = small_cfg(2);
+                poisoned.service = Dist::Empirical { samples: vec![] };
+                let configs = vec![small_cfg(1), poisoned, small_cfg(3)];
+                let err = run_batch_with(configs, threads, backend)
+                    .expect_err("worker panic must surface");
+                match err {
+                    SprintError::WorkerPanic { index, .. } => assert_eq!(index, 1),
+                    other => panic!("expected WorkerPanic, got {other} ({backend:?}, {threads}t)"),
+                }
             }
         }
     }

@@ -1,202 +1,87 @@
-//! Lock-free shared cache primitive for the prediction hot path.
+//! The capped memo map behind the prediction caches.
 //!
-//! [`AtomicTable`] is a fixed-capacity, append-only, open-addressing
-//! hash table whose slots are `AtomicPtr`s to immutable heap entries.
-//! It exists so the CRN [`TraceCache`](crate::TraceCache) and the
-//! sprint-core prediction memo can be shared across every pool worker
-//! (and every model instance in the process) with an uncontended read
-//! path: a warm lookup is a hash, a few `Acquire` loads, and a key
-//! compare — no mutex, no CAS, no allocation.
+//! [`CappedMap`] is an append-only hash map behind one `Mutex`, with a
+//! fixed entry cap. It backs the CRN [`TraceCache`](crate::TraceCache)
+//! and the sprint-core prediction memo:
 //!
-//! # Design
+//! - **First value wins.** An entry is never replaced: inserting a key
+//!   that is already present returns the stored value. Every key type
+//!   used with the map fully determines its value (the trace key
+//!   fingerprints the arrival process, service distribution and seed;
+//!   the memo key fingerprints the model context on top of the
+//!   condition), so a second value for a key would be bit-identical to
+//!   the first anyway.
+//! - **Capped, never evicting.** Once the map holds `cap` entries an
+//!   insert of a new key is dropped and the caller keeps its own
+//!   value. A full cache degrades to "compute every time", never to
+//!   unbounded growth.
+//! - **No lock held while computing.** Callers look up, compute on a
+//!   miss, then insert, so a shared map serializes only the lookups.
 //!
-//! - **Append-only.** Entries are published exactly once by a
-//!   `compare_exchange(null → ptr, Release)` and are immutable
-//!   afterwards; readers `Acquire`-load the pointer and compare the
-//!   full key. Nothing is ever unpublished or replaced, so a reference
-//!   into an entry stays valid for the table's lifetime and `get` can
-//!   hand out `&V` directly.
-//! - **Fixed capacity, bounded probes.** Linear probing with a bounded
-//!   probe window; when the window is exhausted the insert is simply
-//!   *dropped* and the caller keeps its freshly computed value. A full
-//!   cache degrades to "compute every time", never to eviction races
-//!   or unbounded growth. The caches this backs hold a few thousand
-//!   entries in any real workload; capacities are sized ~2× above
-//!   the old mutex-cache leak guards.
-//! - **Deterministic hashing.** Keys are hashed with FNV-1a via the
-//!   standard [`Hasher`] trait, so placement (and therefore cache
-//!   behavior) is reproducible run to run — the same property the
-//!   deterministic-simulation tests pin everywhere else.
-//! - **Memory reclamation.** Entries are freed only in `Drop`, which
-//!   takes `&mut self` and therefore proves no readers remain.
-//!
-//! Correctness of *sharing* is the callers' responsibility: every key
-//! type used with this table must fully determine its value (the trace
-//! key fingerprints the arrival process, service distribution, and
-//! seed; the memo key fingerprints the model context on top of the
-//! condition), so a hit from a foreign worker is bit-identical to a
-//! local recompute.
+//! The map allocates as entries arrive, so an empty cache costs
+//! nothing.
 
-use std::hash::{Hash, Hasher};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::Hash;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Longest linear-probe run tolerated before a lookup gives up and an
-/// insert is dropped. Large enough that a table at its intended load
-/// (< 50%) essentially never hits it.
-const MAX_PROBE: usize = 128;
-
-/// FNV-1a over a key's `Hash` output — deterministic across runs and
-/// platforms, unlike `DefaultHasher`'s unspecified algorithm.
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+/// An append-only map with an entry cap (see the module docs).
+pub struct CappedMap<K, V> {
+    cap: usize,
+    map: Mutex<HashMap<K, V>>,
 }
 
-fn fnv_hash<K: Hash>(key: &K) -> u64 {
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// One published cache entry; immutable after the CAS that makes it
-/// visible.
-struct Entry<K, V> {
-    hash: u64,
-    key: K,
-    value: V,
-}
-
-/// Fixed-capacity lock-free hash table (see module docs).
-pub struct AtomicTable<K, V> {
-    slots: Box<[AtomicPtr<Entry<K, V>>]>,
-    mask: usize,
-    len: AtomicUsize,
-}
-
-// Entries are plain (K, V) data behind pointers the table owns;
-// sharing the table shares them read-only after publication.
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for AtomicTable<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for AtomicTable<K, V> {}
-
-impl<K: Hash + Eq, V> AtomicTable<K, V> {
-    /// Creates a table with `capacity` slots, rounded up to a power of
-    /// two (minimum 2).
-    pub fn new(capacity: usize) -> AtomicTable<K, V> {
-        let cap = capacity.next_power_of_two().max(2);
-        let slots = (0..cap)
-            .map(|_| AtomicPtr::new(ptr::null_mut()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        AtomicTable {
-            slots,
-            mask: cap - 1,
-            len: AtomicUsize::new(0),
+impl<K: Hash + Eq, V: Clone> CappedMap<K, V> {
+    /// Creates an empty map that holds at most `cap` entries.
+    pub fn new(cap: usize) -> CappedMap<K, V> {
+        CappedMap {
+            cap,
+            map: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Looks up `key`; the returned reference lives as long as the
-    /// table (entries are never unpublished).
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let hash = fnv_hash(key);
-        let mut i = hash as usize & self.mask;
-        for _ in 0..MAX_PROBE {
-            let p = self.slots[i].load(Ordering::Acquire);
-            if p.is_null() {
-                return None;
-            }
-            // SAFETY: a non-null slot pointer was published by a
-            // Release CAS over a fully initialized, never-mutated,
-            // never-freed (until Drop) Entry; the Acquire load makes
-            // its fields visible.
-            let e = unsafe { &*p };
-            if e.hash == hash && e.key == *key {
-                return Some(&e.value);
-            }
-            i = (i + 1) & self.mask;
-        }
-        None
+    /// The value stored for `key`, if any.
+    pub fn get(&self, key: &K) -> Option<V> {
+        self.lock().get(key).cloned()
     }
 
-    /// Publishes `key → value` unless the key is already present or
-    /// the probe window is full; returns a reference to the winning
-    /// entry's value (the caller's on success, the racer's on a lost
-    /// duplicate-key race) or `None` if the insert was dropped.
-    pub fn insert(&self, key: K, value: V) -> Option<&V> {
-        let hash = fnv_hash(&key);
-        let entry = Box::into_raw(Box::new(Entry { hash, key, value }));
-        let mut i = hash as usize & self.mask;
-        for _ in 0..MAX_PROBE {
-            let mut p = self.slots[i].load(Ordering::Acquire);
-            if p.is_null() {
-                match self.slots[i].compare_exchange(
-                    ptr::null_mut(),
-                    entry,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        // SAFETY: just published; never freed until Drop.
-                        return Some(unsafe { &(*entry).value });
-                    }
-                    Err(cur) => p = cur, // Lost the slot; inspect the winner.
-                }
-            }
-            // SAFETY: as in `get`.
-            let e = unsafe { &*p };
-            if e.hash == hash && e.key == *unsafe { &(*entry).key } {
-                // Someone else published this key first; theirs wins so
-                // all callers observe one canonical entry.
-                // SAFETY: `entry` was never published, we still own it.
-                drop(unsafe { Box::from_raw(entry) });
-                return Some(&e.value);
-            }
-            i = (i + 1) & self.mask;
+    /// Stores `key → value` unless the key is already present or the
+    /// map is full. Returns the stored value for the key (the first
+    /// one inserted), or `value` itself when the insert was dropped.
+    pub fn insert(&self, key: K, value: V) -> V {
+        let mut map = self.lock();
+        let full = map.len() >= self.cap;
+        match map.entry(key) {
+            Entry::Occupied(e) => e.get().clone(),
+            Entry::Vacant(_) if full => value,
+            Entry::Vacant(e) => e.insert(value).clone(),
         }
-        // Probe window exhausted: drop the insert, caller keeps its value.
-        // SAFETY: `entry` was never published, we still own it.
-        drop(unsafe { Box::from_raw(entry) });
-        None
     }
 
-    /// Number of published entries.
+    /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.lock().len()
     }
 
-    /// Whether the table has no entries.
+    /// Whether the map has no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl<K, V> Drop for AtomicTable<K, V> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                // SAFETY: `&mut self` proves no outstanding readers;
-                // each published pointer is owned by exactly one slot.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, V>> {
+        // A panic cannot leave the map half-updated (every operation
+        // is one `HashMap` call), so a poisoned lock is still sound.
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl<K, V> std::fmt::Debug for AtomicTable<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicTable")
-            .field("len", &self.len.load(Ordering::Relaxed))
-            .field("capacity", &self.slots.len())
+impl<K: Hash + Eq, V: Clone> fmt::Debug for CappedMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CappedMap")
+            .field("len", &self.len())
+            .field("cap", &self.cap)
             .finish()
     }
 }
@@ -204,79 +89,38 @@ impl<K, V> std::fmt::Debug for AtomicTable<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn insert_then_get_round_trips() {
-        let t: AtomicTable<u64, u64> = AtomicTable::new(64);
-        assert!(t.get(&7).is_none());
-        assert_eq!(t.insert(7, 700), Some(&700));
-        assert_eq!(t.get(&7), Some(&700));
-        assert_eq!(t.len(), 1);
+        let m: CappedMap<u64, u64> = CappedMap::new(64);
+        assert!(m.get(&7).is_none());
+        assert!(m.is_empty());
+        assert_eq!(m.insert(7, 700), 700);
+        assert_eq!(m.get(&7), Some(700));
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
-    fn duplicate_insert_keeps_first_value() {
-        let t: AtomicTable<u64, u64> = AtomicTable::new(64);
-        t.insert(7, 700);
-        // Second publisher loses; canonical entry survives.
-        assert_eq!(t.insert(7, 999), Some(&700));
-        assert_eq!(t.get(&7), Some(&700));
-        assert_eq!(t.len(), 1);
+    fn the_first_value_for_a_key_wins() {
+        let m: CappedMap<u64, u64> = CappedMap::new(64);
+        m.insert(7, 700);
+        assert_eq!(m.insert(7, 999), 700);
+        assert_eq!(m.get(&7), Some(700));
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
-    fn full_table_drops_inserts_instead_of_evicting() {
-        let t: AtomicTable<u64, u64> = AtomicTable::new(2);
-        // Capacity 2: the third distinct key can't fit anywhere.
-        t.insert(1, 10);
-        t.insert(2, 20);
-        assert!(t.insert(3, 30).is_none());
-        assert_eq!(t.get(&1), Some(&10));
-        assert_eq!(t.get(&2), Some(&20));
-        assert!(t.get(&3).is_none());
-    }
-
-    #[test]
-    fn concurrent_inserts_converge_to_one_entry_per_key() {
-        let t: Arc<AtomicTable<u64, u64>> = Arc::new(AtomicTable::new(1024));
-        let handles: Vec<_> = (0..8)
-            .map(|w| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for k in 0..200u64 {
-                        // Every worker computes the same value for a key,
-                        // as the real caches do (pure functions of key).
-                        let v = k * 3 + 1;
-                        match t.get(&k) {
-                            Some(&got) => assert_eq!(got, v, "worker {w} key {k}"),
-                            None => {
-                                if let Some(&won) = t.insert(k, v) {
-                                    assert_eq!(won, v);
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.len(), 200);
-        for k in 0..200u64 {
-            assert_eq!(t.get(&k), Some(&(k * 3 + 1)));
-        }
-    }
-
-    #[test]
-    fn drop_frees_arc_entries() {
-        let probe = Arc::new(42u64);
-        {
-            let t: AtomicTable<u64, Arc<u64>> = AtomicTable::new(16);
-            t.insert(1, Arc::clone(&probe));
-            assert_eq!(Arc::strong_count(&probe), 2);
-        }
-        assert_eq!(Arc::strong_count(&probe), 1);
+    fn a_full_map_drops_inserts_instead_of_evicting() {
+        let m: CappedMap<u64, u64> = CappedMap::new(2);
+        m.insert(1, 10);
+        m.insert(2, 20);
+        // The caller keeps its own value; nothing is stored or evicted.
+        assert_eq!(m.insert(3, 30), 30);
+        assert!(m.get(&3).is_none());
+        assert_eq!(m.get(&1), Some(10));
+        assert_eq!(m.get(&2), Some(20));
+        assert_eq!(m.len(), 2);
+        // A key already stored still answers from the map.
+        assert_eq!(m.insert(1, 11), 10);
     }
 }

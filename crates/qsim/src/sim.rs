@@ -79,49 +79,12 @@ impl Inputs {
     }
 }
 
-/// Calendar payloads shared by the heap engine and the direct small-k
-/// calendar in [`crate::direct`].
+/// Event-calendar payloads.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
+enum Ev {
     Arrival,
     Timeout(u64),
     Slot { slot: usize, gen: u64 },
-}
-
-/// Largest slot count served by the heap-free
-/// [`DirectCalendar`](crate::direct::DirectCalendar); beyond it the
-/// O(k) next-event scan loses to the binary heap.
-pub(crate) const DIRECT_MAX_SLOTS: usize = 8;
-
-/// The event calendar behind the simulation loop: the general binary
-/// heap, or the direct small-k structure that exploits the loop's
-/// scheduling patterns (one pending arrival, monotone timeouts, one
-/// live event per slot). Both implement identical (time, insertion
-/// sequence) ordering, so the loop's behavior — and therefore every
-/// result bit — is independent of the variant (asserted by the k-grid
-/// tests in [`crate::direct`] and the conformance oracle).
-#[derive(Debug)]
-enum Calendar {
-    Heap(EventQueue<Ev>),
-    Direct(crate::direct::DirectCalendar),
-}
-
-impl Calendar {
-    #[inline]
-    fn schedule(&mut self, at: SimTime, ev: Ev) {
-        match self {
-            Calendar::Heap(q) => q.schedule(at, ev),
-            Calendar::Direct(d) => d.schedule(at, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        match self {
-            Calendar::Heap(q) => q.pop(),
-            Calendar::Direct(d) => d.pop(),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -264,7 +227,7 @@ pub(crate) fn sprinting_possible(cfg: &QsimConfig) -> bool {
 /// The queue simulator.
 pub struct Qsim {
     cfg: Arc<QsimConfig>,
-    events: Calendar,
+    events: EventQueue<Ev>,
     fifo: VecDeque<u64>,
     slots: Vec<Option<RunningQuery>>,
     pool: Pool,
@@ -346,7 +309,7 @@ impl Qsim {
 
     fn build(cfg: Arc<QsimConfig>, inputs: Inputs) -> Qsim {
         Qsim {
-            events: Calendar::Heap(EventQueue::new()),
+            events: EventQueue::new(),
             fifo: VecDeque::new(),
             slots: (0..cfg.slots).map(|_| None).collect(),
             pool: Pool::new(&cfg),
@@ -362,16 +325,12 @@ impl Qsim {
     /// Runs to completion and returns steady-state per-query outcomes.
     ///
     /// Single-slot configurations (k = 1, the entire prediction path)
-    /// take the heap-free direct recurrence in [`crate::direct`];
-    /// small multi-slot configurations (k ≤ [`DIRECT_MAX_SLOTS`]) run
-    /// the same event loop as the reference engine but over the
-    /// heap-free [`DirectCalendar`](crate::direct::DirectCalendar);
-    /// larger configurations take the binary-heap calendar. All three
-    /// produce bit-identical results where their domains overlap — the
-    /// direct paths replicate the calendar's microsecond quantization,
-    /// floating-point operation order, and event tie order exactly, and
-    /// regression tests sweep randomized configurations across a k grid
-    /// to hold that line.
+    /// take the heap-free direct recurrence in [`crate::direct`]; every
+    /// other slot count runs the binary-heap event calendar
+    /// ([`Qsim::run_event_driven`]). The two are bit-identical at
+    /// k = 1 — the direct engine replicates the calendar's microsecond
+    /// quantization, floating-point operation order and event tie
+    /// order exactly, and randomized regression tests hold that line.
     ///
     /// # Errors
     ///
@@ -379,17 +338,14 @@ impl Qsim {
     /// with queries outstanding or a slot invariant is violated — both
     /// indicate a simulator bug, surfaced as a typed error rather than
     /// a panic so batch sweeps can report and continue.
-    pub fn run(mut self) -> Result<QsimResult, SprintError> {
+    pub fn run(self) -> Result<QsimResult, SprintError> {
         if self.cfg.slots == 1 {
             let Qsim {
                 cfg, mut inputs, ..
             } = self;
             crate::direct::run_direct(&cfg, &mut inputs)
-        } else if self.cfg.slots <= DIRECT_MAX_SLOTS {
-            self.events = Calendar::Direct(crate::direct::DirectCalendar::new(self.cfg.slots));
-            self.run_loop()
         } else {
-            self.run_loop()
+            self.run_event_driven()
         }
     }
 
@@ -419,20 +375,13 @@ impl Qsim {
     }
 
     /// Runs to completion on the binary-heap event calendar regardless
-    /// of slot count — the reference implementation the direct engines
-    /// are tested against.
+    /// of slot count — the reference implementation the direct engine
+    /// is tested against.
     ///
     /// # Errors
     ///
     /// As [`Qsim::run`].
-    pub fn run_event_driven(self) -> Result<QsimResult, SprintError> {
-        // `build` installs the heap calendar; run the shared loop on it.
-        debug_assert!(matches!(self.events, Calendar::Heap(_)));
-        self.run_loop()
-    }
-
-    /// The event loop shared by the heap and direct calendars.
-    fn run_loop(mut self) -> Result<QsimResult, SprintError> {
+    pub fn run_event_driven(mut self) -> Result<QsimResult, SprintError> {
         let gap = self.inputs.next_gap();
         self.events.schedule(SimTime::ZERO + gap, Ev::Arrival);
         while self.done < self.cfg.num_queries {

@@ -20,7 +20,7 @@
 //! exactly that tuple.
 
 use crate::config::QsimConfig;
-use crate::shared::AtomicTable;
+use crate::shared::CappedMap;
 use simcore::dist::{Dist, DistKind};
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
@@ -165,34 +165,33 @@ fn service_fingerprint(service: &Dist) -> u64 {
     h
 }
 
-/// Slot capacity of a trace table. At the intended load (an annealing
+/// Entry cap of a trace cache. At the intended load (an annealing
 /// search touches `replications` traces per condition, a fleet run a
-/// few hundred) the table stays far below half full; if it ever fills,
+/// few hundred) the cache stays far below it; if it ever fills,
 /// inserts are dropped and runs keep materializing uncached — a leak
 /// guard, not a tuning knob.
-const TRACE_TABLE_SLOTS: usize = 8_192;
+const TRACE_CACHE_CAP: usize = 8_192;
 
-/// A shareable, thread-safe memo of materialized traces with a
-/// lock-free read path ([`AtomicTable`]): a warm lookup is a hash plus
-/// a few atomic loads — no mutex — so every pool worker and every
-/// model instance can hit one cache concurrently without contention.
+/// A shareable, thread-safe memo of materialized traces, held in a
+/// [`CappedMap`].
 ///
 /// Clones share the underlying cache (it is an `Arc`), so a model can
 /// hand the same cache to every prediction it makes. The key
 /// fingerprints *everything* that determines the drawn values (seed,
 /// query count, arrival process, service distribution), so sharing a
 /// cache across profiles — including the process-global
-/// [`TraceCache::shared`] instance — is sound: a hit from a foreign
-/// worker is bit-identical to a local materialization.
+/// [`TraceCache::shared`] instance — is sound: a hit on a trace
+/// another model materialized is bit-identical to a local
+/// materialization.
 #[derive(Clone)]
 pub struct TraceCache {
-    inner: Arc<AtomicTable<TraceKey, Arc<SimTrace>>>,
+    inner: Arc<CappedMap<TraceKey, Arc<SimTrace>>>,
 }
 
 impl Default for TraceCache {
     fn default() -> Self {
         TraceCache {
-            inner: Arc::new(AtomicTable::new(TRACE_TABLE_SLOTS)),
+            inner: Arc::new(CappedMap::new(TRACE_CACHE_CAP)),
         }
     }
 }
@@ -204,10 +203,9 @@ impl TraceCache {
     }
 
     /// The process-global shared cache. All models built with default
-    /// options share this instance, so concurrent workers (and
-    /// repeated model constructions over the same profile) reuse each
-    /// other's materializations instead of redrawing identical traces
-    /// per worker.
+    /// options share this instance, so repeated model constructions
+    /// over the same profile reuse each other's materializations
+    /// instead of redrawing identical traces.
     pub fn shared() -> TraceCache {
         static SHARED: OnceLock<TraceCache> = OnceLock::new();
         SHARED.get_or_init(TraceCache::new).clone()
@@ -225,17 +223,14 @@ impl TraceCache {
         };
         if let Some(t) = self.inner.get(&key) {
             obs::global().trace_cache_hits.incr();
-            return Arc::clone(t);
+            return t;
         }
         obs::global().trace_cache_misses.incr();
-        let trace = Arc::new(SimTrace::materialize_with_seed(cfg, seed));
-        match self.inner.insert(key, Arc::clone(&trace)) {
-            // The canonical entry (ours, or a racer's bit-identical
-            // one — the key pins every drawn value).
-            Some(t) => Arc::clone(t),
-            // Table full: hand back the uncached materialization.
-            None => trace,
-        }
+        // The stored entry: ours, or a racer's bit-identical one (the
+        // key pins every drawn value); ours alone when the cache is
+        // full.
+        self.inner
+            .insert(key, Arc::new(SimTrace::materialize_with_seed(cfg, seed)))
     }
 
     /// Number of traces currently cached.

@@ -21,6 +21,8 @@
 //! - [`health`]: the shared [`HealthSignal`] that the model-health
 //!   breaker and the testbed supervisor use to coordinate degradation.
 //! - [`json`]: a minimal JSON reader/writer used for offline persistence.
+//! - [`par`]: the ordered parallel map over scoped threads behind every
+//!   fan-out in the workspace.
 //!
 //! Everything here is deliberately free of workload or policy semantics;
 //! those live in the `workloads`, `mechanisms`, `testbed` and `qsim`
@@ -46,6 +48,7 @@ pub mod error;
 pub mod event;
 pub mod health;
 pub mod json;
+pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod table;

@@ -54,11 +54,6 @@ impl SimRng {
         xored.rotate_right(rot)
     }
 
-    /// Next raw 32-bit output (truncated 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        self.next_u64() as u32
-    }
-
     /// Uniform draw in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits scaled into [0, 1).

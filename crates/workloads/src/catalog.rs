@@ -139,21 +139,6 @@ impl Workload {
         }
     }
 
-    /// Work-weighted average memory-bound fraction across phases.
-    pub fn mem_frac_avg(&self) -> f64 {
-        self.phases.iter().map(|p| p.frac * p.mem_frac).sum()
-    }
-
-    /// Work-weighted average parallel fraction across phases.
-    pub fn parallel_frac_avg(&self) -> f64 {
-        self.phases.iter().map(|p| p.frac * p.parallel_frac).sum()
-    }
-
-    /// Work-weighted average synchronization fraction across phases.
-    pub fn sync_frac_avg(&self) -> f64 {
-        self.phases.iter().map(|p| p.frac * p.sync_frac).sum()
-    }
-
     /// The phase active at work progress `tau` in `[0, 1]`, and the
     /// fraction of that phase already completed.
     pub fn phase_at(&self, tau: f64) -> (&Phase, f64) {

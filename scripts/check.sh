@@ -39,6 +39,9 @@ logged() {
 }
 
 run cargo build --release --workspace --offline
+# The workspace tests include the metric-family dead-hook check
+# (crates/bench/tests/metric_families.rs): every registered family must
+# be present and fire.
 run cargo test -q --workspace --offline
 run cargo fmt --all -- --check
 run cargo clippy --all-targets --workspace --offline -- -D warnings
@@ -90,11 +93,6 @@ logged chaos-case ./target/release/scenario_run --dir target/chaos-case --smoke
 # the forest leg), prints the regression table below, and exits
 # non-zero on any band violation.
 run ./target/release/perf_smoke
-
-# Telemetry completeness gate: renders the flight-recorder timeline and
-# the full metrics table on a fixed seed, and exits non-zero if any
-# registered metric family is missing from the report or never fired.
-logged sprint_report ./target/release/sprint_report --seed 181
 
 # Scenario catalog gate: executes every scenarios/*.toml file (strict
 # parse, unknown keys rejected) at its committed seed, and every

@@ -1,7 +1,7 @@
 //! End-to-end determinism and variance-reduction tests for the
-//! prediction fast path: the persistent worker pool, common-random-
-//! number (CRN) trace reuse, and the direct k = 1 engine must be
-//! invisible in results — only in wall-clock.
+//! prediction fast path: the thread count, common-random-number (CRN)
+//! trace reuse, and the direct k = 1 engine must be invisible in
+//! results — only in wall-clock.
 
 use model_sprint::policy::{explore_timeout, AnnealingConfig};
 use model_sprint::profiler::{Condition, WorkloadProfile};
@@ -62,14 +62,14 @@ fn sim_options(fast_path: bool) -> SimOptions {
     }
 }
 
-/// Batches are bit-identical across thread counts and across the
-/// persistent-pool and frozen reference backends.
+/// Batches are bit-identical across thread counts and across the fast
+/// and reference backends.
 #[test]
 fn run_batch_is_bit_identical_across_threads_and_backends() {
     let configs: Vec<QsimConfig> = (0..6).map(|i| batch_cfg(100 + i)).collect();
-    let baseline = run_batch_with(configs.clone(), 1, Backend::Pool).unwrap();
+    let baseline = run_batch_with(configs.clone(), 1, Backend::Fast).unwrap();
     for threads in [2, 8] {
-        for backend in [Backend::Pool, Backend::Reference] {
+        for backend in [Backend::Fast, Backend::Reference] {
             let out = run_batch_with(configs.clone(), threads, backend).unwrap();
             for (i, (a, b)) in baseline.iter().zip(out.iter()).enumerate() {
                 assert_eq!(
@@ -145,8 +145,8 @@ fn shared_traces_reduce_comparison_variance() {
 
 /// One annealing search, run twice at the same seed on fresh models,
 /// reproduces its evaluation trace byte for byte — and the fast path
-/// (pool + traces + direct engine + memo) agrees bitwise with the
-/// frozen reference path.
+/// (traces + direct engine + memo) agrees bitwise with the reference
+/// path.
 #[test]
 fn annealing_trace_is_reproducible_and_backend_invariant() {
     let base = cond(80.0);

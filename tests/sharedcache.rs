@@ -1,7 +1,8 @@
-//! Cross-worker cache-sharing tests: the process-wide CRN trace cache
-//! and prediction memo behind [`model_sprint::sprint_core::NoMlModel`]
-//! must be bit-invisible in results across pool sizes, and must
-//! actually raise the cache hit rate over per-model private caches.
+//! Cache-sharing tests: the process-wide CRN trace cache and
+//! prediction memo behind [`model_sprint::sprint_core::NoMlModel`]
+//! must be bit-invisible in results at any replication thread count,
+//! and must actually raise the cache hit rate over per-model private
+//! caches.
 //!
 //! These tests live in their own integration binary because they read
 //! the process-wide obs counters; sharing a binary with unrelated
@@ -52,16 +53,17 @@ fn sim_options(threads: usize) -> SimOptions {
     }
 }
 
-/// Same seed ⇒ byte-identical predictions at pool sizes 1, 2 and 8:
-/// the workers inside each pool share one trace cache and memo, and
-/// neither the sharing nor the worker count may leak into results.
+/// Same seed ⇒ byte-identical predictions with replications fanned
+/// out over 1, 2 and 8 threads: the workers of one model share its
+/// trace cache and memo, and neither the sharing nor the thread count
+/// may leak into results.
 #[test]
 fn predictions_are_bit_identical_across_pool_sizes() {
     let _gate = GATE.lock().unwrap();
     let conds: Vec<Condition> = (0..6).map(|i| cond(40.0 + 12.0 * f64::from(i))).collect();
     let predict_all = |threads: usize| -> Vec<u64> {
-        // Private caches per run so pools 2 and 8 genuinely recompute
-        // instead of memo-hitting pool 1's results.
+        // Private caches per run so the 2- and 8-thread runs genuinely
+        // recompute instead of memo-hitting the 1-thread run's results.
         let model = NoMlModel::new(profile(), sim_options(threads)).with_private_caches();
         conds
             .iter()
@@ -69,8 +71,8 @@ fn predictions_are_bit_identical_across_pool_sizes() {
             .collect()
     };
     let one = predict_all(1);
-    assert_eq!(one, predict_all(2), "pool of 2 diverged from pool of 1");
-    assert_eq!(one, predict_all(8), "pool of 8 diverged from pool of 1");
+    assert_eq!(one, predict_all(2), "2 threads diverged from 1 thread");
+    assert_eq!(one, predict_all(8), "8 threads diverged from 1 thread");
 }
 
 /// Shared caches must beat the per-model private baseline: a second
@@ -109,7 +111,7 @@ fn shared_caches_raise_hit_rate_over_private_baseline() {
     let (shared_memo_hits, shared_trace_misses) = run(true);
     assert!(
         shared_memo_hits > private_memo_hits,
-        "shared memo hits {shared_memo_hits} must strictly exceed the per-worker \
+        "shared memo hits {shared_memo_hits} must strictly exceed the per-model \
          baseline {private_memo_hits}"
     );
     assert!(
