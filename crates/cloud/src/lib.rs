@@ -12,7 +12,7 @@
 //! - [`burstable`]: the policy model and AWS T2.small defaults.
 //! - [`slo`]: response-time prediction for throttled workloads and the
 //!   SLO admission check.
-//! - [`colocate`]: packing workloads onto a node under the three
+//! - [`colocate`](mod@colocate): packing workloads onto a node under the three
 //!   strategies of Fig. 13.
 //! - [`revenue`]: revenue per node and the profiling-cost break-even
 //!   timeline of Fig. 14.

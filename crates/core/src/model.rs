@@ -281,8 +281,8 @@ pub struct NoMlModel {
 
 impl NoMlModel {
     /// Builds the model from a profile. Joins the process-global
-    /// shared trace cache and prediction memo (sound: see
-    /// [`PredictionMemo`]); use [`NoMlModel::with_private_caches`] to
+    /// shared trace cache and prediction memo (sound: see the private
+    /// `PredictionMemo`); use [`NoMlModel::with_private_caches`] to
     /// opt out for cold-path measurement.
     pub fn new(profile: WorkloadProfile, sim: SimOptions) -> NoMlModel {
         let context_fp = context_fingerprint(&profile, &sim);
@@ -348,7 +348,7 @@ impl HybridModel {
     /// Joins the process-global shared trace cache and prediction memo
     /// (sound: the memo key folds in the speedup the forest produces,
     /// so two models sharing a profile but not a forest can never
-    /// collide — see [`PredictionMemo`]); use
+    /// collide — see the private `PredictionMemo`); use
     /// [`HybridModel::with_private_caches`] to opt out.
     pub fn new(profile: WorkloadProfile, forest: RandomForest, sim: SimOptions) -> HybridModel {
         let context_fp = context_fingerprint(&profile, &sim);

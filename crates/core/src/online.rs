@@ -164,10 +164,10 @@ pub enum DegradationLevel {
 }
 
 impl DegradationLevel {
-    /// Maps the ladder onto the crate-neutral [`HealthSignal`] consumed
-    /// by the testbed supervisor's admission ladder: a degraded model
-    /// tightens admission watermarks, an open breaker forbids sprint
-    /// engages entirely.
+    /// Maps the ladder onto the crate-neutral [`simcore::HealthSignal`]
+    /// consumed by the testbed supervisor's admission ladder: a degraded
+    /// model tightens admission watermarks, an open breaker forbids
+    /// sprint engages entirely.
     pub fn signal(self) -> simcore::HealthSignal {
         match self {
             DegradationLevel::FullModel => simcore::HealthSignal::Healthy,

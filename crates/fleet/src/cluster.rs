@@ -21,7 +21,7 @@
 //! successor starts granting. The worst-case overshoot is therefore
 //! bounded: stale leases from the old epoch coexist with fresh grants
 //! for at most one lease duration — the "budget plus one lease of
-//! slack" invariant checked by [`Tracker`].
+//! slack" invariant checked by the cluster's private `Tracker`.
 
 use std::collections::BTreeMap;
 use std::fmt;

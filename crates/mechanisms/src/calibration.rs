@@ -10,8 +10,8 @@
 //!    compute share toward frequency-insensitive work, bisected so the
 //!    aggregate full-execution speedup matches Table 1(C) exactly.
 //!
-//! The calibration runs once per process and is cached; both [`Dvfs`]
-//! (crate::dvfs) and [`Ec2Dvfs`] (crate::ec2) consume it, so a
+//! The calibration runs once per process and is cached; both
+//! [`Dvfs`](crate::Dvfs) and [`Ec2Dvfs`](crate::Ec2Dvfs) consume it, so a
 //! workload's frequency elasticity is a single intrinsic property.
 
 use crate::power::{pupil_search, uncore_ratio};

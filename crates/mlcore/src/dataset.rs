@@ -143,39 +143,6 @@ impl Dataset {
             targets: self.targets[..n].to_vec(),
         }
     }
-
-    /// Splits into `k` shuffled folds for cross-validation; returns
-    /// `(train, validation)` pairs, one per fold. Fold sizes differ by
-    /// at most one example.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` or `k` exceeds the number of examples.
-    pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
-        assert!(k >= 2, "need at least two folds");
-        assert!(k <= self.len(), "more folds than examples");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = rand_pcg_like(seed);
-        for i in (1..idx.len()).rev() {
-            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-            idx.swap(i, j);
-        }
-        (0..k)
-            .map(|fold| {
-                let mut train = Dataset::new(self.feature_names.clone());
-                let mut val = Dataset::new(self.feature_names.clone());
-                for (pos, &i) in idx.iter().enumerate() {
-                    let dst = if pos % k == fold {
-                        &mut val
-                    } else {
-                        &mut train
-                    };
-                    dst.push(self.rows[i].clone(), self.targets[i]);
-                }
-                (train, val)
-            })
-            .collect()
-    }
 }
 
 fn rand_pcg_like(seed: u64) -> SimRng {
@@ -337,29 +304,6 @@ mod tests {
             mean0 += n.transform(d.row(i))[0];
         }
         assert!((mean0 / d.len() as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn k_folds_partition_exactly() {
-        let d = toy();
-        let folds = d.k_folds(3, 9);
-        assert_eq!(folds.len(), 3);
-        let mut seen: Vec<f64> = Vec::new();
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), d.len());
-            seen.extend(val.targets());
-        }
-        // Every example appears in exactly one validation fold.
-        seen.sort_by(f64::total_cmp);
-        let mut expect: Vec<f64> = d.targets().to_vec();
-        expect.sort_by(f64::total_cmp);
-        assert_eq!(seen, expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two folds")]
-    fn k_folds_rejects_single_fold() {
-        let _ = toy().k_folds(1, 0);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! The modeling pipeline (§2.3–2.4, §3) needs tabular datasets over
 //! workload conditions and sprinting policies, seeded train/test
-//! splits, feature normalization and regression error metrics. This
-//! crate provides those pieces without any model-specific logic; the
-//! learners live in the `forest` and `ann` crates.
+//! splits and feature normalization. This crate provides those pieces
+//! without any model-specific logic; the learners live in the `forest`
+//! and `ann` crates, and the figures compute their prediction errors in
+//! `bench::stats`.
 
 pub mod dataset;
-pub mod metrics;
 
 pub use dataset::{Dataset, Normalizer};
-pub use metrics::{error_quantile, mean_abs_error, median_abs_relative_error, rmse};

@@ -4,7 +4,7 @@
 //! a sprint episode on one slot, a lease lifecycle (grant → renew →
 //! lapse/release), one control-RPC round trip, a coordinator's term in
 //! office, or a scheduled partition window. Spans are recorded through
-//! the ordinary [`FlightRecorder`] as [`EventKind::SpanOpened`] /
+//! the ordinary [`FlightRecorder`](crate::FlightRecorder) as [`EventKind::SpanOpened`] /
 //! [`EventKind::SpanClosed`] events, and causal edges between them as
 //! [`EventKind::CauseLinked`] — so tracing inherits every house rule of
 //! the recorder: it is off by default, draws no randomness, schedules

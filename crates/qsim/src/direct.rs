@@ -1,23 +1,27 @@
 //! The heap-free direct engine for single-slot simulations.
 //!
-//! The entire prediction path simulates G/G/1 queues (the paper's
-//! conditions fix one execution slot), yet the general engine pays for
-//! a binary-heap event calendar, a timeout event per arrival, and
-//! stale-generation slot events on every sprint transition. For k = 1
-//! none of that machinery is needed: service is FIFO and serial, so
-//! each query's departure follows from `start = max(arrival,
-//! previous departure)` plus a tiny per-query state machine with at
-//! most four instants of interest — dispatch, the query's own timeout,
-//! a budget-exhaustion wake-up, and completion.
+//! The entire prediction path simulates one-class G/G/1 queues (the
+//! paper's conditions fix one execution slot), yet the event loop of
+//! [`crate::sim`] pays for a binary-heap calendar, a query table, a
+//! timeout event per arrival, and stale-generation slot events on every
+//! sprint transition. For k = 1 none of that machinery is needed:
+//! service is FIFO and serial, so each query's departure follows from
+//! `start = max(arrival, previous departure)` plus a tiny per-query
+//! state machine with at most four instants of interest — dispatch,
+//! the query's own timeout, a budget-exhaustion wake-up, and
+//! completion. It reads the same one-class table entry (`Class`) and
+//! budget pool (`Pool`) as the event loop, and allocates nothing per
+//! query beyond the records it returns.
 //!
 //! **Bit-identity contract.** This engine reproduces the event
-//! calendar's results exactly, not approximately. That requires
-//! replicating three details:
+//! calendar's one-class results exactly, not approximately. That
+//! requires replicating three details:
 //!
 //! - *Quantization*: event times are microsecond-ceiled
 //!   ([`SimDuration::from_secs_f64_ceil`]) and work is integrated over
 //!   the quantized intervals, in the same floating-point operation
-//!   order as [`RunningQuery::advance`][advance].
+//!   order as the event loop's `RunningQuery::advance`, at the speedup
+//!   of the query's class (here the configuration's one class).
 //! - *Budget arithmetic*: the pool level is a running float sum, so
 //!   [`Pool::update`] must be called at exactly the calendar's update
 //!   instants (dispatch of a timed-out query, a running query's
@@ -35,10 +39,9 @@
 //! A randomized sweep in the tests below holds the engines bitwise
 //! equal across utilizations, timeouts, budgets, speedups, and
 //! arrival shapes.
-//!
-//! [advance]: crate::sim
+
 use crate::config::{QsimConfig, QsimResult, SimQuery};
-use crate::sim::{sprinting_possible, Inputs, Pool};
+use crate::sim::{Class, Inputs, Pool};
 use simcore::time::{SimDuration, SimTime};
 use simcore::SprintError;
 
@@ -138,8 +141,8 @@ fn run_core(
     mut emit: impl FnMut(SimTime, SimTime, bool, bool, f64),
 ) {
     let n = cfg.num_queries;
-    let sp = sprinting_possible(cfg);
-    let mut pool = Pool::new(cfg);
+    let class = Class::of(cfg);
+    let mut pool = Pool::new(cfg.budget_capacity_secs, cfg.refill_secs);
     let mut arrival = SimTime::ZERO;
     let mut prev_depart = SimTime::ZERO;
     for (i, (gap, w)) in feed.take(n).enumerate() {
@@ -149,8 +152,8 @@ fn run_core(
         } else {
             prev_depart
         };
-        let (depart, timed_out, sprinted, sprint_secs) = if sp {
-            serve_sprintable(cfg, &mut pool, arrival, start, w)
+        let (depart, timed_out, sprinted, sprint_secs) = if class.sprints {
+            serve_sprintable(&class, &mut pool, arrival, start, w)
         } else {
             // No sprinting: one completion event at the ceiled horizon.
             (
@@ -171,14 +174,14 @@ fn run_core(
 /// calendar's transitions: returns `(depart, timed_out, sprinted,
 /// sprint_secs)`.
 fn serve_sprintable(
-    cfg: &QsimConfig,
+    class: &Class<'_>,
     pool: &mut Pool,
     arrival: SimTime,
     start: SimTime,
     w: f64,
 ) -> (SimTime, bool, bool, f64) {
-    let speedup = cfg.sprint_speedup;
-    let t_to = arrival.saturating_add(cfg.timeout);
+    let speedup = class.speedup;
+    let t_to = arrival.saturating_add(class.timeout);
     // The calendar only schedules timeouts strictly before the sentinel.
     let has_to = t_to < SimTime::MAX;
     let mut timed_out = false;

@@ -1,4 +1,5 @@
-//! The timeout-aware G/G/k simulation loop (Algorithm 1, generalized).
+//! The timeout-aware G/G/k event loop (Algorithm 1, generalized) and
+//! the [`Qsim`] simulator that runs it.
 //!
 //! Compared to the ground-truth testbed, this simulator is
 //! deliberately *clean*: service is a single sampled duration, a sprint
@@ -6,13 +7,22 @@
 //! and toggling is free. Runtime effects the model cannot see are
 //! folded into the effective sprint rate supplied via
 //! [`QsimConfig::sprint_speedup`].
+//!
+//! The loop runs over a table of query classes, each with its own
+//! service distribution, sprint speedup and timeout, sharing one sprint
+//! budget. [`Qsim::run_event_driven`] is the one-class case and draws no
+//! class; [`crate::multiclass::MultiClassQsim`] hands the same loop its
+//! classes and a weighted class stream (§5's "small modifications").
+//! The loop builds its calendar, FIFO, slots, budget pool and query
+//! table only when it runs, so a [`Qsim`] that takes the single-slot
+//! direct engine never allocates them.
 
 use crate::config::{QsimConfig, QsimResult, SimQuery};
 use crate::trace::SimTrace;
-use simcore::dist::Dist;
+use simcore::dist::{Dist, DistKind};
 use simcore::event::EventQueue;
 use simcore::rng::SimRng;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::{Rate, SimDuration, SimTime};
 use simcore::SprintError;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -41,6 +51,21 @@ pub(crate) enum Inputs {
 }
 
 impl Inputs {
+    /// Live inputs on `root`'s arrival (label 1) and service (label 2)
+    /// streams, split in that order.
+    pub(crate) fn live(root: &mut SimRng, arrival_kind: DistKind, arrival_rate: Rate) -> Inputs {
+        let arrival_rng = root.split(1);
+        let service_rng = root.split(2);
+        Inputs::Live {
+            arrival_dist: Dist::Parametric {
+                kind: arrival_kind,
+                mean: arrival_rate.mean_interval(),
+            },
+            arrival_rng,
+            service_rng,
+        }
+    }
+
     /// Next inter-arrival gap.
     #[inline]
     pub(crate) fn next_gap(&mut self) -> SimDuration {
@@ -79,6 +104,49 @@ impl Inputs {
     }
 }
 
+/// One query class as the event loop sees it.
+#[derive(Debug)]
+pub(crate) struct Class<'a> {
+    /// Service-time distribution at the sustained rate.
+    pub(crate) service: &'a Dist,
+    /// Speedup applied to remaining work while sprinting (µe/µ).
+    pub(crate) speedup: f64,
+    /// Timeout after arrival that triggers sprinting.
+    pub(crate) timeout: SimDuration,
+    /// Whether this class's timeout can start a sprint at all: a real
+    /// speedup, a non-empty budget, and a finite timeout.
+    pub(crate) sprints: bool,
+}
+
+impl<'a> Class<'a> {
+    /// A class under a shared budget of `budget_capacity_secs`.
+    pub(crate) fn new(
+        service: &'a Dist,
+        speedup: f64,
+        timeout: SimDuration,
+        budget_capacity_secs: f64,
+    ) -> Class<'a> {
+        Class {
+            service,
+            speedup,
+            timeout,
+            sprints: (speedup - 1.0).abs() > 1e-12
+                && (budget_capacity_secs > 0.0 || budget_capacity_secs.is_infinite())
+                && timeout < SimDuration::MAX,
+        }
+    }
+
+    /// The single class of `cfg`.
+    pub(crate) fn of(cfg: &'a QsimConfig) -> Class<'a> {
+        Class::new(
+            &cfg.service,
+            cfg.sprint_speedup,
+            cfg.timeout,
+            cfg.budget_capacity_secs,
+        )
+    }
+}
+
 /// Event-calendar payloads.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -94,8 +162,11 @@ enum QState {
     Done,
 }
 
+/// One query's record in the event loop's table.
 #[derive(Debug)]
-struct QInfo {
+pub(crate) struct QInfo {
+    /// Index of the query's class in the class table.
+    pub(crate) class: usize,
     arrival: SimTime,
     depart: SimTime,
     service_secs: f64,
@@ -105,11 +176,26 @@ struct QInfo {
     state: QState,
 }
 
+impl QInfo {
+    /// The query's outcome as the simulators report it.
+    pub(crate) fn outcome(&self) -> SimQuery {
+        SimQuery {
+            arrival_secs: self.arrival.as_secs_f64(),
+            depart_secs: self.depart.as_secs_f64(),
+            timed_out: self.timed_out,
+            sprinted: self.sprinted,
+            sprint_secs: self.sprint_secs,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct RunningQuery {
     query: u64,
     /// Work remaining, measured in sustained-rate seconds.
     remaining_work: f64,
+    /// The query's class's sprint speedup.
+    speedup: f64,
     sprinting: bool,
     sprint_secs: f64,
     last_update: SimTime,
@@ -118,10 +204,10 @@ struct RunningQuery {
 
 impl RunningQuery {
     /// Integrates remaining work up to `now` at the current speed.
-    fn advance(&mut self, now: SimTime, sprint_speedup: f64) {
+    fn advance(&mut self, now: SimTime) {
         let dt = now.since(self.last_update).as_secs_f64();
         self.last_update = now;
-        let speed = if self.sprinting { sprint_speedup } else { 1.0 };
+        let speed = if self.sprinting { self.speedup } else { 1.0 };
         if self.sprinting {
             self.sprint_secs += dt;
         }
@@ -140,12 +226,14 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    /// A full pool for `cfg`, last updated at time zero.
-    pub(crate) fn new(cfg: &QsimConfig) -> Pool {
+    /// A full pool of `capacity` sprint-seconds that refills from empty
+    /// in `refill_secs` (zero means instant, clamped to 1 ns), last
+    /// updated at time zero.
+    pub(crate) fn new(capacity: f64, refill_secs: f64) -> Pool {
         Pool {
-            capacity: cfg.budget_capacity_secs,
-            level: cfg.budget_capacity_secs,
-            refill_secs: cfg.refill_secs.max(1e-9),
+            capacity,
+            level: capacity,
+            refill_secs: refill_secs.max(1e-9),
             sprinting: 0,
             last: SimTime::ZERO,
         }
@@ -216,26 +304,11 @@ pub(crate) fn validate(cfg: &QsimConfig) -> Result<(), SprintError> {
     Ok(())
 }
 
-/// Whether this configuration can sprint at all: a real speedup, a
-/// non-empty budget, and a finite timeout.
-pub(crate) fn sprinting_possible(cfg: &QsimConfig) -> bool {
-    (cfg.sprint_speedup - 1.0).abs() > 1e-12
-        && (cfg.budget_capacity_secs > 0.0 || cfg.budget_capacity_secs.is_infinite())
-        && cfg.timeout < SimDuration::MAX
-}
-
-/// The queue simulator.
+/// The queue simulator: a validated configuration and its inputs. The
+/// engine that runs it builds its own state.
 pub struct Qsim {
     cfg: Arc<QsimConfig>,
-    events: EventQueue<Ev>,
-    fifo: VecDeque<u64>,
-    slots: Vec<Option<RunningQuery>>,
-    pool: Pool,
-    queries: Vec<QInfo>,
-    done: usize,
-    arrivals_left: usize,
     inputs: Inputs,
-    next_gen: u64,
 }
 
 impl Qsim {
@@ -246,33 +319,16 @@ impl Qsim {
     /// Returns [`SprintError::InvalidConfig`] on zero slots/queries, a
     /// non-positive sprint speedup, or an invalid budget.
     pub fn new(cfg: QsimConfig) -> Result<Qsim, SprintError> {
-        Qsim::shared(Arc::new(cfg))
-    }
-
-    /// Builds a simulator over a shared configuration — the batch path,
-    /// which avoids cloning the (possibly large, empirical-table-
-    /// carrying) config per task.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`Qsim::new`].
-    pub fn shared(cfg: Arc<QsimConfig>) -> Result<Qsim, SprintError> {
         validate(&cfg)?;
-        let mut root = SimRng::new(cfg.seed);
-        let arrival_rng = root.split(1);
-        let service_rng = root.split(2);
-        let arrival_dist = Dist::Parametric {
-            kind: cfg.arrival_kind,
-            mean: cfg.arrival_rate.mean_interval(),
-        };
-        Ok(Qsim::build(
-            cfg,
-            Inputs::Live {
-                arrival_dist,
-                arrival_rng,
-                service_rng,
-            },
-        ))
+        let inputs = Inputs::live(
+            &mut SimRng::new(cfg.seed),
+            cfg.arrival_kind,
+            cfg.arrival_rate,
+        );
+        Ok(Qsim {
+            cfg: Arc::new(cfg),
+            inputs,
+        })
     }
 
     /// Builds a simulator that replays a pre-materialized trace instead
@@ -297,40 +353,26 @@ impl Qsim {
                 ),
             ));
         }
-        Ok(Qsim::build(
+        Ok(Qsim {
             cfg,
-            Inputs::Trace {
+            inputs: Inputs::Trace {
                 trace,
                 gaps_used: 0,
                 services_used: 0,
             },
-        ))
-    }
-
-    fn build(cfg: Arc<QsimConfig>, inputs: Inputs) -> Qsim {
-        Qsim {
-            events: EventQueue::new(),
-            fifo: VecDeque::new(),
-            slots: (0..cfg.slots).map(|_| None).collect(),
-            pool: Pool::new(&cfg),
-            queries: Vec::with_capacity(cfg.num_queries),
-            done: 0,
-            arrivals_left: cfg.num_queries,
-            inputs,
-            next_gen: 0,
-            cfg,
-        }
+        })
     }
 
     /// Runs to completion and returns steady-state per-query outcomes.
     ///
     /// Single-slot configurations (k = 1, the entire prediction path)
-    /// take the heap-free direct recurrence in [`crate::direct`]; every
-    /// other slot count runs the binary-heap event calendar
-    /// ([`Qsim::run_event_driven`]). The two are bit-identical at
-    /// k = 1 — the direct engine replicates the calendar's microsecond
-    /// quantization, floating-point operation order and event tie
-    /// order exactly, and randomized regression tests hold that line.
+    /// take the heap-free direct recurrence of the crate-private
+    /// `direct` module; every other slot count runs the binary-heap
+    /// event calendar ([`Qsim::run_event_driven`]). The two are
+    /// bit-identical at k = 1 — the direct engine replicates the
+    /// calendar's microsecond quantization, floating-point operation
+    /// order and event tie order exactly, and randomized regression
+    /// tests hold that line.
     ///
     /// # Errors
     ///
@@ -338,12 +380,9 @@ impl Qsim {
     /// with queries outstanding or a slot invariant is violated — both
     /// indicate a simulator bug, surfaced as a typed error rather than
     /// a panic so batch sweeps can report and continue.
-    pub fn run(self) -> Result<QsimResult, SprintError> {
+    pub fn run(mut self) -> Result<QsimResult, SprintError> {
         if self.cfg.slots == 1 {
-            let Qsim {
-                cfg, mut inputs, ..
-            } = self;
-            crate::direct::run_direct(&cfg, &mut inputs)
+            crate::direct::run_direct(&self.cfg, &mut self.inputs)
         } else {
             self.run_event_driven()
         }
@@ -363,63 +402,120 @@ impl Qsim {
     ///
     /// Panics if the run produced no steady-state queries, mirroring
     /// [`QsimResult::mean_response_secs`].
-    pub fn run_mean_response(self) -> Result<f64, SprintError> {
+    pub fn run_mean_response(mut self) -> Result<f64, SprintError> {
         if self.cfg.slots == 1 {
-            let Qsim {
-                cfg, mut inputs, ..
-            } = self;
-            crate::direct::run_direct_mean(&cfg, &mut inputs)
+            crate::direct::run_direct_mean(&self.cfg, &mut self.inputs)
         } else {
             Ok(self.run()?.mean_response_secs())
         }
     }
 
     /// Runs to completion on the binary-heap event calendar regardless
-    /// of slot count — the reference implementation the direct engine
-    /// is tested against.
+    /// of slot count, as the one-class case of the event loop — the
+    /// reference implementation the direct engine is tested against.
     ///
     /// # Errors
     ///
     /// As [`Qsim::run`].
     pub fn run_event_driven(mut self) -> Result<QsimResult, SprintError> {
-        let gap = self.inputs.next_gap();
-        self.events.schedule(SimTime::ZERO + gap, Ev::Arrival);
-        while self.done < self.cfg.num_queries {
-            let Some((now, ev)) = self.events.pop() else {
-                return Err(SprintError::runtime(
-                    "Qsim::run",
-                    format!(
-                        "event queue drained with {} of {} queries outstanding",
-                        self.cfg.num_queries - self.done,
-                        self.cfg.num_queries
-                    ),
-                ));
-            };
-            match ev {
-                Ev::Arrival => self.on_arrival(now)?,
-                Ev::Timeout(id) => self.on_timeout(now, id)?,
-                Ev::Slot { slot, gen } => self.on_slot(now, slot, gen)?,
-            }
-        }
-        let queries = self
-            .queries
-            .iter()
-            .skip(self.cfg.warmup)
-            .map(|q| SimQuery {
-                arrival_secs: q.arrival.as_secs_f64(),
-                depart_secs: q.depart.as_secs_f64(),
-                timed_out: q.timed_out,
-                sprinted: q.sprinted,
-                sprint_secs: q.sprint_secs,
-            })
-            .collect();
-        Ok(QsimResult { queries })
+        let cfg = &*self.cfg;
+        let queries = run_calendar(
+            cfg.slots,
+            cfg.num_queries,
+            Pool::new(cfg.budget_capacity_secs, cfg.refill_secs),
+            &[Class::of(cfg)],
+            || 0,
+            &mut self.inputs,
+        )?;
+        Ok(QsimResult {
+            queries: queries
+                .iter()
+                .skip(cfg.warmup)
+                .map(QInfo::outcome)
+                .collect(),
+        })
     }
+}
 
+/// Runs `num_queries` queries on `slots` execution slots over the
+/// binary-heap event calendar and returns every query's record in
+/// arrival order, warmup included.
+///
+/// Each arrival draws its class from `draw_class` (an index into
+/// `classes`) before its service demand; `pool` is the budget all
+/// classes share.
+///
+/// # Errors
+///
+/// Returns [`SprintError::Runtime`] if the calendar drains with queries
+/// outstanding or a slot invariant is violated — both indicate a
+/// simulator bug, surfaced as a typed error rather than a panic so
+/// batch sweeps can report and continue.
+pub(crate) fn run_calendar(
+    slots: usize,
+    num_queries: usize,
+    pool: Pool,
+    classes: &[Class<'_>],
+    draw_class: impl FnMut() -> usize,
+    inputs: &mut Inputs,
+) -> Result<Vec<QInfo>, SprintError> {
+    let mut cal = Calendar {
+        classes,
+        draw_class,
+        inputs,
+        events: EventQueue::new(),
+        fifo: VecDeque::new(),
+        slots: (0..slots).map(|_| None).collect(),
+        pool,
+        queries: Vec::with_capacity(num_queries),
+        done: 0,
+        arrivals_left: num_queries,
+        next_gen: 0,
+    };
+    let gap = cal.inputs.next_gap();
+    cal.events.schedule(SimTime::ZERO + gap, Ev::Arrival);
+    while cal.done < num_queries {
+        let Some((now, ev)) = cal.events.pop() else {
+            return Err(SprintError::runtime(
+                "qsim::sim::run_calendar",
+                format!(
+                    "event queue drained with {} of {num_queries} queries outstanding",
+                    num_queries - cal.done
+                ),
+            ));
+        };
+        match ev {
+            Ev::Arrival => cal.on_arrival(now)?,
+            Ev::Timeout(id) => cal.on_timeout(now, id)?,
+            Ev::Slot { slot, gen } => cal.on_slot(now, slot, gen)?,
+        }
+    }
+    Ok(cal.queries)
+}
+
+/// The event loop's state for one run.
+struct Calendar<'r, D> {
+    classes: &'r [Class<'r>],
+    draw_class: D,
+    inputs: &'r mut Inputs,
+    events: EventQueue<Ev>,
+    fifo: VecDeque<u64>,
+    slots: Vec<Option<RunningQuery>>,
+    pool: Pool,
+    queries: Vec<QInfo>,
+    done: usize,
+    arrivals_left: usize,
+    next_gen: u64,
+}
+
+impl<D: FnMut() -> usize> Calendar<'_, D> {
     fn on_arrival(&mut self, now: SimTime) -> Result<(), SprintError> {
         let id = self.queries.len() as u64;
-        let service_secs = self.inputs.next_service_secs(&self.cfg.service);
+        let class = (self.draw_class)();
+        let spec = &self.classes[class];
+        let service_secs = self.inputs.next_service_secs(spec.service);
         self.queries.push(QInfo {
+            class,
             arrival: now,
             depart: SimTime::ZERO,
             service_secs,
@@ -428,8 +524,8 @@ impl Qsim {
             sprint_secs: 0.0,
             state: QState::Queued,
         });
-        if self.sprinting_possible() {
-            let at = now.saturating_add(self.cfg.timeout);
+        if spec.sprints {
+            let at = now.saturating_add(spec.timeout);
             if at < SimTime::MAX {
                 self.events.schedule(at, Ev::Timeout(id));
             }
@@ -459,10 +555,9 @@ impl Qsim {
                 if !self.pool.available() {
                     return Ok(());
                 }
-                let speedup = self.cfg.sprint_speedup;
-                let r = occupied(&mut self.slots, slot, "Qsim::on_timeout")?;
+                let r = occupied(&mut self.slots, slot, "Calendar::on_timeout")?;
                 if !r.sprinting {
-                    r.advance(now, speedup);
+                    r.advance(now);
                     r.sprinting = true;
                     self.queries[id as usize].sprinted = true;
                     self.pool.sprinting += 1;
@@ -481,10 +576,9 @@ impl Qsim {
             return Ok(());
         }
         self.pool.update(now);
-        let speedup = self.cfg.sprint_speedup;
-        let r = occupied(&mut self.slots, slot, "Qsim::on_slot")?;
+        let r = occupied(&mut self.slots, slot, "Calendar::on_slot")?;
         let was_sprinting = r.sprinting;
-        r.advance(now, speedup);
+        r.advance(now);
         // Two microseconds of slack: completion events are scheduled at
         // microsecond resolution and may round down by up to half a
         // microsecond.
@@ -504,7 +598,10 @@ impl Qsim {
 
     fn complete(&mut self, now: SimTime, slot: usize) -> Result<(), SprintError> {
         let r = self.slots[slot].take().ok_or_else(|| {
-            SprintError::runtime("Qsim::complete", format!("slot {slot} unexpectedly empty"))
+            SprintError::runtime(
+                "Calendar::complete",
+                format!("slot {slot} unexpectedly empty"),
+            )
         })?;
         if r.sprinting {
             self.pool.sprinting -= 1;
@@ -524,20 +621,23 @@ impl Qsim {
     fn dispatch(&mut self, now: SimTime, id: u64, slot: usize) -> Result<(), SprintError> {
         let info = &mut self.queries[id as usize];
         info.state = QState::Running(slot);
-        let timed_out = info.timed_out;
         let remaining_work = info.service_secs;
+        let speedup = self.classes[info.class].speedup;
         let mut sprinting = false;
-        if timed_out && self.sprinting_possible() {
+        // Only a class that can sprint arms a timeout, so a timed-out
+        // query's class can.
+        if info.timed_out {
             self.pool.update(now);
             if self.pool.available() {
                 sprinting = true;
-                self.queries[id as usize].sprinted = true;
+                info.sprinted = true;
                 self.pool.sprinting += 1;
             }
         }
         self.slots[slot] = Some(RunningQuery {
             query: id,
             remaining_work,
+            speedup,
             sprinting,
             sprint_secs: 0.0,
             last_update: now,
@@ -555,13 +655,9 @@ impl Qsim {
     fn reschedule(&mut self, now: SimTime, slot: usize) -> Result<(), SprintError> {
         self.next_gen += 1;
         let gen = self.next_gen;
-        let r = occupied(&mut self.slots, slot, "Qsim::reschedule")?;
+        let r = occupied(&mut self.slots, slot, "Calendar::reschedule")?;
         r.gen = gen;
-        let speed = if r.sprinting {
-            self.cfg.sprint_speedup
-        } else {
-            1.0
-        };
+        let speed = if r.sprinting { r.speedup } else { 1.0 };
         let mut horizon = r.remaining_work / speed;
         if r.sprinting {
             if let Some(exhaust) = self.pool.seconds_to_exhaustion() {
@@ -576,20 +672,14 @@ impl Qsim {
     }
 
     fn reschedule_all_sprinting(&mut self, now: SimTime) -> Result<(), SprintError> {
-        let speedup = self.cfg.sprint_speedup;
         for i in 0..self.slots.len() {
             let needs = matches!(&self.slots[i], Some(r) if r.sprinting);
             if needs {
-                let r = occupied(&mut self.slots, i, "Qsim::reschedule_all_sprinting")?;
-                r.advance(now, speedup);
+                occupied(&mut self.slots, i, "Calendar::reschedule_all_sprinting")?.advance(now);
                 self.reschedule(now, i)?;
             }
         }
         Ok(())
-    }
-
-    fn sprinting_possible(&self) -> bool {
-        sprinting_possible(&self.cfg)
     }
 }
 

@@ -21,6 +21,7 @@
 
 use crate::config::QsimConfig;
 use crate::shared::CappedMap;
+use crate::sim::Inputs;
 use simcore::dist::{Dist, DistKind};
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
@@ -48,25 +49,17 @@ impl SimTrace {
     }
 
     /// Materializes the trace a live run of `cfg.with_seed(seed)` would
-    /// draw. The draw-order contract with [`crate::sim::Qsim`]: one
-    /// root RNG split into an arrival stream (label 1) and a service
-    /// stream (label 2); gaps and services are each drawn sequentially
-    /// within their stream, and service demands are floored at 1 µs
-    /// exactly as the simulator floors them.
+    /// draw. The draw-order contract with [`crate::sim::Qsim`]: the
+    /// trace draws through the simulator's own live inputs (one root
+    /// RNG split into an arrival stream, label 1, and a service stream,
+    /// label 2), gaps and services each sequentially within their
+    /// stream, with service demands floored at 1 µs.
     pub fn materialize_with_seed(cfg: &QsimConfig, seed: u64) -> SimTrace {
-        let mut root = SimRng::new(seed);
-        let mut arrival_rng = root.split(1);
-        let mut service_rng = root.split(2);
-        let arrival_dist = Dist::Parametric {
-            kind: cfg.arrival_kind,
-            mean: cfg.arrival_rate.mean_interval(),
-        };
+        let mut live = Inputs::live(&mut SimRng::new(seed), cfg.arrival_kind, cfg.arrival_rate);
         let n = cfg.num_queries;
-        let arrival_gaps = (0..n)
-            .map(|_| arrival_dist.sample(&mut arrival_rng))
-            .collect();
+        let arrival_gaps = (0..n).map(|_| live.next_gap()).collect();
         let service_secs = (0..n)
-            .map(|_| cfg.service.sample(&mut service_rng).as_secs_f64().max(1e-6))
+            .map(|_| live.next_service_secs(&cfg.service))
             .collect();
         SimTrace {
             seed,

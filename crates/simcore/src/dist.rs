@@ -164,27 +164,6 @@ impl Dist {
             Dist::Empirical { samples } => samples[rng.index(samples.len())],
         }
     }
-
-    /// Returns a copy of this distribution rescaled to a new mean,
-    /// preserving shape. Empirical samples are scaled proportionally.
-    pub fn with_mean(&self, new_mean: SimDuration) -> Dist {
-        match self {
-            Dist::Parametric { kind, .. } => Dist::Parametric {
-                kind: *kind,
-                mean: new_mean,
-            },
-            Dist::Empirical { samples } => {
-                let old = self.mean().as_secs_f64();
-                if old == 0.0 {
-                    return Dist::deterministic(new_mean);
-                }
-                let f = new_mean.as_secs_f64() / old;
-                Dist::Empirical {
-                    samples: samples.iter().map(|d| d.mul_f64(f)).collect(),
-                }
-            }
-        }
-    }
 }
 
 fn sample_exponential(rng: &mut SimRng, mean: f64) -> f64 {
@@ -350,16 +329,6 @@ mod tests {
         for _ in 0..100 {
             assert!(samples.contains(&d.sample(&mut rng)));
         }
-    }
-
-    #[test]
-    fn with_mean_rescales_parametric_and_empirical() {
-        let p = Dist::exponential(SimDuration::from_secs(10)).with_mean(SimDuration::from_secs(20));
-        assert_eq!(p.mean(), SimDuration::from_secs(20));
-
-        let e = Dist::empirical(vec![SimDuration::from_secs(2), SimDuration::from_secs(4)])
-            .with_mean(SimDuration::from_secs(6));
-        assert_eq!(e.mean(), SimDuration::from_secs(6));
     }
 
     #[test]

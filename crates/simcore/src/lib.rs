@@ -13,8 +13,8 @@
 //!   profiled service times.
 //! - [`event`]: a generic discrete-event calendar with stable FIFO
 //!   ordering for simultaneous events.
-//! - [`stats`]: streaming moments, percentile estimation, histograms and
-//!   error-CDF helpers used throughout the evaluation harness.
+//! - [`stats`]: streaming moments and percentile estimation used
+//!   throughout the evaluation harness.
 //! - [`table`]: plain-text table rendering for the experiment binaries.
 //! - [`error`]: the workspace-wide typed error ([`SprintError`]) returned
 //!   by config validation across the stack.
@@ -60,5 +60,5 @@ pub use event::EventQueue;
 pub use health::HealthSignal;
 pub use json::Json;
 pub use rng::SimRng;
-pub use stats::{Cdf, Histogram, StreamingStats};
+pub use stats::StreamingStats;
 pub use time::{Rate, SimDuration, SimTime};

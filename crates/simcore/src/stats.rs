@@ -1,12 +1,9 @@
 //! Statistics used across profiling, modeling and evaluation.
 //!
-//! The evaluation (§3) reports medians, percentile bars, CDFs of
-//! absolute relative error, and the coefficient of variation of
-//! prediction throughput (Fig. 11). This module provides those
-//! primitives: Welford streaming moments, exact percentile queries over
-//! collected samples, histograms, and error-CDF helpers.
-
-use crate::time::SimDuration;
+//! The evaluation (§3) reports medians, percentile bars and the
+//! coefficient of variation of prediction throughput (Fig. 11). This
+//! module provides those primitives: Welford streaming moments and
+//! exact percentile queries over collected samples.
 
 /// Streaming count/mean/variance/min/max via Welford's algorithm.
 #[derive(Debug, Clone, Default)]
@@ -166,161 +163,6 @@ impl Percentiles {
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
     }
-
-    /// Fraction of samples at or below `x`.
-    pub fn cdf_at(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let k = self.sorted.partition_point(|&s| s <= x);
-        k as f64 / self.sorted.len() as f64
-    }
-}
-
-/// An empirical CDF sampled at fixed points, for figure output.
-#[derive(Debug, Clone)]
-pub struct Cdf {
-    /// `(value, cumulative fraction)` pairs in ascending value order.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Cdf {
-    /// Builds a CDF evaluated at `resolution` evenly spaced value points
-    /// between the sample min and max.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or `resolution` < 2.
-    pub fn from_samples(samples: &[f64], resolution: usize) -> Self {
-        assert!(!samples.is_empty(), "CDF of empty sample set");
-        assert!(resolution >= 2, "resolution must be at least 2");
-        let p = Percentiles::from_samples(samples.to_vec());
-        let (lo, hi) = (p.sorted[0], *p.sorted.last().expect("non-empty"));
-        let span = (hi - lo).max(f64::MIN_POSITIVE);
-        let points = (0..resolution)
-            .map(|i| {
-                let x = lo + span * i as f64 / (resolution - 1) as f64;
-                (x, p.cdf_at(x))
-            })
-            .collect();
-        Cdf { points }
-    }
-
-    /// The fraction of mass at or below `x` (step interpolation).
-    pub fn at(&self, x: f64) -> f64 {
-        let mut frac = 0.0;
-        for &(v, f) in &self.points {
-            if v <= x {
-                frac = f;
-            } else {
-                break;
-            }
-        }
-        frac
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "empty histogram range");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.bins[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of buckets.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Total observations recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Observations above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-}
-
-/// Absolute relative error `|predicted - observed| / observed`.
-///
-/// # Panics
-///
-/// Panics if `observed` is zero.
-pub fn abs_relative_error(predicted: f64, observed: f64) -> f64 {
-    assert!(observed != 0.0, "relative error undefined at observed = 0");
-    (predicted - observed).abs() / observed.abs()
-}
-
-/// Median of the absolute relative errors of `(predicted, observed)`
-/// pairs — the headline accuracy metric in §3.
-///
-/// # Panics
-///
-/// Panics if `pairs` is empty or any observation is zero.
-pub fn median_abs_relative_error(pairs: &[(f64, f64)]) -> f64 {
-    assert!(!pairs.is_empty(), "no prediction pairs");
-    let errs: Vec<f64> = pairs
-        .iter()
-        .map(|&(p, o)| abs_relative_error(p, o))
-        .collect();
-    Percentiles::from_samples(errs).median()
-}
-
-/// Mean of a set of durations as a `SimDuration`.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-pub fn mean_duration(xs: &[SimDuration]) -> SimDuration {
-    assert!(!xs.is_empty(), "mean of empty duration set");
-    let total: u128 = xs.iter().map(|d| d.0 as u128).sum();
-    SimDuration((total / xs.len() as u128) as u64)
 }
 
 #[cfg(test)]
@@ -392,63 +234,5 @@ mod tests {
         let p = Percentiles::from_samples(vec![42.0]);
         assert_eq!(p.median(), 42.0);
         assert_eq!(p.quantile(0.99), 42.0);
-    }
-
-    #[test]
-    fn cdf_at_counts_inclusive() {
-        let p = Percentiles::from_samples(vec![1.0, 2.0, 2.0, 5.0]);
-        assert_eq!(p.cdf_at(0.5), 0.0);
-        assert_eq!(p.cdf_at(2.0), 0.75);
-        assert_eq!(p.cdf_at(5.0), 1.0);
-    }
-
-    #[test]
-    fn cdf_curve_monotone() {
-        let samples: Vec<f64> = (0..500).map(|i| ((i * 37) % 101) as f64).collect();
-        let cdf = Cdf::from_samples(&samples, 50);
-        let mut prev = 0.0;
-        for &(_, f) in &cdf.points {
-            assert!(f >= prev);
-            prev = f;
-        }
-        assert!((cdf.points.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.99, -1.0, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bin(0), 1);
-        assert_eq!(h.bin(1), 2);
-        assert_eq!(h.bin(9), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.num_bins(), 10);
-    }
-
-    #[test]
-    fn relative_error_metrics() {
-        assert!((abs_relative_error(110.0, 100.0) - 0.1).abs() < 1e-12);
-        let pairs = [(110.0, 100.0), (90.0, 100.0), (150.0, 100.0)];
-        assert!((median_abs_relative_error(&pairs) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_duration_exact() {
-        let xs = [
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(20),
-            SimDuration::from_secs(30),
-        ];
-        assert_eq!(mean_duration(&xs), SimDuration::from_secs(20));
-    }
-
-    #[test]
-    #[should_panic(expected = "relative error undefined")]
-    fn relative_error_rejects_zero_observed() {
-        let _ = abs_relative_error(1.0, 0.0);
     }
 }

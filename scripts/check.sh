@@ -45,6 +45,9 @@ run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
 run cargo fmt --all -- --check
 run cargo clippy --all-targets --workspace --offline -- -D warnings
+# Documentation gate: every intra-doc link resolves, and no public doc
+# links a private item.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The benchmark package has a [workspace] of its own, so the --workspace
 # steps above skip it: run its unit tests, lints and format check here.
