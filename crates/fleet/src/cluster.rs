@@ -23,7 +23,8 @@
 //! for at most one lease duration — the "budget plus one lease of
 //! slack" invariant checked by the cluster's private `Tracker`.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 use faults::FaultCounters;
@@ -1004,9 +1005,15 @@ struct Cluster<'m> {
     servers: Vec<Option<Server<'m>>>,
     /// Next event time of each live server, refreshed by
     /// [`Cluster::on_server`] after every access that can change it;
-    /// `None` once the node completed. The interleave scans this
-    /// instead of peeking every server's queue.
+    /// `None` once the node completed.
     next_t: Vec<Option<SimTime>>,
+    /// Min-heap of `(time, node)` over the live nodes' next event
+    /// times: [`Cluster::on_server`] pushes a node's time whenever it
+    /// changes, and [`Cluster::run`] drops top entries that no longer
+    /// match `next_t`. An entry that matches is live; duplicates of a
+    /// live entry are harmless. Each change costs O(log N), and finding
+    /// the earliest node event costs O(1) amortized.
+    node_times: BinaryHeap<Reverse<(SimTime, usize)>>,
     results: Vec<Option<RunResult>>,
     coords: Vec<Coordinator>,
     tracker: Tracker,
@@ -1092,6 +1099,7 @@ impl<'m> Cluster<'m> {
             agents,
             servers,
             next_t: vec![None; n as usize],
+            node_times: BinaryHeap::with_capacity(n as usize),
             results: (0..n).map(|_| None).collect(),
             coords,
             reactor: Reactor::new(),
@@ -1198,14 +1206,21 @@ impl<'m> Cluster<'m> {
     }
 
     /// Runs `f` on node `n`'s server while the node is live, then
-    /// refreshes the node's cached next-event time and moves the node's
-    /// new journal entries into the run's journal. Every `&mut Server`
-    /// access goes through here, so the interleave's cache cannot go
-    /// stale and the journal holds every entry in execution order.
+    /// refreshes the node's cached next-event time (pushing a changed
+    /// time onto the interleave's heap) and moves the node's new journal
+    /// entries into the run's journal. Every `&mut Server` access goes
+    /// through here, so the interleave's cache cannot go stale and the
+    /// journal holds every entry in execution order.
     fn on_server<T>(&mut self, n: usize, f: impl FnOnce(&mut Server<'m>) -> T) -> Option<T> {
         let server = self.servers[n].as_mut()?;
         let out = f(server);
-        self.next_t[n] = server.peek_time();
+        let t = server.peek_time();
+        if t != self.next_t[n] {
+            self.next_t[n] = t;
+            if let Some(t) = t {
+                self.node_times.push(Reverse((t, n)));
+            }
+        }
         if let Some(journal) = self.obs.journal.as_mut() {
             for e in server.drain_journal() {
                 let record = FleetRecord(FleetItem::Node(n as u32, e.what));
@@ -1965,17 +1980,18 @@ impl<'m> Cluster<'m> {
         self.init();
         while !self.all_done() {
             // Global virtual-time interleave: the earliest event across
-            // the fleet reactor and every live node's queue runs next;
-            // ties go to the control plane, then the lowest node index.
+            // the control plane's reactor and every live node server's
+            // own queue runs next; ties go to the control plane, then
+            // the lowest node index, which the heap's `(time, node)`
+            // order gives.
             let fleet_t = self.reactor.peek_time();
-            let mut node_next: Option<(SimTime, usize)> = None;
-            for (i, t) in self.next_t.iter().enumerate() {
-                if let Some(t) = *t {
-                    if node_next.is_none_or(|(bt, _)| t < bt) {
-                        node_next = Some((t, i));
-                    }
+            while let Some(&Reverse((t, i))) = self.node_times.peek() {
+                if self.next_t[i] == Some(t) {
+                    break;
                 }
+                self.node_times.pop();
             }
+            let node_next = self.node_times.peek().map(|&Reverse(top)| top);
             match (fleet_t, node_next) {
                 (None, None) => {
                     return Err(SprintError::invalid(
@@ -2209,6 +2225,82 @@ mod tests {
         assert_eq!(
             first,
             [(t, "n0 Arrival"), (t, "n1 Arrival"), (t, "n2 Arrival")]
+        );
+    }
+
+    /// FNV-1a 64 of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the tie order across whole runs. With deterministic arrivals
+    /// every node's queries arrive at the same instants, so the
+    /// interleave breaks a tie between nodes at every arrival, and
+    /// between nodes and the control plane wherever a timer or message
+    /// lands on one: through a failover, and through a partition with a
+    /// lossy control plane. The journal holds entries in execution
+    /// order, so a change to which source runs first at a shared instant
+    /// changes its digest. No catalog plan has such ties, so the
+    /// scenario crate's digests cannot see this.
+    #[test]
+    fn tied_fleet_journals_match_committed_digests() {
+        let tied = |seed, nodes| {
+            let mut spec = FleetSpec::small(seed, nodes).expect("small fleet");
+            spec.template.cfg.arrivals.kind = DistKind::Deterministic;
+            spec
+        };
+        let plain = tied(23, 8);
+        let mut crash = tied(31, 12);
+        crash.faults.coordinator_crashes.push(CoordinatorCrash {
+            coordinator: 0,
+            at_secs: 90.0,
+            repair_secs: 120.0,
+        });
+        let mut lossy = tied(47, 16);
+        lossy.faults.partitions.push(FleetPartition {
+            coords_a: vec![0],
+            nodes_a_lo: 0,
+            nodes_a_hi: 8,
+            start_secs: 70.0,
+            duration_secs: 150.0,
+        });
+        lossy.faults.messages.drop_prob = 0.1;
+        lossy.faults.messages.delay_prob = 0.2;
+        lossy.faults.messages.delay_secs = 3.0;
+        lossy.faults.messages.dup_prob = 0.1;
+        let cases = [
+            ("plain", plain, 3273, 0xa987_aa91_2015_e787),
+            ("coordinator-crash", crash, 4188, 0x88b8_b9c6_d0a4_9492),
+            ("partition-lossy", lossy, 6035, 0x72a9_b7bd_0497_d006),
+        ];
+        let mut mismatches = Vec::new();
+        let mut results = Vec::new();
+        for (name, spec, entries, want) in cases {
+            let (result, journal) = run_fleet_journaled(&spec).expect("fleet runs");
+            assert!(result.invariants_clean(), "{name}: {:?}", result.violations);
+            results.push(result);
+            let got = fnv1a(journal.to_jsonl().as_bytes());
+            if got != want || journal.len() != entries {
+                mismatches.push(format!(
+                    "{name}: digest {got:#018x} over {} entries, committed {want:#018x} \
+                     over {entries}",
+                    journal.len()
+                ));
+            }
+        }
+        assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+        // Each faulted fleet meets the fault it is named for.
+        assert!(results[1].stats.elections >= 1, "{:?}", results[1].stats);
+        let lossy = &results[2].counters;
+        assert!(
+            lossy.partition_drops > 0 && lossy.msgs_dropped > 0,
+            "{lossy:?}"
+        );
+        assert!(
+            lossy.msgs_delayed > 0 && lossy.msgs_duplicated > 0,
+            "{lossy:?}"
         );
     }
 

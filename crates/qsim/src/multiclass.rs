@@ -86,22 +86,6 @@ impl MultiClassResult {
             .sum::<f64>()
             / self.queries.len() as f64
     }
-
-    /// Mean response time of one class, or `None` if it saw no
-    /// steady-state queries.
-    pub fn class_mean_response_secs(&self, class: usize) -> Option<f64> {
-        let rts: Vec<f64> = self
-            .queries
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|(_, q)| q.response_secs())
-            .collect();
-        if rts.is_empty() {
-            None
-        } else {
-            Some(rts.iter().sum::<f64>() / rts.len() as f64)
-        }
-    }
 }
 
 /// The multi-class simulator: a validated configuration and its
@@ -133,12 +117,7 @@ impl MultiClassQsim {
             "MultiClassConfig::budget_capacity_secs",
             cfg.budget_capacity_secs,
         )?;
-        if cfg.refill_secs.is_nan() || cfg.refill_secs < 0.0 {
-            return Err(SprintError::invalid(
-                "MultiClassConfig::refill_secs",
-                format!("refill time must be non-negative, got {}", cfg.refill_secs),
-            ));
-        }
+        SprintError::require_non_negative("MultiClassConfig::refill_secs", cfg.refill_secs)?;
         for (i, c) in cfg.classes.iter().enumerate() {
             if !(c.weight >= 0.0 && c.weight.is_finite()) {
                 return Err(SprintError::invalid(
@@ -265,11 +244,46 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let fast = r.class_mean_response_secs(0).expect("class 0 present");
-        let slow = r.class_mean_response_secs(1).expect("class 1 present");
+        let class_mean = |class| {
+            let (n, sum) = r
+                .queries
+                .iter()
+                .filter(|(c, _)| *c == class)
+                .fold((0, 0.0), |(n, sum), (_, q)| {
+                    (n + 1, sum + q.response_secs())
+                });
+            assert!(n > 0, "class {class} saw no steady-state queries");
+            sum / f64::from(n)
+        };
+        let fast = class_mean(0);
+        let slow = class_mean(1);
         assert!(slow > fast, "slow class {slow} !> fast class {fast}");
         assert!(r.mean_response_secs() > fast);
         assert!(r.mean_response_secs() < slow);
+    }
+
+    /// Both simulators hold refill to one rule, each naming its own
+    /// field: zero (instant) and infinity pass, negative and NaN fail.
+    #[test]
+    fn refill_rule_matches_the_base_simulator() {
+        for refill in [0.0, f64::INFINITY, -1.0, f64::NAN] {
+            let want = |what| {
+                (refill.is_nan() || refill < 0.0).then(|| {
+                    SprintError::invalid(what, format!("must be >= 0 and not NaN, got {refill}"))
+                })
+            };
+            let mut multi = two_class_cfg(5);
+            multi.refill_secs = refill;
+            let got = MultiClassQsim::new(multi).err();
+            assert_eq!(got, want("MultiClassConfig::refill_secs"));
+            let mut base = QsimConfig::mm1(
+                Rate::per_hour(30.0),
+                Dist::exponential(SimDuration::from_secs(40)),
+                5,
+            );
+            base.refill_secs = refill;
+            assert_eq!(Qsim::new(base).err(), want("QsimConfig::refill_secs"));
+        }
     }
 
     /// Runs `classes` with `c`'s arrivals, budget, slots, sizes and

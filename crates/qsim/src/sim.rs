@@ -293,15 +293,8 @@ pub(crate) fn validate(cfg: &QsimConfig) -> Result<(), SprintError> {
         "QsimConfig::budget_capacity_secs",
         cfg.budget_capacity_secs,
     )?;
-    // Zero refill means "instant" (clamped at use); negative or NaN
-    // is rejected.
-    if cfg.refill_secs.is_nan() || cfg.refill_secs < 0.0 {
-        return Err(SprintError::invalid(
-            "QsimConfig::refill_secs",
-            format!("must be >= 0 and not NaN, got {}", cfg.refill_secs),
-        ));
-    }
-    Ok(())
+    // Zero refill means "instant" (clamped at use).
+    SprintError::require_non_negative("QsimConfig::refill_secs", cfg.refill_secs)
 }
 
 /// The queue simulator: a validated configuration and its inputs. The

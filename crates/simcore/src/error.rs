@@ -75,7 +75,8 @@ impl SprintError {
         Ok(())
     }
 
-    /// Validates that `value` is finite (not NaN or infinite) and `>= 0`.
+    /// Validates that `value` is `>= 0` and not NaN. Infinity passes:
+    /// an infinite budget capacity is a legal unlimited budget.
     pub fn require_non_negative(what: &'static str, value: f64) -> Result<(), SprintError> {
         if value.is_nan() || value < 0.0 {
             return Err(SprintError::invalid(

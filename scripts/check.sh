@@ -86,17 +86,6 @@ echo "==> ./target/release/chaos_sweep --seeds 8 --emit Jacobi/DVFS/sprint/seed3
 ./target/release/chaos_sweep --seeds 8 --emit Jacobi/DVFS/sprint/seed3 > target/chaos-case/case.toml
 logged chaos-case ./target/release/scenario_run --dir target/chaos-case --smoke
 
-# Prediction fast-path gate: asserts fast/reference bit-identity, the
-# >=3X explorer speedup, the >=1M preds/min warm model throughput (on
-# caches private to each measurement), and the <=5% telemetry and
-# tracing overheads, and times forest inference. When a schema-2
-# BENCH_qsim.json baseline is committed it also diffs every leg
-# against it with per-leg tolerance bands (10% on the gated warm
-# throughput leg, wider on the load-sensitive cold/ns legs, 50% on
-# the forest leg), prints the regression table below, and exits
-# non-zero on any band violation.
-run ./target/release/perf_smoke
-
 # Scenario catalog gate: executes every scenarios/*.toml file (strict
 # parse, unknown keys rejected) at its committed seed, and every
 # cross_seed scenario (the fleet coordinator crash, split-brain,
@@ -116,5 +105,18 @@ logged scenario_run-smoke ./target/release/scenario_run --smoke --seeds 8
 # drift. Seed-matrix mode (--seeds 3) is run in CI-ish contexts by
 # hand; the per-change gate sticks to the golden seed for speed.
 logged paper_parity-selftest ./target/release/paper_parity --offline --selftest
+
+# Prediction fast-path gate, run last because its wall-clock legs can
+# trip on a busy host and a failure there must not keep the
+# deterministic gates above from reporting. It asserts fast/reference
+# bit-identity, the >=3X explorer speedup, the >=1M preds/min warm
+# model throughput (on caches private to each measurement), and the
+# <=5% telemetry and tracing overheads, and times forest inference.
+# When a schema-2 BENCH_qsim.json baseline is committed it also diffs
+# every leg against it with per-leg tolerance bands (10% on the gated
+# warm throughput leg, wider on the load-sensitive cold/ns legs, 50% on
+# the forest leg), prints the regression table below, and exits
+# non-zero on any band violation.
+run ./target/release/perf_smoke
 
 echo "All checks passed."
