@@ -151,16 +151,17 @@ impl Mlp {
 
         let n = rows.len();
         let mut order: Vec<usize> = (0..n).collect();
+        let mut buffers = Buffers::new(&layers);
         let mut t = 0;
         for _epoch in 0..cfg.epochs {
             // Shuffle example order each epoch.
             rng.shuffle(&mut order);
             for batch in order.chunks(cfg.batch_size) {
                 t += 1;
-                let (gw, gb) = batch_gradients(&layers, &rows, &targets, batch);
+                buffers.batch_gradients(&layers, &rows, &targets, batch);
                 for (l, layer) in layers.iter_mut().enumerate() {
-                    adam_w[l].step(&mut layer.w, &gw[l], cfg.learning_rate, t);
-                    adam_b[l].step(&mut layer.b, &gb[l], cfg.learning_rate, t);
+                    adam_w[l].step(&mut layer.w, &buffers.gw[l], cfg.learning_rate, t);
+                    adam_b[l].step(&mut layer.b, &buffers.gb[l], cfg.learning_rate, t);
                 }
             }
         }
@@ -199,69 +200,103 @@ impl Mlp {
     }
 }
 
-/// Mean gradients over a mini-batch (weights and biases per layer).
-fn batch_gradients(
-    layers: &[Layer],
-    rows: &[Vec<f64>],
-    targets: &[f64],
-    batch: &[usize],
-) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let mut gw: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-    let mut gb: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-    let last = layers.len() - 1;
-    for &i in batch {
-        // Forward pass, caching pre-activations and activations.
-        let mut acts: Vec<Vec<f64>> = vec![rows[i].clone()];
-        let mut pre: Vec<Vec<f64>> = Vec::with_capacity(layers.len());
-        for (l, layer) in layers.iter().enumerate() {
-            let mut z = Vec::new();
-            layer.forward(acts.last().expect("input present"), &mut z);
-            pre.push(z.clone());
-            if l < last {
-                for v in &mut z {
-                    *v = v.max(0.0);
-                }
-            }
-            acts.push(z);
+/// Training buffers of one network, allocated once and reused by every
+/// sample and batch.
+struct Buffers {
+    /// Each layer's pre-activation output; the last layer's is the
+    /// prediction.
+    pre: Vec<Vec<f64>>,
+    /// Each hidden layer's activation, the ReLU of its `pre`.
+    acts: Vec<Vec<f64>>,
+    /// Error signal at the outputs of the layer being back-propagated.
+    delta: Vec<f64>,
+    /// Error signal being propagated to the layer below.
+    next: Vec<f64>,
+    /// Mean weight gradients of the current batch, per layer.
+    gw: Vec<Vec<f64>>,
+    /// Mean bias gradients of the current batch, per layer.
+    gb: Vec<Vec<f64>>,
+}
+
+impl Buffers {
+    fn new(layers: &[Layer]) -> Buffers {
+        Buffers {
+            pre: vec![Vec::new(); layers.len()],
+            acts: vec![Vec::new(); layers.len() - 1],
+            delta: Vec::new(),
+            next: Vec::new(),
+            gw: layers.iter().map(|l| vec![0.0; l.w.len()]).collect(),
+            gb: layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
         }
-        // Backward pass: d MSE/2 = (pred - y).
-        let pred = acts.last().expect("output present")[0];
-        let mut delta = vec![pred - targets[i]];
-        for l in (0..layers.len()).rev() {
-            let input = &acts[l];
-            for (o, &d) in delta.iter().enumerate() {
-                gb[l][o] += d;
-                let row = &mut gw[l][o * layers[l].inputs..(o + 1) * layers[l].inputs];
-                for (g, &xi) in row.iter_mut().zip(input) {
-                    *g += d * xi;
+    }
+
+    /// Fills `gw` and `gb` with the mean gradients over a mini-batch.
+    fn batch_gradients(
+        &mut self,
+        layers: &[Layer],
+        rows: &[Vec<f64>],
+        targets: &[f64],
+        batch: &[usize],
+    ) {
+        let Buffers {
+            pre,
+            acts,
+            delta,
+            next,
+            gw,
+            gb,
+        } = self;
+        for g in gw.iter_mut().chain(gb.iter_mut()).flatten() {
+            *g = 0.0;
+        }
+        let last = layers.len() - 1;
+        for &i in batch {
+            // Forward pass, keeping pre-activations and activations.
+            for (l, layer) in layers.iter().enumerate() {
+                let input = if l == 0 { &rows[i] } else { &acts[l - 1] };
+                layer.forward(input, &mut pre[l]);
+                if l < last {
+                    acts[l].clear();
+                    acts[l].extend(pre[l].iter().map(|z| z.max(0.0)));
                 }
             }
-            if l > 0 {
-                // Propagate through weights and the previous ReLU.
-                let mut next = vec![0.0; layers[l].inputs];
+            // Backward pass: d MSE/2 = (pred - y).
+            delta.clear();
+            delta.push(pre[last][0] - targets[i]);
+            for l in (0..layers.len()).rev() {
+                let input = if l == 0 { &rows[i] } else { &acts[l - 1] };
+                let inputs = layers[l].inputs;
                 for (o, &d) in delta.iter().enumerate() {
-                    let row = &layers[l].w[o * layers[l].inputs..(o + 1) * layers[l].inputs];
-                    for (nx, &w) in next.iter_mut().zip(row) {
-                        *nx += d * w;
+                    gb[l][o] += d;
+                    let row = &mut gw[l][o * inputs..(o + 1) * inputs];
+                    for (g, &xi) in row.iter_mut().zip(input) {
+                        *g += d * xi;
                     }
                 }
-                for (nx, &z) in next.iter_mut().zip(&pre[l - 1]) {
-                    if z <= 0.0 {
-                        *nx = 0.0;
+                if l > 0 {
+                    // Propagate through weights and the previous ReLU.
+                    next.clear();
+                    next.resize(inputs, 0.0);
+                    for (o, &d) in delta.iter().enumerate() {
+                        let row = &layers[l].w[o * inputs..(o + 1) * inputs];
+                        for (nx, &w) in next.iter_mut().zip(row) {
+                            *nx += d * w;
+                        }
                     }
+                    for (nx, &z) in next.iter_mut().zip(&pre[l - 1]) {
+                        if z <= 0.0 {
+                            *nx = 0.0;
+                        }
+                    }
+                    std::mem::swap(delta, next);
                 }
-                delta = next;
             }
         }
+        let scale = 1.0 / batch.len() as f64;
+        for g in gw.iter_mut().chain(gb.iter_mut()).flatten() {
+            *g *= scale;
+        }
     }
-    let scale = 1.0 / batch.len() as f64;
-    for g in gw.iter_mut().flat_map(|v| v.iter_mut()) {
-        *g *= scale;
-    }
-    for g in gb.iter_mut().flat_map(|v| v.iter_mut()) {
-        *g *= scale;
-    }
-    (gw, gb)
 }
 
 #[cfg(test)]

@@ -7,9 +7,36 @@
 //! steps ("we increment and decrement the marginal rate by 1 unit"),
 //! preferring the smallest |µe − µm| that achieves tolerable error, and
 //! falls back to the best candidate seen if none tolerates.
+//!
+//! Two things keep the search from redoing work, and neither changes a
+//! bit of its result:
+//!
+//! - **Candidates replay one set of traces.** A call keeps a private
+//!   [`TraceCache`], and every candidate is scored through
+//!   [`SimOptions::simulate_cached`]. The speedup is not part of a
+//!   trace's key, so each replication's arrival and service draws are
+//!   made once per call, not once per candidate (common random
+//!   numbers; bit-identical to live sampling).
+//! - **Speedup 1.0 is simulated once.** A candidate is fed to the
+//!   simulator as the speedup `(rate / µ).max(1.0)`, so every
+//!   candidate at or below µ simulates at 1.0 and scores the same
+//!   error. The first such candidate either tolerates, and the search
+//!   returns it, or sets a best error no later one can beat, since
+//!   only a strictly smaller error replaces the best; so the rest are
+//!   skipped.
+//!
+//! The clamp also bounds the result. The walk starts at µm, which is
+//! above µ for every profiled mechanism, so the first candidate at or
+//! below µ lies within one step of µ, and no later one can replace
+//! it: calibration never returns a µe more than one step below µ.
+//! That holds although the search floor is 0.6µ and
+//! [`SimOptions::config`] accepts effective rates below µ (Eq. 2's
+//! correction may be negative); lifting the clamp would move the
+//! calibrated rates, and with them the golden anchors.
 
 use crate::model::SimOptions;
 use profiler::{ProfilingRun, WorkloadProfile};
+use qsim::TraceCache;
 use simcore::time::Rate;
 
 /// Calibration search parameters.
@@ -56,9 +83,12 @@ pub fn effective_sprint_rate(
     let mu_m = profile.mu_m.qph();
     debug_assert!(observed > 0.0);
 
-    let eval = |rate_qph: f64| -> f64 {
-        let speedup = (rate_qph / mu).max(1.0);
-        let predicted = opts.sim.simulate(profile, &run.condition, speedup);
+    // One set of traces for every candidate (module docs).
+    let traces = TraceCache::new();
+    let eval = |speedup: f64| -> f64 {
+        let predicted = opts
+            .sim
+            .simulate_cached(profile, &run.condition, speedup, &traces);
         (predicted - observed).abs() / observed
     };
 
@@ -67,6 +97,7 @@ pub fn effective_sprint_rate(
     // usually produce).
     let mut best_rate = mu_m;
     let mut best_err = f64::INFINITY;
+    let mut no_speedup_scored = false;
     for k in 0..=opts.max_steps {
         let offsets: &[f64] = if k == 0 {
             &[0.0]
@@ -80,7 +111,16 @@ pub fn effective_sprint_rate(
                 // meaningful; bound the search.
                 continue;
             }
-            let err = eval(candidate);
+            // Candidates at or below µ all simulate at speedup 1.0;
+            // only the first can change the result (module docs).
+            let speedup = (candidate / mu).max(1.0);
+            if speedup == 1.0 {
+                if no_speedup_scored {
+                    continue;
+                }
+                no_speedup_scored = true;
+            }
+            let err = eval(speedup);
             if err < best_err {
                 best_err = err;
                 best_rate = candidate;
@@ -96,7 +136,8 @@ pub fn effective_sprint_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use profiler::Condition;
+    use mechanisms::{CpuThrottle, Dvfs, Mechanism};
+    use profiler::{Condition, Profiler};
     use simcore::dist::DistKind;
     use workloads::{QueryMix, WorkloadKind};
 
@@ -156,6 +197,98 @@ mod tests {
         assert_eq!(rate.qph(), 75.0, "µm itself tolerates, so µe = µm");
     }
 
+    /// Pins every `(µe, err)` of a seeded campaign on each mechanism.
+    /// The campaign holds runs that tolerate at µm, runs several steps
+    /// away, and runs whose observed RT no candidate reaches, so that
+    /// search walks to `max_steps`, crossing below µ, where every
+    /// candidate simulates at speedup 1.0.
+    #[test]
+    fn calibrated_rates_match_committed_digests() {
+        let mechanisms: [(Box<dyn Mechanism>, u64); 2] = [
+            (Box::new(Dvfs::new()), 0x8937_ecf2_1444_826a),
+            (Box::new(CpuThrottle::new(0.2)), 0x5c9a_2736_c7ec_ade0),
+        ];
+        let profiler = Profiler {
+            queries_per_run: 200,
+            warmup: 20,
+            replays: 1,
+            threads: 2,
+            seed: 11,
+        };
+        let conditions: Vec<Condition> = [
+            (0.3, 60.0, 0.4, 200.0),
+            (0.5, 120.0, 0.2, 400.0),
+            (0.7, 30.0, 0.6, 100.0),
+            (0.9, 90.0, 0.3, 300.0),
+            (0.6, 10.0, 0.8, 150.0),
+            (0.8, 20.0, 0.1, 600.0),
+            (0.95, 45.0, 0.5, 250.0),
+            (0.4, 200.0, 0.9, 50.0),
+            (0.85, 5.0, 0.05, 900.0),
+        ]
+        .iter()
+        .map(
+            |&(utilization, timeout_secs, budget_frac, refill_secs)| Condition {
+                utilization,
+                arrival_kind: DistKind::Exponential,
+                timeout_secs,
+                budget_frac,
+                refill_secs,
+            },
+        )
+        .collect();
+        let mut opts = CalibrationOptions::default();
+        opts.sim.sim_queries = 300;
+        opts.sim.warmup = 30;
+        for (mech, want) in &mechanisms {
+            let mix = QueryMix::single(WorkloadKind::Jacobi);
+            let mut data = profiler.profile(&mix, mech.as_ref(), &conditions);
+            data.runs.push(ProfilingRun {
+                condition: conditions[0],
+                observed_response_secs: 100_000.0,
+            });
+            let (mu, mu_m) = (data.profile.mu.qph(), data.profile.mu_m.qph());
+            assert!(
+                mu_m - opts.max_steps as f64 * opts.step_qph < mu,
+                "{}: the search must cross below µ",
+                data.profile.mechanism
+            );
+            let results: Vec<(f64, f64)> = data
+                .runs
+                .iter()
+                .map(|run| {
+                    let (rate, err) = effective_sprint_rate(&data.profile, run, &opts);
+                    (rate.qph(), err)
+                })
+                .collect();
+            let tolerated = |r: &&(f64, f64)| r.1 <= opts.tolerance;
+            assert!(
+                results.iter().filter(tolerated).any(|r| r.0 == mu_m),
+                "{}: a run tolerates at µm: {results:?}",
+                data.profile.mechanism
+            );
+            assert!(
+                results
+                    .iter()
+                    .filter(tolerated)
+                    .any(|r| (r.0 - mu_m).abs() >= 3.0 * opts.step_qph),
+                "{}: a run needs several steps: {results:?}",
+                data.profile.mechanism
+            );
+            assert!(
+                results.iter().any(|r| r.1 > opts.tolerance && r.0 <= mu),
+                "{}: a run no candidate reaches ends at or below µ: {results:?}",
+                data.profile.mechanism
+            );
+            let got = crate::fnv1a_bits(results.iter().flat_map(|&(rate, err)| [rate, err]));
+            assert_eq!(
+                got, *want,
+                "{}: calibration digest {got:#018x}, committed {want:#018x}: {results:?}",
+                data.profile.mechanism
+            );
+        }
+    }
+
     #[test]
     fn never_returns_rate_below_search_floor() {
         let p = profile();
@@ -167,6 +300,8 @@ mod tests {
         };
         let (rate, err) = effective_sprint_rate(&p, &run, &opts);
         assert!(rate.qph() >= 0.6 * 50.0);
+        // The speedup clamp keeps µe within a step of µ (module docs).
+        assert!(rate.qph() > 50.0 - opts.step_qph, "µe {}", rate.qph());
         assert!(err > opts.tolerance, "impossible target cannot tolerate");
     }
 }

@@ -44,3 +44,15 @@ pub use online::{
     ArrivalRateEstimator, BreakerConfig, DegradationLevel, ModelHealthMonitor, OnlineModel,
 };
 pub use train::{train_ann, train_hybrid, TrainOptions};
+
+/// FNV-1a 64 over the bits of `values`, for tests that pin float
+/// outputs bit for bit.
+#[cfg(test)]
+fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    values
+        .into_iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}

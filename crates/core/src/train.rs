@@ -20,7 +20,8 @@ pub struct TrainOptions {
     pub ann: AnnConfig,
     /// Simulation settings embedded in the trained models.
     pub sim: SimOptions,
-    /// Worker threads for calibration.
+    /// Worker threads for calibration; the ANN baseline's three
+    /// networks train on at most this many.
     pub threads: usize,
 }
 
@@ -70,12 +71,15 @@ pub fn train_hybrid(data: &ProfileData, opts: &TrainOptions) -> Result<HybridMod
 }
 
 /// Trains the ANN baseline: conditions map directly to observed
-/// response time. Three independently seeded networks are averaged.
+/// response time. Three independently seeded networks, trained on
+/// `opts.threads.min(3)` workers, are averaged in seed order, so the
+/// model is bit-identical at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`SprintError::InvalidConfig`] if the campaign has no runs
-/// or `opts.ann` has zero epochs or a zero batch size.
+/// or `opts.ann` has zero epochs or a zero batch size, and
+/// [`SprintError::WorkerPanic`] if a network's training panicked.
 pub fn train_ann(data: &ProfileData, opts: &TrainOptions) -> Result<AnnModel, SprintError> {
     if data.runs.is_empty() {
         return Err(SprintError::invalid(
@@ -93,13 +97,14 @@ pub fn train_ann(data: &ProfileData, opts: &TrainOptions) -> Result<AnnModel, Sp
             run.observed_response_secs.max(1e-6).ln(),
         );
     }
-    let ensemble = (0..3)
-        .map(|i| {
-            let mut cfg = opts.ann.clone();
-            cfg.seed = cfg.seed.wrapping_add(i * 0x9E37);
-            Mlp::train(&train, &cfg)
-        })
-        .collect::<Result<_, _>>()?;
+    let ensemble = par::map((0..3u64).collect(), opts.threads.min(3), |i| {
+        let mut cfg = opts.ann.clone();
+        cfg.seed = cfg.seed.wrapping_add(i * 0x9E37);
+        Mlp::train(&train, &cfg)
+    })
+    .into_iter()
+    .map(|net| net.and_then(|net| net))
+    .collect::<Result<_, _>>()?;
     Ok(AnnModel::new(data.profile.clone(), ensemble, true))
 }
 
@@ -113,8 +118,9 @@ mod tests {
     use super::*;
     use crate::model::ResponseTimeModel;
     use mechanisms::Dvfs;
-    use profiler::{Condition, Profiler};
+    use profiler::{Condition, Profiler, ProfilingRun, WorkloadProfile};
     use simcore::dist::DistKind;
+    use simcore::time::Rate;
     use workloads::{QueryMix, WorkloadKind};
 
     fn small_campaign() -> ProfileData {
@@ -189,6 +195,63 @@ mod tests {
         let pred = model.predict_response_secs(&run.condition);
         let err = (pred - run.observed_response_secs).abs() / run.observed_response_secs;
         assert!(err < 0.6, "ann error {err} on training condition");
+    }
+
+    /// FNV-1a of the predictions below, computed before the ensemble
+    /// trained on threads.
+    const ANN_DIGEST: u64 = 0xb7ab_a7a6_511b_e02e;
+
+    /// Pins the ANN ensemble's predictions on a fixed 40-run campaign
+    /// (five batches per epoch, hidden layers of three widths) and
+    /// checks that the fan-out's thread count leaves every bit alone.
+    #[test]
+    fn ann_predictions_match_committed_digest_at_any_thread_count() {
+        let profile = WorkloadProfile {
+            mix: QueryMix::single(WorkloadKind::Jacobi),
+            mechanism: "DVFS".into(),
+            mu: Rate::per_hour(50.0),
+            mu_m: Rate::per_hour(75.0),
+            service_samples_secs: vec![72.0; 8],
+            profiling_hours: 0.5,
+        };
+        let runs = (0..40)
+            .map(|i| {
+                let utilization = 0.3 + 0.65 * (i % 8) as f64 / 7.0;
+                let timeout_secs = 10.0 + 20.0 * (i % 5) as f64;
+                ProfilingRun {
+                    condition: Condition {
+                        utilization,
+                        arrival_kind: if i % 3 == 0 {
+                            DistKind::Pareto { alpha: 2.5 }
+                        } else {
+                            DistKind::Exponential
+                        },
+                        timeout_secs,
+                        budget_frac: 0.1 + 0.1 * (i % 4) as f64,
+                        refill_secs: 100.0 + 50.0 * (i % 6) as f64,
+                    },
+                    observed_response_secs: 72.0 / (1.0 - utilization) + timeout_secs,
+                }
+            })
+            .collect();
+        let data = ProfileData { profile, runs };
+        let mut opts = TrainOptions::default();
+        opts.ann.hidden = vec![16, 12, 8];
+        opts.ann.epochs = 30;
+        opts.ann.batch_size = 8;
+        for threads in 1..=3 {
+            opts.threads = threads;
+            let model = train_ann(&data, &opts).unwrap();
+            let got = crate::fnv1a_bits(
+                data.runs
+                    .iter()
+                    .map(|run| model.predict_response_secs(&run.condition)),
+            );
+            assert_eq!(
+                got, ANN_DIGEST,
+                "{threads} threads: ANN digest {got:#018x}, committed {ANN_DIGEST:#018x}"
+            );
+        }
     }
 
     #[test]

@@ -1009,7 +1009,7 @@ struct Cluster<'m> {
     next_t: Vec<Option<SimTime>>,
     /// Min-heap of `(time, node)` over the live nodes' next event
     /// times: [`Cluster::on_server`] pushes a node's time whenever it
-    /// changes, and [`Cluster::run`] drops top entries that no longer
+    /// changes, and [`Cluster::run_next`] drops top entries that no longer
     /// match `next_t`. An entry that matches is live; duplicates of a
     /// live entry are harmless. Each change costs O(log N), and finding
     /// the earliest node event costs O(1) amortized.
@@ -1026,6 +1026,8 @@ struct Cluster<'m> {
     last_degradation: FleetDegradation,
     sampled_degradation: bool,
     done_count: u32,
+    /// Time of the last event run; [`Cluster::advance`] refuses an
+    /// earlier one.
     horizon: SimTime,
     iterations: u64,
 }
@@ -1869,7 +1871,7 @@ impl<'m> Cluster<'m> {
     // Dispatch + driver
 
     fn dispatch(&mut self, now: SimTime, ev: FleetEv) -> Result<(), SprintError> {
-        self.horizon = self.horizon.max(now);
+        self.advance(now)?;
         if let Some(t) = self.obs.tracer.as_mut() {
             // The context the in-flight envelope carried, if this event
             // is a delivery (keyed by the reactor-assigned event id).
@@ -1979,46 +1981,7 @@ impl<'m> Cluster<'m> {
     fn run(mut self) -> Result<(FleetResult, Option<Journal<FleetRecord>>), SprintError> {
         self.init();
         while !self.all_done() {
-            // Global virtual-time interleave: the earliest event across
-            // the control plane's reactor and every live node server's
-            // own queue runs next; ties go to the control plane, then
-            // the lowest node index, which the heap's `(time, node)`
-            // order gives.
-            let fleet_t = self.reactor.peek_time();
-            while let Some(&Reverse((t, i))) = self.node_times.peek() {
-                if self.next_t[i] == Some(t) {
-                    break;
-                }
-                self.node_times.pop();
-            }
-            let node_next = self.node_times.peek().map(|&Reverse(top)| top);
-            match (fleet_t, node_next) {
-                (None, None) => {
-                    return Err(SprintError::invalid(
-                        "fleet::run",
-                        format!(
-                            "fleet stalled with {}/{} nodes done",
-                            self.done_count, self.spec.nodes
-                        ),
-                    ));
-                }
-                (Some(_), None) => {
-                    if let Some((t, ev)) = self.pop() {
-                        self.dispatch(t, ev)?;
-                    }
-                }
-                (None, Some((t, i))) => self.step_node(t, i)?,
-                (Some(ft), Some((nt, i))) => {
-                    if ft <= nt {
-                        if let Some((t, ev)) = self.pop() {
-                            self.dispatch(t, ev)?;
-                        }
-                    } else {
-                        self.step_node(nt, i)?;
-                    }
-                }
-            }
-            self.tick_valve()?;
+            self.run_next()?;
         }
         // Drain in-flight control traffic (released leases, final
         // heartbeats) for one delay bound past the last node event.
@@ -2037,8 +2000,64 @@ impl<'m> Cluster<'m> {
         self.finalize()
     }
 
-    fn step_node(&mut self, t: SimTime, i: usize) -> Result<(), SprintError> {
-        self.horizon = self.horizon.max(t);
+    /// Runs the earliest event across the control plane's reactor and
+    /// every live node server's own queue. Ties go to the control
+    /// plane, then the lowest node index, which the heap's
+    /// `(time, node)` order gives.
+    fn run_next(&mut self) -> Result<(), SprintError> {
+        let fleet_t = self.reactor.peek_time();
+        while let Some(&Reverse((t, i))) = self.node_times.peek() {
+            if self.next_t[i] == Some(t) {
+                break;
+            }
+            self.node_times.pop();
+        }
+        let node_next = self.node_times.peek().map(|&Reverse(top)| top);
+        match (fleet_t, node_next) {
+            (None, None) => {
+                return Err(SprintError::invalid(
+                    "fleet::run",
+                    format!(
+                        "fleet stalled with {}/{} nodes done",
+                        self.done_count, self.spec.nodes
+                    ),
+                ));
+            }
+            (Some(ft), Some((nt, i))) if ft > nt => self.step_node(i)?,
+            (Some(_), _) => {
+                if let Some((t, ev)) = self.pop() {
+                    self.dispatch(t, ev)?;
+                }
+            }
+            (None, Some((_, i))) => self.step_node(i)?,
+        }
+        self.tick_valve()
+    }
+
+    /// Moves the run's clock to `t`, the time of the event about to
+    /// run. The interleave runs events in time order, so an event
+    /// earlier than the last one run means it broke.
+    fn advance(&mut self, t: SimTime) -> Result<(), SprintError> {
+        if t < self.horizon {
+            return Err(SprintError::runtime(
+                "fleet::run",
+                format!(
+                    "event at t={}us runs after one at t={}us",
+                    t.0, self.horizon.0
+                ),
+            ));
+        }
+        self.horizon = t;
+        Ok(())
+    }
+
+    /// Runs node `i`'s next event, at the time the node's own queue
+    /// holds it (the heap entry that picked the node only ranks it).
+    fn step_node(&mut self, i: usize) -> Result<(), SprintError> {
+        let Some(t) = self.next_t[i] else {
+            return Ok(());
+        };
+        self.advance(t)?;
         let Some(stepped) = self.on_server(i, |server| server.step().map(|_| server.is_done()))
         else {
             return Ok(());
@@ -2202,6 +2221,31 @@ mod tests {
         let spec2 = FleetSpec::small(24, 5).expect("small fleet");
         let (_, j3) = run_fleet_journaled(&spec2).expect("fleet runs");
         assert_ne!(j1.to_jsonl(), j3.to_jsonl());
+    }
+
+    /// A node event earlier than the last event run is a typed error,
+    /// not a run that passes its invariants out of time order.
+    #[test]
+    fn an_event_earlier_than_the_last_one_run_is_a_runtime_error() {
+        let spec = FleetSpec::small(11, 4).expect("small fleet");
+        let mech = spec.template.mechanism.build();
+        let mut cluster = Cluster::new(&spec, &*mech, false, false).expect("cluster");
+        cluster.init();
+        while cluster.horizon == SimTime::ZERO {
+            cluster.run_next().expect("in-order events run");
+        }
+        // Plant node 0's next event one microsecond before the last
+        // event run.
+        let early = SimTime(cluster.horizon.0 - 1);
+        cluster.next_t[0] = Some(early);
+        cluster.node_times.push(Reverse((early, 0)));
+        match cluster.run_next() {
+            Err(SprintError::Runtime { what, details }) => {
+                assert_eq!(what, "fleet::run");
+                assert!(details.contains(&format!("t={}us", early.0)), "{details}");
+            }
+            other => panic!("expected a Runtime error, got {other:?}"),
+        }
     }
 
     /// With deterministic arrivals every node's first query lands at the

@@ -21,7 +21,7 @@
 
 use crate::config::{QsimConfig, QsimResult};
 use crate::sim::Qsim;
-use crate::trace::TraceCache;
+use crate::trace::{self, TraceCache};
 use simcore::{par, SprintError};
 use std::sync::Arc;
 
@@ -163,8 +163,9 @@ pub fn predict_mean_response_traced(
     // simulator never reads `cfg.seed`, so the deep per-replication
     // `with_seed` clone of the live path is unnecessary.
     let shared = Arc::new(cfg.clone());
+    let service_fp = trace::service_fingerprint(&cfg.service);
     let traces: Vec<_> = (0..replications)
-        .map(|i| cache.trace_for(cfg, replication_seed(cfg.seed, i)))
+        .map(|i| cache.trace_with_fingerprint(cfg, replication_seed(cfg.seed, i), service_fp))
         .collect();
     let means = par::map(traces, threads, |trace| {
         Qsim::with_trace(Arc::clone(&shared), trace).and_then(Qsim::run_mean_response)

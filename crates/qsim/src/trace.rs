@@ -130,7 +130,7 @@ fn kind_key(kind: DistKind) -> (u8, u64) {
 }
 
 /// FNV-1a fold of the fields that determine service draws.
-fn service_fingerprint(service: &Dist) -> u64 {
+pub(crate) fn service_fingerprint(service: &Dist) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -207,12 +207,24 @@ impl TraceCache {
     /// Returns the trace a live run of `cfg.with_seed(seed)` would
     /// draw, materializing and caching it on first use.
     pub fn trace_for(&self, cfg: &QsimConfig, seed: u64) -> Arc<SimTrace> {
+        self.trace_with_fingerprint(cfg, seed, service_fingerprint(&cfg.service))
+    }
+
+    /// [`TraceCache::trace_for`] with `cfg.service`'s fingerprint
+    /// already computed, so the replications of one prediction hash the
+    /// service table once between them.
+    pub(crate) fn trace_with_fingerprint(
+        &self,
+        cfg: &QsimConfig,
+        seed: u64,
+        service_fp: u64,
+    ) -> Arc<SimTrace> {
         let key = TraceKey {
             seed,
             num_queries: cfg.num_queries,
             arrival_rate_bits: cfg.arrival_rate.qph().to_bits(),
             arrival_kind: kind_key(cfg.arrival_kind),
-            service_fp: service_fingerprint(&cfg.service),
+            service_fp,
         };
         if let Some(t) = self.inner.get(&key) {
             obs::global().trace_cache_hits.incr();

@@ -102,9 +102,12 @@ logged scenario_run-smoke ./target/release/scenario_run --smoke --seeds 8
 # the committed golden values (crates/conformance/golden/anchors.json),
 # runs the differential oracles, and proves drift detection by
 # perturbing every golden value (--selftest). Exits non-zero on any
-# drift. Seed-matrix mode (--seeds 3) is run in CI-ish contexts by
-# hand; the per-change gate sticks to the golden seed for speed.
+# drift.
 logged paper_parity-selftest ./target/release/paper_parity --offline --selftest
+
+# Seed-matrix gate: re-checks every cross-seed anchor and every oracle
+# at the two seeds after the golden one. Exits non-zero on any drift.
+logged paper_parity-seeds3 ./target/release/paper_parity --offline --seeds 3
 
 # Prediction fast-path gate, run last because its wall-clock legs can
 # trip on a busy host and a failure there must not keep the
