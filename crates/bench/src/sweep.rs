@@ -35,9 +35,7 @@ use chaos::random_plan;
 use faults::FaultPlan;
 use mechanisms::MechanismKind;
 use obs::{Event, FlightRecorder, RunTelemetry};
-use scenario::plan::{
-    ArrivalKind, ArrivalsPlan, BudgetPlan, MetricOp, PolicyPlan, RunPlan, WorkloadPlan,
-};
+use scenario::plan::{ArrivalKind, ArrivalsPlan, MetricOp, PolicyPlan, RunPlan, WorkloadPlan};
 use scenario::{
     check_invariants, execute, InvariantSpec, ScenarioOutcome, ScenarioPlan, Topology, Violation,
 };
@@ -46,7 +44,7 @@ use simcore::rng::SimRng;
 use simcore::time::{Rate, SimTime};
 use simcore::SprintError;
 use sprint_core::{BreakerConfig, ModelHealthMonitor};
-use testbed::{RecoveryCounters, RunResult};
+use testbed::{BudgetSpec, RecoveryCounters, RunResult};
 use workloads::WorkloadKind;
 
 /// Execution slots per run (the flaky-slot fault and quarantine need
@@ -242,7 +240,7 @@ impl Cell {
             policy: PolicyPlan {
                 enabled: policy == PolicyKind::Sprint,
                 timeout_secs: mean_service_secs * 0.5,
-                budget: BudgetPlan::Fraction(0.3),
+                budget: BudgetSpec::FractionOfRefill(0.3),
                 refill_secs: mean_service_secs * 10.0,
             },
             run: RunPlan {

@@ -49,16 +49,13 @@
 use simcore::dist::Dist;
 use simcore::stats::Percentiles;
 use simcore::time::{Rate, SimDuration};
-use simcore::SprintError;
+use simcore::{Budget, SprintError};
 
 use crate::config::SimQuery;
 
 /// Service requirements below this floor are clamped, mirroring the
 /// G/G/k engine's guard against zero-length service draws.
 const MIN_SERVICE_SECS: f64 = 1e-6;
-
-/// Budget level at or below which the pool counts as exhausted.
-const BUDGET_EPS: f64 = 1e-6;
 
 /// Hard cap on processed events; exceeding it means the simulation is
 /// stuck and a typed error is returned instead of looping forever.
@@ -560,7 +557,6 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
     let plan = draw_plan(cfg);
     let sprint_on = cfg.timeout != SimDuration::MAX && cfg.budget_capacity_secs > 0.0;
     let timeout_secs = cfg.timeout.as_secs_f64();
-    let refill_rate = cfg.budget_capacity_secs / cfg.refill_secs;
 
     let mut reqs: Vec<ReqState> = Vec::with_capacity(cfg.num_queries);
     // Live clones keyed by a monotonically increasing id; the map stays
@@ -578,7 +574,9 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
     let mut order: Vec<usize> = Vec::with_capacity(cfg.slots);
 
     let mut depart_secs = vec![0.0_f64; cfg.num_queries];
-    let mut budget = cfg.budget_capacity_secs;
+    // Both engines move the budget by the drain count they find, so it
+    // keeps no sprint count of its own.
+    let mut budget = Budget::new(cfg.budget_capacity_secs, cfg.refill_secs);
     let mut now = 0.0_f64;
     let mut next_arrival = 0usize;
     let mut departed = 0usize;
@@ -620,7 +618,6 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
         } else {
             sprinting.len()
         };
-        let drain_rate = drain_reqs as f64;
 
         // Candidate: next completion, the earliest (time, key) over the
         // live table; on equal times the lower key wins.
@@ -639,8 +636,8 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
             Some((nt, nev)) if (nt, nev.rank()) <= (t, ev.rank()) => {}
             _ => next = Some((t, ev)),
         };
-        if drain_rate > 0.0 && budget > BUDGET_EPS {
-            offer(now + budget / drain_rate, Ev::BudgetEmpty);
+        if drain_reqs > 0 && budget.available() {
+            offer(now + budget.level() / drain_reqs as f64, Ev::BudgetEmpty);
         }
         if sprint_on {
             // Advance the cursor past departed/handled requests, then
@@ -693,11 +690,7 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
                     reqs[i].sprint_secs += dt;
                 }
             }
-            if drain_rate > 0.0 {
-                budget = (budget - dt * drain_rate).max(0.0);
-            } else {
-                budget = (budget + dt * refill_rate).min(cfg.budget_capacity_secs);
-            }
+            budget.advance(dt, drain_reqs);
         }
         now = at;
 
@@ -749,14 +742,14 @@ fn simulate(cfg: &CloningConfig, reference: bool) -> Result<CloningResult, Sprin
             Ev::Timeout(idx) => {
                 let r = &mut reqs[idx];
                 r.timed_out = true;
-                if budget > BUDGET_EPS {
+                if budget.available() {
                     r.sprinting = true;
                     r.sprinted = true;
                     sprinting.push(idx);
                 }
             }
             Ev::BudgetEmpty => {
-                budget = 0.0;
+                budget.exhaust();
                 // Force-unsprint everyone; starved requests never
                 // re-engage (the pool refills only once nothing
                 // sprints, and sprint engagement is at-timeout-only).
@@ -1208,5 +1201,116 @@ mod tests {
         assert_eq!(r.spawn_failed, c.num_queries as u64);
         assert_eq!(r.spawned, c.num_queries as u64);
         assert!(r.conserves_clones());
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv(h: &mut u64, words: impl IntoIterator<Item = u64>) {
+        for b in words.into_iter().flat_map(u64::to_le_bytes) {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The bits of every field of `q`.
+    fn bits(q: &SimQuery) -> [u64; 4] {
+        let [a, d, s] = [q.arrival_secs, q.depart_secs, q.sprint_secs].map(f64::to_bits);
+        [a, d, s, u64::from(q.timed_out) | u64::from(q.sprinted) << 1]
+    }
+
+    /// Pins every engine that drains and refills a sprint budget: qsim's
+    /// direct engine (k = 1) and event calendar (k = 2) on budgets that
+    /// run dry and refill, zero refill included, and both cloning
+    /// engines on the catalog's three cloning plans at their committed
+    /// seed and the next two, and on the generated configs above. Each
+    /// entry is an FNV-1a digest of every result field's bits, so a
+    /// change to the budget rule, or to when an engine applies it, shows
+    /// as a changed digest.
+    #[test]
+    fn budget_runs_match_committed_digests() {
+        use crate::config::QsimConfig;
+        use crate::sim::Qsim;
+        const EXPECTED: [(&str, u64); 6] = [
+            ("qsim direct k=1", 0x60F3_A0D8_2875_528E),
+            ("qsim calendar k=2", 0xA2E2_1533_8C78_677A),
+            ("cloning catalog run", 0xC4F4_54EE_32C8_2FB4),
+            ("cloning catalog reference", 0xC4F4_54EE_32C8_2FB4),
+            ("cloning generated run", 0x1AB7_8D1B_D8DD_BE28),
+            ("cloning generated reference", 0x1AB7_8D1B_D8DD_BE28),
+        ];
+        let mut got = EXPECTED.map(|(label, _)| (label, 0xCBF2_9CE4_8422_2325u64));
+        for (slots, seed) in [(1, 1), (1, 2), (2, 3), (2, 4)] {
+            for timeout in [0, 30, 120] {
+                for (budget, refill) in [(30.0, 0.0), (60.0, 600.0), (240.0, 3_000.0)] {
+                    let service = Dist::exponential(SimDuration::from_secs(60));
+                    let mut c = QsimConfig::mm1(Rate::per_hour(54.0 * slots as f64), service, seed);
+                    c.slots = slots;
+                    c.num_queries = 1_000;
+                    c.warmup = 100;
+                    c.sprint_speedup = 2.0;
+                    c.timeout = SimDuration::from_secs(timeout);
+                    c.budget_capacity_secs = budget;
+                    c.refill_secs = refill;
+                    let run = if slots == 1 {
+                        Qsim::run
+                    } else {
+                        Qsim::run_event_driven
+                    };
+                    let r = run(Qsim::new(c).unwrap()).unwrap();
+                    fnv(&mut got[slots - 1].1, r.queries.iter().flat_map(bits));
+                }
+            }
+        }
+        let mut digest_cloning = |at: usize, c: CloningConfig| {
+            let sim = Cloning::new(c).unwrap();
+            for (h, r) in [(at, sim.run()), (at + 1, sim.run_reference())] {
+                let r = r.unwrap();
+                let counts = [
+                    r.spawned,
+                    r.winners,
+                    r.cancelled,
+                    r.ghosts,
+                    r.spawn_failed,
+                    r.stragglers,
+                ];
+                let words = r.queries.iter().flat_map(bits).chain(counts);
+                fnv(&mut got[h].1, words.chain([r.wasted_secs.to_bits()]));
+            }
+        };
+        let storm = CloningFaults {
+            spawn_fail_prob: 0.2,
+            cancel_loss_prob: 0.5,
+            straggler_prob: 0.2,
+            straggler_factor: 4.0,
+        };
+        let none = CloningFaults::default();
+        for (clones, seed, queries, warmup, faults, sprints) in [
+            (2, 1001, 2_000, 200, none, false),
+            (3, 2002, 1_200, 100, storm, false),
+            (2, 3003, 800, 80, none, true),
+        ] {
+            for seed in seed..seed + 3 {
+                let mut c = base(seed);
+                c.arrival_rate = Rate::per_hour(3.0);
+                c.clones = clones;
+                c.slots = 2 * clones;
+                c.num_queries = queries;
+                c.warmup = warmup;
+                c.faults = faults;
+                if sprints {
+                    c.sprint_speedup = 2.0;
+                    c.timeout = SimDuration::ZERO;
+                    c.budget_capacity_secs = 400.0;
+                    c.refill_secs = 2_000.0;
+                }
+                digest_cloning(2, c);
+            }
+        }
+        let mut rng = simcore::rng::SimRng::new(0xC10E_D1FF);
+        for i in 0..64 {
+            digest_cloning(4, generated_config(&mut rng, i));
+        }
+        assert_eq!(
+            got, EXPECTED,
+            "budget-run digests {got:#x?} differ from the committed table"
+        );
     }
 }

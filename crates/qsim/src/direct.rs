@@ -10,8 +10,8 @@
 //! state machine with at most four instants of interest — dispatch,
 //! the query's own timeout, a budget-exhaustion wake-up, and
 //! completion. It reads the same one-class table entry (`Class`) and
-//! budget pool (`Pool`) as the event loop, and allocates nothing per
-//! query beyond the records it returns.
+//! drains the same [`Budget`] as the event loop, and allocates nothing
+//! per query beyond the records it returns.
 //!
 //! **Bit-identity contract.** This engine reproduces the event
 //! calendar's one-class results exactly, not approximately. That
@@ -22,8 +22,8 @@
 //!   the quantized intervals, in the same floating-point operation
 //!   order as the event loop's `RunningQuery::advance`, at the speedup
 //!   of the query's class (here the configuration's one class).
-//! - *Budget arithmetic*: the pool level is a running float sum, so
-//!   [`Pool::update`] must be called at exactly the calendar's update
+//! - *Budget arithmetic*: the budget level is a running float sum, so
+//!   [`Budget::update`] must be called at exactly the calendar's update
 //!   instants (dispatch of a timed-out query, a running query's
 //!   timeout, and every live slot event) — splitting or merging the
 //!   intervals would change the bits.
@@ -33,7 +33,7 @@
 //!   wins — which is why the timeout check below uses `<=` against the
 //!   pending slot event. (The one genuinely order-dependent tie —
 //!   timeout vs. the *predecessor's* completion at the dispatch
-//!   instant — converges: both orders perform one pool update at that
+//!   instant — converges: both orders perform one budget update at that
 //!   instant and start the sprint from dispatch.)
 //!
 //! A randomized sweep in the tests below holds the engines bitwise
@@ -41,9 +41,9 @@
 //! arrival shapes.
 
 use crate::config::{QsimConfig, QsimResult, SimQuery};
-use crate::sim::{Class, Inputs, Pool};
+use crate::sim::{full_budget, Class, Inputs};
 use simcore::time::{SimDuration, SimTime};
-use simcore::SprintError;
+use simcore::{Budget, SprintError};
 
 /// Runs a single-slot simulation to completion without an event heap.
 ///
@@ -142,7 +142,7 @@ fn run_core(
 ) {
     let n = cfg.num_queries;
     let class = Class::of(cfg);
-    let mut pool = Pool::new(cfg.budget_capacity_secs, cfg.refill_secs);
+    let mut budget = full_budget(cfg.budget_capacity_secs, cfg.refill_secs);
     let mut arrival = SimTime::ZERO;
     let mut prev_depart = SimTime::ZERO;
     for (i, (gap, w)) in feed.take(n).enumerate() {
@@ -153,7 +153,7 @@ fn run_core(
             prev_depart
         };
         let (depart, timed_out, sprinted, sprint_secs) = if class.sprints {
-            serve_sprintable(&class, &mut pool, arrival, start, w)
+            serve_sprintable(&class, &mut budget, arrival, start, w)
         } else {
             // No sprinting: one completion event at the ceiled horizon.
             (
@@ -175,7 +175,7 @@ fn run_core(
 /// sprint_secs)`.
 fn serve_sprintable(
     class: &Class<'_>,
-    pool: &mut Pool,
+    budget: &mut Budget,
     arrival: SimTime,
     start: SimTime,
     w: f64,
@@ -194,11 +194,11 @@ fn serve_sprintable(
         // Timeout fired while queued (or at the dispatch instant):
         // sprint from dispatch, budget permitting.
         timed_out = true;
-        pool.update(start);
-        if pool.available() {
+        budget.update(start);
+        if budget.available() {
             sprinting = true;
             sprinted = true;
-            pool.sprinting = 1;
+            budget.start_sprint();
         }
     }
     loop {
@@ -212,7 +212,7 @@ fn serve_sprintable(
             remaining
         };
         if sprinting {
-            if let Some(exhaust) = pool.seconds_to_exhaustion() {
+            if let Some(exhaust) = budget.seconds_to_exhaustion() {
                 horizon = horizon.min(exhaust);
             }
         }
@@ -221,22 +221,22 @@ fn serve_sprintable(
             // The query's own timeout pops first (`<=`: its sequence
             // number is older than any of its slot events).
             timed_out = true;
-            pool.update(t_to);
-            if pool.available() {
+            budget.update(t_to);
+            if budget.available() {
                 // advance() at the pre-sprint speed, then switch.
                 let dt = t_to.since(last).as_secs_f64();
                 last = t_to;
                 remaining = (remaining - dt).max(0.0);
                 sprinting = true;
                 sprinted = true;
-                pool.sprinting = 1;
+                budget.start_sprint();
             }
             // Budget empty: the timeout is recorded but the pending
             // slot event stands unchanged — starved, like the calendar.
             continue;
         }
         // Live slot event at `t_next`.
-        pool.update(t_next);
+        budget.update(t_next);
         let was_sprinting = sprinting;
         let dt = t_next.since(last).as_secs_f64();
         last = t_next;
@@ -250,14 +250,14 @@ fn serve_sprintable(
         // horizons are ceiled to microsecond resolution.
         if remaining <= 2e-6 {
             if sprinting {
-                pool.sprinting = 0;
+                budget.end_sprint();
             }
             return (t_next, timed_out, sprinted, sprint_secs);
         }
-        if was_sprinting && !pool.available() {
+        if was_sprinting && !budget.available() {
             // Budget ran dry mid-sprint: fall back to sustained speed.
             sprinting = false;
-            pool.sprinting = 0;
+            budget.end_sprint();
         }
     }
 }

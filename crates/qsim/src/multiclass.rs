@@ -23,7 +23,7 @@
 //! experiment binary.
 
 use crate::config::SimQuery;
-use crate::sim::{run_calendar, Class, Inputs, Pool};
+use crate::sim::{full_budget, run_calendar, Class, Inputs};
 use simcore::dist::{Dist, DistKind};
 use simcore::rng::SimRng;
 use simcore::time::{Rate, SimDuration};
@@ -190,7 +190,7 @@ impl MultiClassQsim {
         let queries = run_calendar(
             cfg.slots,
             cfg.num_queries,
-            Pool::new(cfg.budget_capacity_secs, cfg.refill_secs),
+            full_budget(cfg.budget_capacity_secs, cfg.refill_secs),
             &classes,
             draw_class,
             &mut inputs,

@@ -10,10 +10,10 @@
 //!
 //! The loop runs over a table of query classes, each with its own
 //! service distribution, sprint speedup and timeout, sharing one sprint
-//! budget. [`Qsim::run_event_driven`] is the one-class case and draws no
+//! [`Budget`]. [`Qsim::run_event_driven`] is the one-class case and draws no
 //! class; [`crate::multiclass::MultiClassQsim`] hands the same loop its
 //! classes and a weighted class stream (§5's "small modifications").
-//! The loop builds its calendar, FIFO, slots, budget pool and query
+//! The loop builds its calendar, FIFO, slots, sprint budget and query
 //! table only when it runs, so a [`Qsim`] that takes the single-slot
 //! direct engine never allocates them.
 
@@ -23,7 +23,7 @@ use simcore::dist::{Dist, DistKind};
 use simcore::event::EventQueue;
 use simcore::rng::SimRng;
 use simcore::time::{Rate, SimDuration, SimTime};
-use simcore::SprintError;
+use simcore::{Budget, SprintError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -215,56 +215,11 @@ impl RunningQuery {
     }
 }
 
-/// Lazy sprint-budget pool (drains while sprinting, refills when idle).
-#[derive(Debug)]
-pub(crate) struct Pool {
-    pub(crate) capacity: f64,
-    pub(crate) level: f64,
-    pub(crate) refill_secs: f64,
-    pub(crate) sprinting: usize,
-    pub(crate) last: SimTime,
-}
-
-impl Pool {
-    /// A full pool of `capacity` sprint-seconds that refills from empty
-    /// in `refill_secs` (zero means instant, clamped to 1 ns), last
-    /// updated at time zero.
-    pub(crate) fn new(capacity: f64, refill_secs: f64) -> Pool {
-        Pool {
-            capacity,
-            level: capacity,
-            refill_secs: refill_secs.max(1e-9),
-            sprinting: 0,
-            last: SimTime::ZERO,
-        }
-    }
-
-    pub(crate) fn update(&mut self, now: SimTime) {
-        let dt = now.since(self.last).as_secs_f64();
-        self.last = now;
-        if self.capacity.is_infinite() {
-            return;
-        }
-        if self.sprinting == 0 {
-            self.level = (self.level + self.capacity / self.refill_secs * dt).min(self.capacity);
-        } else {
-            self.level = (self.level - self.sprinting as f64 * dt).max(0.0);
-        }
-    }
-
-    pub(crate) fn available(&self) -> bool {
-        // Levels below one microsecond count as empty so exhaustion
-        // horizons never round to zero-length events.
-        self.level > 1e-6 || self.capacity.is_infinite()
-    }
-
-    pub(crate) fn seconds_to_exhaustion(&self) -> Option<f64> {
-        if self.sprinting == 0 || self.capacity.is_infinite() {
-            None
-        } else {
-            Some(self.level / self.sprinting as f64)
-        }
-    }
+/// A full sprint budget for the event loop and the direct engine. Their
+/// configs accept a zero refill time, meaning instant refill, which
+/// this clamps to 1 ns.
+pub(crate) fn full_budget(capacity: f64, refill_secs: f64) -> Budget {
+    Budget::new(capacity, refill_secs.max(1e-9))
 }
 
 /// Looks up a slot that the event logic requires to be occupied,
@@ -415,7 +370,7 @@ impl Qsim {
         let queries = run_calendar(
             cfg.slots,
             cfg.num_queries,
-            Pool::new(cfg.budget_capacity_secs, cfg.refill_secs),
+            full_budget(cfg.budget_capacity_secs, cfg.refill_secs),
             &[Class::of(cfg)],
             || 0,
             &mut self.inputs,
@@ -435,8 +390,8 @@ impl Qsim {
 /// arrival order, warmup included.
 ///
 /// Each arrival draws its class from `draw_class` (an index into
-/// `classes`) before its service demand; `pool` is the budget all
-/// classes share.
+/// `classes`) before its service demand; `budget` is the sprint budget
+/// all classes share.
 ///
 /// # Errors
 ///
@@ -447,7 +402,7 @@ impl Qsim {
 pub(crate) fn run_calendar(
     slots: usize,
     num_queries: usize,
-    pool: Pool,
+    budget: Budget,
     classes: &[Class<'_>],
     draw_class: impl FnMut() -> usize,
     inputs: &mut Inputs,
@@ -459,7 +414,7 @@ pub(crate) fn run_calendar(
         events: EventQueue::new(),
         fifo: VecDeque::new(),
         slots: (0..slots).map(|_| None).collect(),
-        pool,
+        budget,
         queries: Vec::with_capacity(num_queries),
         done: 0,
         arrivals_left: num_queries,
@@ -494,7 +449,7 @@ struct Calendar<'r, D> {
     events: EventQueue<Ev>,
     fifo: VecDeque<u64>,
     slots: Vec<Option<RunningQuery>>,
-    pool: Pool,
+    budget: Budget,
     queries: Vec<QInfo>,
     done: usize,
     arrivals_left: usize,
@@ -544,8 +499,8 @@ impl<D: FnMut() -> usize> Calendar<'_, D> {
             }
             QState::Running(slot) => {
                 self.queries[id as usize].timed_out = true;
-                self.pool.update(now);
-                if !self.pool.available() {
+                self.budget.update(now);
+                if !self.budget.available() {
                     return Ok(());
                 }
                 let r = occupied(&mut self.slots, slot, "Calendar::on_timeout")?;
@@ -553,7 +508,7 @@ impl<D: FnMut() -> usize> Calendar<'_, D> {
                     r.advance(now);
                     r.sprinting = true;
                     self.queries[id as usize].sprinted = true;
-                    self.pool.sprinting += 1;
+                    self.budget.start_sprint();
                     self.reschedule_all_sprinting(now)?;
                 }
             }
@@ -568,7 +523,7 @@ impl<D: FnMut() -> usize> Calendar<'_, D> {
         if r.gen != gen {
             return Ok(());
         }
-        self.pool.update(now);
+        self.budget.update(now);
         let r = occupied(&mut self.slots, slot, "Calendar::on_slot")?;
         let was_sprinting = r.sprinting;
         r.advance(now);
@@ -577,10 +532,10 @@ impl<D: FnMut() -> usize> Calendar<'_, D> {
         // microsecond.
         if r.remaining_work <= 2e-6 {
             self.complete(now, slot)?;
-        } else if was_sprinting && !self.pool.available() {
+        } else if was_sprinting && !self.budget.available() {
             // Budget ran dry mid-sprint: fall back to sustained speed.
             r.sprinting = false;
-            self.pool.sprinting -= 1;
+            self.budget.end_sprint();
             self.reschedule_all_sprinting(now)?;
             self.reschedule(now, slot)?;
         } else {
@@ -597,7 +552,7 @@ impl<D: FnMut() -> usize> Calendar<'_, D> {
             )
         })?;
         if r.sprinting {
-            self.pool.sprinting -= 1;
+            self.budget.end_sprint();
             self.reschedule_all_sprinting(now)?;
         }
         let info = &mut self.queries[r.query as usize];
@@ -620,11 +575,11 @@ impl<D: FnMut() -> usize> Calendar<'_, D> {
         // Only a class that can sprint arms a timeout, so a timed-out
         // query's class can.
         if info.timed_out {
-            self.pool.update(now);
-            if self.pool.available() {
+            self.budget.update(now);
+            if self.budget.available() {
                 sprinting = true;
                 info.sprinted = true;
-                self.pool.sprinting += 1;
+                self.budget.start_sprint();
             }
         }
         self.slots[slot] = Some(RunningQuery {
@@ -653,7 +608,7 @@ impl<D: FnMut() -> usize> Calendar<'_, D> {
         let speed = if r.sprinting { r.speedup } else { 1.0 };
         let mut horizon = r.remaining_work / speed;
         if r.sprinting {
-            if let Some(exhaust) = self.pool.seconds_to_exhaustion() {
+            if let Some(exhaust) = self.budget.seconds_to_exhaustion() {
                 horizon = horizon.min(exhaust);
             }
         }

@@ -30,11 +30,11 @@ use simcore::dist::Dist;
 use simcore::time::{Rate, SimDuration};
 use simcore::SprintError;
 use testbed::{
-    ArrivalSpec, BudgetSpec, Journal, QueryRecord, RunResult, RunSpec, Server, ServerConfig,
-    SprintPolicy, SupervisorConfig,
+    ArrivalSpec, Journal, QueryRecord, RunResult, RunSpec, Server, ServerConfig, SprintPolicy,
+    SupervisorConfig,
 };
 
-use crate::plan::{ArrivalKind, BudgetPlan, CloningPlan, ScenarioPlan, Topology};
+use crate::plan::{ArrivalKind, CloningPlan, ScenarioPlan, Topology};
 
 /// Flight-recorder ring capacity for traced single-node runs: large
 /// enough that no span event of a catalog-sized run is evicted, so the
@@ -90,14 +90,9 @@ pub fn build_policy(plan: &ScenarioPlan) -> SprintPolicy {
     if !plan.policy.enabled {
         return SprintPolicy::never();
     }
-    let budget = match plan.policy.budget {
-        BudgetPlan::Seconds(s) => BudgetSpec::Seconds(s),
-        BudgetPlan::Fraction(f) => BudgetSpec::FractionOfRefill(f),
-        BudgetPlan::Unlimited => BudgetSpec::Unlimited,
-    };
     SprintPolicy::new(
         SimDuration::from_secs_f64(plan.policy.timeout_secs),
-        budget,
+        plan.policy.budget,
         SimDuration::from_secs_f64(plan.policy.refill_secs),
     )
 }

@@ -206,9 +206,10 @@ pub fn catalog_dir() -> &'static Path {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{BudgetPlan, MetricOp};
+    use crate::plan::MetricOp;
     use obs::{CauseReason, SpanKind};
     use simcore::rng::SimRng;
+    use testbed::BudgetSpec;
 
     fn sample_plan_toml() -> String {
         r#"
@@ -588,9 +589,9 @@ value = 0.0
     #[test]
     fn budget_plan_decodes_all_variants() {
         for (frag, expected) in [
-            ("budget_secs = 5.0", BudgetPlan::Seconds(5.0)),
-            ("budget_fraction = 0.25", BudgetPlan::Fraction(0.25)),
-            ("unlimited = true", BudgetPlan::Unlimited),
+            ("budget_secs = 5.0", BudgetSpec::Seconds(5.0)),
+            ("budget_fraction = 0.25", BudgetSpec::FractionOfRefill(0.25)),
+            ("unlimited = true", BudgetSpec::Unlimited),
         ] {
             let doc = format!(
                 "name = \"b\"\ntopology = \"single-node\"\n[policy]\n{frag}\n\

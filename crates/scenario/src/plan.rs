@@ -14,7 +14,7 @@ use fleet::{CoordinatorCrash, FleetPartition};
 use mechanisms::MechanismKind;
 use qsim::CloningFaults;
 use simcore::SprintError;
-use testbed::RateSegment;
+use testbed::{BudgetSpec, RateSegment};
 use workloads::{QueryMix, WorkloadKind};
 
 use crate::toml::{parse, to_string, TableReader, TomlValue};
@@ -123,17 +123,6 @@ pub struct ArrivalsPlan {
     pub flash: Option<FlashSpec>,
 }
 
-/// Budget selector for the sprint policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BudgetPlan {
-    /// Absolute capacity in sprint-seconds.
-    Seconds(f64),
-    /// Capacity as a fraction of the refill interval.
-    Fraction(f64),
-    /// No budget constraint.
-    Unlimited,
-}
-
 /// Sprint-policy section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyPlan {
@@ -141,8 +130,9 @@ pub struct PolicyPlan {
     pub enabled: bool,
     /// Timeout after arrival that triggers sprinting, seconds.
     pub timeout_secs: f64,
-    /// Budget capacity.
-    pub budget: BudgetPlan,
+    /// Budget capacity: `budget_secs`, `budget_fraction` (of the refill
+    /// interval) or `unlimited`.
+    pub budget: BudgetSpec,
     /// Budget refill interval, seconds.
     pub refill_secs: f64,
 }
@@ -386,13 +376,13 @@ impl ScenarioPlan {
         )?;
         SprintError::require_positive("ScenarioPlan::policy.refill_secs", self.policy.refill_secs)?;
         match self.policy.budget {
-            BudgetPlan::Seconds(s) => {
+            BudgetSpec::Seconds(s) => {
                 SprintError::require_non_negative("ScenarioPlan::policy.budget_secs", s)?;
             }
-            BudgetPlan::Fraction(f) => {
+            BudgetSpec::FractionOfRefill(f) => {
                 SprintError::require_non_negative("ScenarioPlan::policy.budget_fraction", f)?;
             }
-            BudgetPlan::Unlimited => {}
+            BudgetSpec::Unlimited => {}
         }
         SprintError::require_nonzero("ScenarioPlan::run.queries", self.run.queries)?;
         SprintError::require_nonzero("ScenarioPlan::run.slots", self.run.slots)?;
@@ -560,7 +550,7 @@ fn decode(doc: &TomlValue) -> Result<ScenarioPlan, SprintError> {
         None => PolicyPlan {
             enabled: false,
             timeout_secs: 0.0,
-            budget: BudgetPlan::Unlimited,
+            budget: BudgetSpec::Unlimited,
             refill_secs: 3_600.0,
         },
     };
@@ -678,10 +668,9 @@ fn decode_policy(v: &TomlValue) -> Result<PolicyPlan, SprintError> {
     let budget_fraction = p.opt_f64("budget_fraction")?;
     let unlimited = p.bool_or("unlimited", false)?;
     let budget = match (budget_secs, budget_fraction, unlimited) {
-        (Some(s), None, false) => BudgetPlan::Seconds(s),
-        (None, Some(f), false) => BudgetPlan::Fraction(f),
-        (None, None, true) => BudgetPlan::Unlimited,
-        (None, None, false) => BudgetPlan::Unlimited,
+        (Some(s), None, false) => BudgetSpec::Seconds(s),
+        (None, Some(f), false) => BudgetSpec::FractionOfRefill(f),
+        (None, None, _) => BudgetSpec::Unlimited,
         _ => {
             return Err(semantic(
                 "ScenarioPlan::policy",
@@ -1027,9 +1016,11 @@ fn encode_policy(p: &PolicyPlan) -> TomlValue {
         ("refill_secs".to_string(), TomlValue::Float(p.refill_secs)),
     ];
     match p.budget {
-        BudgetPlan::Seconds(s) => t.push(("budget_secs".to_string(), TomlValue::Float(s))),
-        BudgetPlan::Fraction(f) => t.push(("budget_fraction".to_string(), TomlValue::Float(f))),
-        BudgetPlan::Unlimited => t.push(("unlimited".to_string(), TomlValue::Bool(true))),
+        BudgetSpec::Seconds(s) => t.push(("budget_secs".to_string(), TomlValue::Float(s))),
+        BudgetSpec::FractionOfRefill(f) => {
+            t.push(("budget_fraction".to_string(), TomlValue::Float(f)))
+        }
+        BudgetSpec::Unlimited => t.push(("unlimited".to_string(), TomlValue::Bool(true))),
     }
     TomlValue::Table(t)
 }

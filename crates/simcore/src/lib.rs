@@ -23,10 +23,14 @@
 //! - [`json`]: a minimal JSON reader/writer used for offline persistence.
 //! - [`par`]: the ordered parallel map over scoped threads behind every
 //!   fan-out in the workspace.
+//! - [`budget`]: the sprint budget ([`Budget`]) and the one rule that
+//!   drains and refills it, shared by the testbed, the queue simulator
+//!   and the cloning race.
 //!
-//! Everything here is deliberately free of workload or policy semantics;
-//! those live in the `workloads`, `mechanisms`, `testbed` and `qsim`
-//! crates.
+//! Apart from that budget rule, which both simulators must share so the
+//! gap between them stays in their runtime effects, everything here is
+//! free of workload or policy semantics; those live in the
+//! `workloads`, `mechanisms`, `testbed` and `qsim` crates.
 //!
 //! # Examples
 //!
@@ -43,6 +47,7 @@
 //! assert!(at > SimTime::ZERO);
 //! ```
 
+pub mod budget;
 pub mod dist;
 pub mod error;
 pub mod event;
@@ -54,6 +59,7 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
+pub use budget::Budget;
 pub use dist::{Dist, DistKind};
 pub use error::SprintError;
 pub use event::EventQueue;

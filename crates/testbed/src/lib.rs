@@ -3,9 +3,10 @@
 //! This crate plays the role of the physical cluster in the paper: a
 //! query generator feeding a FIFO queue manager that detects timeouts,
 //! triggers sprinting against a shared budget, and dispatches queries to
-//! an execution engine (Fig. 3). Unlike the first-principles `qsim`
-//! simulator, the testbed models the *runtime* effects that make
-//! sprinting hard to predict:
+//! an execution engine (Fig. 3). The budget is [`simcore::Budget`], the
+//! same drain and refill rule the first-principles `qsim` simulator
+//! runs. Unlike `qsim`, the testbed models the *runtime* effects that
+//! make sprinting hard to predict:
 //!
 //! - per-phase sprint speedups (a sprint that starts late in an
 //!   execution hits different phases than one covering the whole run),
@@ -47,7 +48,6 @@
 //! its recorder event and cause reason for this server and the fleet
 //! control plane alike.
 
-pub mod budget;
 pub mod engine;
 pub mod metrics;
 pub mod policy;
@@ -57,9 +57,8 @@ pub mod spec;
 pub mod supervision;
 pub mod trace;
 
-pub use budget::Budget;
 pub use faults::{FaultCounters, FaultPlan, StormWindow};
-pub use metrics::{RunResult, RunResultBuilder};
+pub use metrics::RunResult;
 pub use policy::{ArrivalSpec, BudgetSpec, RateSegment, ServerConfig, SprintPolicy};
 pub use query::QueryRecord;
 pub use reactor::Journal;

@@ -13,117 +13,23 @@ use simcore::stats::Percentiles;
 use simcore::time::Rate;
 use simcore::SprintError;
 
-/// All records from one run plus the warmup cutoff.
+/// All records from one run plus the warmup cutoff. [`Server::finish`]
+/// builds it, the one construction path for every run flavour
+/// (pristine, faulted, supervised, recorded).
+///
+/// [`Server::finish`]: crate::Server::finish
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    records: Vec<QueryRecord>,
-    warmup: usize,
-    faults: FaultCounters,
-    recovery: RecoveryCounters,
-    arrived: usize,
-    telemetry: Option<RunTelemetry>,
-}
-
-/// Assembles a [`RunResult`]. The single construction path for every
-/// run flavour (pristine, faulted, supervised, recorded), so a newly
-/// added field cannot be silently defaulted away by one of several
-/// parallel constructors.
-#[derive(Debug)]
-pub struct RunResultBuilder {
-    records: Vec<QueryRecord>,
-    warmup: usize,
-    faults: FaultCounters,
-    recovery: RecoveryCounters,
-    arrived: Option<usize>,
-    telemetry: Option<RunTelemetry>,
-}
-
-impl RunResultBuilder {
-    /// Attaches fault-injection counters observed during the run.
-    pub fn faults(mut self, faults: FaultCounters) -> RunResultBuilder {
-        self.faults = faults;
-        self
-    }
-
-    /// Attaches supervisor intervention counters and the true arrival
-    /// count (served + shed + rejected) of a supervised run.
-    pub fn recovery(mut self, recovery: RecoveryCounters, arrived: usize) -> RunResultBuilder {
-        self.recovery = recovery;
-        self.arrived = Some(arrived);
-        self
-    }
-
-    /// Attaches the flight-recorder snapshot of a recorded run.
-    pub fn telemetry(mut self, telemetry: RunTelemetry) -> RunResultBuilder {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Finalizes the result. Without an explicit [`recovery`] call the
-    /// arrival count equals the record count (every arrival served).
-    ///
-    /// [`recovery`]: RunResultBuilder::recovery
-    pub fn build(self) -> RunResult {
-        let arrived = self.arrived.unwrap_or(self.records.len());
-        RunResult {
-            records: self.records,
-            warmup: self.warmup,
-            faults: self.faults,
-            recovery: self.recovery,
-            arrived,
-            telemetry: self.telemetry,
-        }
-    }
+    pub(crate) records: Vec<QueryRecord>,
+    pub(crate) warmup: usize,
+    pub(crate) faults: FaultCounters,
+    pub(crate) recovery: RecoveryCounters,
+    /// Served + shed + rejected arrivals.
+    pub(crate) arrived: usize,
+    pub(crate) telemetry: Option<RunTelemetry>,
 }
 
 impl RunResult {
-    /// Starts building a result from per-query records; the first
-    /// `warmup` queries (by id) are excluded from steady-state
-    /// statistics.
-    pub fn builder(records: Vec<QueryRecord>, warmup: usize) -> RunResultBuilder {
-        RunResultBuilder {
-            records,
-            warmup,
-            faults: FaultCounters::default(),
-            recovery: RecoveryCounters::default(),
-            arrived: None,
-            telemetry: None,
-        }
-    }
-
-    /// Wraps per-query records; the first `warmup` queries (by id) are
-    /// excluded from steady-state statistics.
-    pub fn new(records: Vec<QueryRecord>, warmup: usize) -> RunResult {
-        RunResult::builder(records, warmup).build()
-    }
-
-    /// Like [`RunResult::new`], but carries the fault-injection
-    /// counters observed during the run.
-    pub fn with_faults(
-        records: Vec<QueryRecord>,
-        warmup: usize,
-        faults: FaultCounters,
-    ) -> RunResult {
-        RunResult::builder(records, warmup).faults(faults).build()
-    }
-
-    /// Like [`RunResult::with_faults`], but for a supervised run where
-    /// not every arrival produced a record: `arrived` counts all
-    /// arrivals (served + shed + rejected) and `recovery` carries the
-    /// supervisor's intervention counters.
-    pub fn with_recovery(
-        records: Vec<QueryRecord>,
-        warmup: usize,
-        faults: FaultCounters,
-        recovery: RecoveryCounters,
-        arrived: usize,
-    ) -> RunResult {
-        RunResult::builder(records, warmup)
-            .faults(faults)
-            .recovery(recovery, arrived)
-            .build()
-    }
-
     /// Flight-recorder snapshot, if the run was recorded (`None` for
     /// the default, unrecorded server).
     pub fn telemetry(&self) -> Option<&RunTelemetry> {
@@ -313,6 +219,18 @@ mod tests {
     use simcore::time::SimTime;
     use workloads::WorkloadKind;
 
+    /// An unfaulted, unsupervised result: every arrival served.
+    fn result(records: Vec<QueryRecord>, warmup: usize) -> RunResult {
+        RunResult {
+            arrived: records.len(),
+            records,
+            warmup,
+            faults: FaultCounters::default(),
+            recovery: RecoveryCounters::default(),
+            telemetry: None,
+        }
+    }
+
     fn rec(id: u64, arrival: u64, dispatch: u64, depart: u64, sprinted: bool) -> QueryRecord {
         QueryRecord {
             id,
@@ -330,10 +248,10 @@ mod tests {
     #[test]
     fn quantiles_are_typed_on_empty_or_invalid_input() {
         // All records inside warmup: nothing steady to measure.
-        let r = RunResult::new(vec![rec(0, 0, 0, 10, false)], 1);
+        let r = result(vec![rec(0, 0, 0, 10, false)], 1);
         assert_eq!(r.response_quantile_secs(0.99), 0.0);
         assert!(r.try_response_quantile_secs(0.99).is_err());
-        let r = RunResult::new(vec![rec(0, 0, 0, 10, false)], 0);
+        let r = result(vec![rec(0, 0, 0, 10, false)], 0);
         assert!(r.try_response_quantile_secs(1.5).is_err());
         assert!(r.try_response_quantile_secs(-0.1).is_err());
         assert!((r.try_response_quantile_secs(0.5).unwrap() - 10.0).abs() < 1e-9);
@@ -341,7 +259,7 @@ mod tests {
 
     #[test]
     fn fault_counters_default_to_zero() {
-        let r = RunResult::new(vec![rec(0, 0, 0, 10, false)], 0);
+        let r = result(vec![rec(0, 0, 0, 10, false)], 0);
         assert_eq!(r.fault_counters().total(), 0);
         assert_eq!(r.recovery_counters().total(), 0);
         assert!(r.conserves_queries());
@@ -354,13 +272,11 @@ mod tests {
             rejected_queries: 1,
             ..RecoveryCounters::default()
         };
-        let r = RunResult::with_recovery(
-            vec![rec(0, 0, 0, 100, false), rec(1, 0, 0, 400, false)],
-            0,
-            FaultCounters::default(),
+        let r = RunResult {
             recovery,
-            4,
-        );
+            arrived: 4,
+            ..result(vec![rec(0, 0, 0, 100, false), rec(1, 0, 0, 400, false)], 0)
+        };
         assert_eq!(r.arrived(), 4);
         assert_eq!(r.served(), 2);
         assert!(r.conserves_queries());
@@ -371,7 +287,7 @@ mod tests {
 
     #[test]
     fn warmup_excluded_from_means() {
-        let r = RunResult::new(
+        let r = result(
             vec![
                 rec(0, 0, 0, 1000, false), // Warmup outlier.
                 rec(1, 0, 0, 100, false),
@@ -385,7 +301,7 @@ mod tests {
 
     #[test]
     fn service_rate_uses_non_sprinted_only() {
-        let r = RunResult::new(
+        let r = result(
             vec![
                 rec(0, 0, 10, 110, false), // 100 s processing.
                 rec(1, 0, 10, 60, true),   // 50 s, sprinted.
@@ -400,7 +316,7 @@ mod tests {
 
     #[test]
     fn tail_fraction_counts_exceedances() {
-        let r = RunResult::new(
+        let r = result(
             vec![
                 rec(0, 0, 0, 100, false),
                 rec(1, 0, 0, 300, false),
@@ -415,7 +331,7 @@ mod tests {
 
     #[test]
     fn quantiles_and_sprint_fraction() {
-        let r = RunResult::new(
+        let r = result(
             vec![
                 rec(0, 0, 0, 100, true),
                 rec(1, 0, 0, 200, false),
@@ -429,7 +345,7 @@ mod tests {
 
     #[test]
     fn empty_sprinted_set_is_none() {
-        let r = RunResult::new(vec![rec(0, 0, 0, 10, false)], 0);
+        let r = result(vec![rec(0, 0, 0, 10, false)], 0);
         assert!(r.measured_sprinted_rate().is_none());
         assert!(r.measured_service_rate().is_some());
     }

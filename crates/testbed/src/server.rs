@@ -17,7 +17,6 @@
 //! delivers inline at the send site — bit-identical to the direct
 //! method calls the server used before the reactor refactor.
 
-use crate::budget::Budget;
 use crate::engine::{ExecMode, ExecutionState};
 use crate::metrics::RunResult;
 use crate::policy::ServerConfig;
@@ -28,6 +27,7 @@ use mechanisms::Mechanism;
 use obs::{CauseReason, EventKind, FlightRecorder, SpanKind, SpanOutcome, UnsprintReason};
 use reactor::entropy::ns;
 use reactor::{Delivery, EntropyTower, Journal, JournalEntry, Reactor};
+use simcore::budget::{Budget, EMPTY_SECS};
 use simcore::dist::Dist;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -536,10 +536,12 @@ impl<'m> Server<'m> {
         let arrival_rng = tower.stream(ns::ARRIVALS);
         let service_rng = tower.stream(ns::SERVICE);
         let mix_rng = tower.stream(ns::MIX);
-        let budget = Budget::new(
-            cfg.policy.budget_capacity(),
-            cfg.policy.refill.as_secs_f64(),
-        )?;
+        let capacity = cfg.policy.budget_capacity();
+        let refill_secs = cfg.policy.refill.as_secs_f64();
+        // Infinite capacity is legal: the unlimited budget.
+        SprintError::require_non_negative("Budget::capacity", capacity)?;
+        SprintError::require_positive("Budget::refill_secs", refill_secs)?;
+        let budget = Budget::new(capacity, refill_secs);
         let next_arrival_gap = Dist::Parametric {
             kind: cfg.arrivals.kind,
             mean: cfg.arrivals.rate.mean_interval(),
@@ -800,15 +802,19 @@ impl<'m> Server<'m> {
             .as_ref()
             .map(|f| f.counters())
             .unwrap_or_default();
-        let mut builder = RunResult::builder(self.records, self.cfg.warmup).faults(counters);
-        if let Some(sup) = self.supervisor.as_mut() {
-            let recovery = sup.finalize(end.as_secs_f64());
-            builder = builder.recovery(recovery, self.cfg.num_queries);
-        }
-        if let Some(recorder) = self.obs.recorder.take() {
-            builder = builder.telemetry(recorder.finish());
-        }
-        Ok(builder.build())
+        // Unsupervised runs serve every arrival.
+        let (recovery, arrived) = match self.supervisor.as_mut() {
+            Some(sup) => (sup.finalize(end.as_secs_f64()), self.cfg.num_queries),
+            None => (Default::default(), self.records.len()),
+        };
+        Ok(RunResult {
+            records: self.records,
+            warmup: self.cfg.warmup,
+            faults: counters,
+            recovery,
+            arrived,
+            telemetry: self.obs.recorder.take().map(FlightRecorder::finish),
+        })
     }
 
     fn on_arrival(&mut self, now: SimTime) -> Result<(), SprintError> {
@@ -991,7 +997,7 @@ impl<'m> Server<'m> {
             return true;
         }
         match &self.faults {
-            Some(_) => self.sensed_level_now(now) > 1e-6,
+            Some(_) => self.sensed_level_now(now) > EMPTY_SECS,
             None => self.budget.available(),
         }
     }
@@ -1001,13 +1007,10 @@ impl<'m> Server<'m> {
     /// the horizon the same way they shift the level, so
     /// sprint-disengage events follow the controller's view.
     fn sensed_seconds_to_exhaustion(&mut self, now: SimTime) -> Option<f64> {
-        let n = self.budget.sprinting();
-        if n == 0 || self.budget.capacity().is_infinite() {
-            return None;
-        }
+        let horizon = self.budget.seconds_to_exhaustion()?;
         match &self.faults {
-            Some(_) => Some(self.sensed_level_now(now) / n as f64),
-            None => self.budget.seconds_to_exhaustion(),
+            Some(_) => Some(self.sensed_level_now(now) / self.budget.sprinting() as f64),
+            None => Some(horizon),
         }
     }
 
@@ -1927,13 +1930,23 @@ mod tests {
         let mut cfg = base_cfg(SprintPolicy::never(), 0.5, 100, 1);
         cfg.num_queries = 0;
         assert!(Server::new(cfg, &mech).is_err());
-        let mut cfg = base_cfg(SprintPolicy::never(), 0.5, 100, 1);
-        cfg.policy = SprintPolicy::new(
-            SimDuration::from_secs(60),
-            BudgetSpec::Seconds(f64::NAN),
-            SimDuration::from_secs(200),
-        );
-        assert!(Server::new(cfg, &mech).is_err());
+        let secs = SimDuration::from_secs;
+        for (capacity, refill, rejected_as) in [
+            (f64::NAN, 200, Some("Budget::capacity")),
+            (-1.0, 200, Some("Budget::capacity")),
+            (9.0, 0, Some("Budget::refill_secs")),
+            // Zero capacity is a legal, always-empty budget.
+            (0.0, 200, None),
+        ] {
+            let mut cfg = base_cfg(SprintPolicy::never(), 0.5, 100, 1);
+            let budget = BudgetSpec::Seconds(capacity);
+            cfg.policy = SprintPolicy::new(secs(60), budget, secs(refill));
+            let what = Server::new(cfg, &mech).err().map(|e| match e {
+                SprintError::InvalidConfig { what, .. } => what,
+                other => panic!("{other}"),
+            });
+            assert_eq!(what, rejected_as, "{budget:?} refilled over {refill} s");
+        }
     }
 
     fn sprint_cfg(n: usize, seed: u64) -> ServerConfig {

@@ -3,7 +3,9 @@
 #
 # Offline-safe: the workspace has no external dependencies, and
 # --offline makes cargo fail fast instead of touching the network if
-# one is ever reintroduced by accident.
+# one is ever reintroduced by accident. --locked fails any step that
+# would rewrite Cargo.lock or perfbench/Cargo.lock, so a changed
+# dependency edge shows here instead of silently changing a lock file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,21 +40,21 @@ logged() {
     fi
 }
 
-run cargo build --release --workspace --offline
+run cargo build --release --workspace --offline --locked
 # The workspace tests include the metric-family dead-hook check
 # (crates/bench/tests/metric_families.rs): every registered family must
 # be present and fire.
-run cargo test -q --workspace --offline
+run cargo test -q --workspace --offline --locked
 run cargo fmt --all -- --check
-run cargo clippy --all-targets --workspace --offline -- -D warnings
+run cargo clippy --all-targets --workspace --offline --locked -- -D warnings
 # Documentation gate: every intra-doc link resolves, and no public doc
 # links a private item.
-run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 
 # The benchmark package has a [workspace] of its own, so the --workspace
 # steps above skip it: run its unit tests, lints and format check here.
-run cargo test -q --offline --manifest-path perfbench/Cargo.toml
-run cargo clippy --all-targets --offline --manifest-path perfbench/Cargo.toml -- -D warnings
+run cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+run cargo clippy --all-targets --offline --locked --manifest-path perfbench/Cargo.toml -- -D warnings
 run cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 # Record/replay gate: each fixed-seed record/replay plan of the catalog

@@ -15,10 +15,12 @@
 #
 # For each end-to-end metric BENCHMARK.json declares, prints both sides'
 # medians and interquartile ranges (statistics.quantiles, n=4), the
-# change against <rev> in the metric's worse direction, and the pairs
-# the change won (ties count for neither). `gain` is "yes" when the
-# change won at least nine tenths of the pairs and its median beats
-# <rev>'s by more than <rev>'s IQR.
+# change against <rev> in the metric's worse direction, the metric's
+# `bound` from BENCHMARK.json, and the pairs the change won (ties count
+# for neither). `over` is "yes" when the change's median is worse than
+# <rev>'s by more than that bound, the no-regression check. `gain` is
+# "yes" when the change won at least nine tenths of the pairs and its
+# median beats <rev>'s by more than <rev>'s IQR.
 #
 # Exits non-zero if a build or run fails, or if any run reports
 # failed > 0. Needs git, cargo and python3.
@@ -104,7 +106,8 @@ def spread(values):
 
 print(f"{len(pairs)} pairs; base = {rev}, change = working tree")
 print(f"{'metric':<12} {'unit':<4} {'base p50':>10} {'base IQR':>9} "
-      f"{'change p50':>10} {'chg IQR':>9} {'worse by':>9} {'wins':>6}  gain")
+      f"{'change p50':>10} {'chg IQR':>9} {'worse by':>9} {'bound':>6} {'over':>4} "
+      f"{'wins':>6}  gain")
 for m in declared:
     name, lower = m["name"], m["better"] == "lower"
     base = [runs["base"][p][name] for p in pairs]
@@ -114,9 +117,10 @@ for m in declared:
     wins = sum(better(w, b) for w, b in zip(work, base))
     worse_by = (wm / bm - 1.0) * (1 if lower else -1) if bm else 0.0
     gain = wins * 10 >= 9 * len(pairs) and abs(wm - bm) > spread(base) and better(wm, bm)
+    over = worse_by > m["bound"]
     print(f"{name:<12} {m['unit']:<4} {bm:>10.4g} {spread(base):>9.3g} "
-          f"{wm:>10.4g} {spread(work):>9.3g} {worse_by:>+9.1%} "
-          f"{wins:>3}/{len(pairs):<2}  {'yes' if gain else 'no'}")
+          f"{wm:>10.4g} {spread(work):>9.3g} {worse_by:>+9.1%} {m['bound']:>6.0%} "
+          f"{'yes' if over else 'no':>4} {wins:>3}/{len(pairs):<2}  {'yes' if gain else 'no'}")
 for f in failed:
     print(f"FAILED: {f}")
 sys.exit(1 if failed else 0)

@@ -87,7 +87,7 @@ pub mod prelude {
         HybridModel, ModelHealthMonitor, OnlineModel, ResponseTimeModel, SimOptions, TrainOptions,
     };
     pub use testbed::{
-        Budget, RateSegment, RecoveryCounters, ServerConfig, SprintPolicy, SupervisorConfig,
+        RateSegment, RecoveryCounters, ServerConfig, SprintPolicy, SupervisorConfig,
     };
     pub use workloads::{QueryMix, Workload, WorkloadKind};
 }
