@@ -104,15 +104,14 @@ impl ExplorerLeg {
 pub fn bench_explorer(p: &WorkloadProfile) -> Result<ExplorerLeg, SprintError> {
     let accfg = AnnealingConfig::default();
     let base = cond();
-    // One throwaway evaluation first so one-time costs (first-touch
-    // allocations, the shared caches' creation) don't land in either
-    // timed search.
+    // One throwaway evaluation first so one-time process costs
+    // (first-touch allocations, the metrics registry's creation) don't
+    // land in either timed search.
     let _ = NoMlModel::new(p.clone(), SimOptions::default()).predict_response_secs(&base);
-    // Min-of-K with a FRESH model per repetition, detached from the
-    // process-global shared caches (`with_private_caches`): every
-    // timed search pays the full cost of a first search from cold
-    // trace cache and prediction memo (shared/warm caches would make
-    // fast reps nearly free, which is not the scenario the 3X
+    // Min-of-K with a FRESH model per repetition: each model owns its
+    // trace cache and prediction memo, so every timed search pays the
+    // full cost of a first search from cold caches (warm caches would
+    // make fast reps nearly free, which is not the scenario the 3X
     // criterion describes — the warm steady state is measured by the
     // throughput leg instead). Min-of-K only filters scheduler noise,
     // which swings this container by ~20%.
@@ -127,9 +126,8 @@ pub fn bench_explorer(p: &WorkloadProfile) -> Result<ExplorerLeg, SprintError> {
                 fast_path: false,
                 ..SimOptions::default()
             },
-        )
-        .with_private_caches();
-        let fast_model = NoMlModel::new(p.clone(), SimOptions::default()).with_private_caches();
+        );
+        let fast_model = NoMlModel::new(p.clone(), SimOptions::default());
         let (slow, s_secs) = time(|| explore_timeout(&slow_model, &base, &accfg));
         let (fast, f_secs) = time(|| explore_timeout(&fast_model, &base, &accfg));
         let (fast, slow) = (fast?, slow?);
@@ -222,10 +220,10 @@ pub fn bench_telemetry(p: &WorkloadProfile) -> Result<TelemetryLeg, SprintError>
     let mut disabled_secs = f64::MAX;
     let mut enabled_secs = f64::MAX;
     for _ in 0..REPS {
-        let off_model = NoMlModel::new(p.clone(), SimOptions::default()).with_private_caches();
+        let off_model = NoMlModel::new(p.clone(), SimOptions::default());
         obs::set_enabled(false);
         let (off, off_t) = time(|| explore_timeout(&off_model, &base, &accfg));
-        let on_model = NoMlModel::new(p.clone(), SimOptions::default()).with_private_caches();
+        let on_model = NoMlModel::new(p.clone(), SimOptions::default());
         obs::set_enabled(true);
         let (on, on_t) = time(|| explore_timeout(&on_model, &base, &accfg));
         obs::set_enabled(false);

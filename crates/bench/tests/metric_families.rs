@@ -36,8 +36,8 @@ fn prediction_workload() {
     // A repeated cached simulation is a guaranteed trace-cache hit.
     let opts = SimOptions::default();
     let cache = TraceCache::new();
-    let one = opts.simulate_cached(&p, &c, 1.2, &cache);
-    let two = opts.simulate_cached(&p, &c, 1.2, &cache);
+    let one = opts.simulate(&p, &c, 1.2, &cache);
+    let two = opts.simulate(&p, &c, 1.2, &cache);
     assert_eq!(one.to_bits(), two.to_bits(), "CRN replay must be stable");
 
     // Forest inference timings.

@@ -13,7 +13,7 @@
 //!
 //! - **Candidates replay one set of traces.** A call keeps a private
 //!   [`TraceCache`], and every candidate is scored through
-//!   [`SimOptions::simulate_cached`]. The speedup is not part of a
+//!   [`SimOptions::simulate`]. The speedup is not part of a
 //!   trace's key, so each replication's arrival and service draws are
 //!   made once per call, not once per candidate (common random
 //!   numbers; bit-identical to live sampling).
@@ -86,9 +86,7 @@ pub fn effective_sprint_rate(
     // One set of traces for every candidate (module docs).
     let traces = TraceCache::new();
     let eval = |speedup: f64| -> f64 {
-        let predicted = opts
-            .sim
-            .simulate_cached(profile, &run.condition, speedup, &traces);
+        let predicted = opts.sim.simulate(profile, &run.condition, speedup, &traces);
         (predicted - observed).abs() / observed
     };
 
@@ -169,7 +167,9 @@ mod tests {
         let p = profile();
         let opts = CalibrationOptions::default();
         let true_rate = 63.0; // Well below µm = 75.
-        let observed = opts.sim.simulate(&p, &cond(), true_rate / 50.0);
+        let observed = opts
+            .sim
+            .simulate(&p, &cond(), true_rate / 50.0, &TraceCache::new());
         let run = ProfilingRun {
             condition: cond(),
             observed_response_secs: observed,
@@ -187,7 +187,7 @@ mod tests {
     fn exact_marginal_rate_returns_immediately() {
         let p = profile();
         let opts = CalibrationOptions::default();
-        let observed = opts.sim.simulate(&p, &cond(), 1.5);
+        let observed = opts.sim.simulate(&p, &cond(), 1.5, &TraceCache::new());
         let run = ProfilingRun {
             condition: cond(),
             observed_response_secs: observed,

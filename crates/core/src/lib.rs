@@ -23,6 +23,12 @@
 //! - [`AnnModel`] — an MLP mapping conditions directly to response
 //!   time.
 //!
+//! The two simulator-backed models predict through one private
+//! simulator bridge, which holds the model's own common-random-number
+//! trace cache and prediction memo. A clone shares its original's
+//! caches; a model built separately, or returned by
+//! `with_private_caches`, starts with empty ones.
+//!
 //! [`throughput`] measures predictions per minute (Fig. 11), and
 //! [`train`] builds models from a profiling campaign.
 //!

@@ -4,12 +4,12 @@ use ann::Mlp;
 use forest::RandomForest;
 use profiler::{Condition, WorkloadProfile};
 use qsim::{
-    predict_mean_response, predict_mean_response_reference, predict_mean_response_traced,
-    CappedMap, QsimConfig, TraceCache,
+    predict_mean_response_reference, predict_mean_response_traced, CappedMap, QsimConfig,
+    TraceCache,
 };
-use simcore::dist::{Dist, DistKind};
+use simcore::dist::Dist;
 use simcore::time::SimDuration;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Queue-simulation settings used when a model predicts response time.
 #[derive(Debug, Clone, Copy)]
@@ -26,10 +26,11 @@ pub struct SimOptions {
     pub threads: usize,
     /// Base seed.
     pub seed: u64,
-    /// Use the prediction fast path (direct k = 1 engine and —
-    /// through the models' trace caches and memo — common-random-
-    /// number trace replay). `false` routes every simulation through
-    /// the event-calendar reference backend; outputs are bit-identical
+    /// Use the prediction fast path (direct k = 1 engine,
+    /// common-random-number trace replay from the cache
+    /// [`SimOptions::simulate`] is given, and the models' prediction
+    /// memo). `false` routes every simulation through the
+    /// event-calendar reference backend; outputs are bit-identical
     /// either way, only the cost profile changes, so this exists for
     /// benchmarks and oracle tests.
     pub fast_path: bool,
@@ -82,32 +83,15 @@ impl SimOptions {
     }
 
     /// Simulated mean response time for a condition at the given
-    /// sprint speedup. Zero `replications`/`threads` are lifted to one
-    /// so a default-ish `SimOptions` never aborts a prediction.
-    pub fn simulate(
-        &self,
-        profile: &WorkloadProfile,
-        cond: &Condition,
-        sprint_speedup: f64,
-    ) -> f64 {
-        let cfg = self.config(profile, cond, sprint_speedup);
-        let (replications, threads) = (self.replications.max(1), self.threads.max(1));
-        obs::global().sim_evals.incr();
-        if self.fast_path {
-            predict_mean_response(&cfg, replications, threads)
-        } else {
-            predict_mean_response_reference(&cfg, replications, threads)
-        }
-        .expect("config derived from a validated profile simulates")
-    }
-
-    /// [`SimOptions::simulate`] with a trace cache: replications replay
-    /// pre-materialized common-random-number traces, so repeated
+    /// sprint speedup. On the fast path the replications replay the
+    /// common-random-number traces held in `cache`, so repeated
     /// predictions over the same arrival/service process (every
     /// candidate timeout of an annealing search, say) skip all
-    /// distribution sampling and share identical randomness.
-    /// Bit-identical to [`SimOptions::simulate`].
-    pub fn simulate_cached(
+    /// distribution sampling and share identical randomness; the
+    /// result is bit-identical to live sampling. Zero
+    /// `replications`/`threads` are lifted to one so a default-ish
+    /// `SimOptions` never aborts a prediction.
+    pub fn simulate(
         &self,
         profile: &WorkloadProfile,
         cond: &Condition,
@@ -126,17 +110,14 @@ impl SimOptions {
     }
 }
 
-/// Everything that determines a simulator-backed prediction: the
-/// condition's fields, the sprint speedup fed to the simulator (which,
-/// for the hybrid model, is itself a deterministic function of the
-/// condition), and a fingerprint of the *model context* — the profile
-/// fields and simulation options that [`SimOptions::config`] folds
-/// into the simulator configuration. The fingerprint is what makes the
-/// memo safely shareable across models and workers: two models agree
-/// on a key only if they would compute bit-identical predictions.
+/// Everything that determines one model's simulator-backed
+/// prediction: the condition's fields and the sprint speedup fed to
+/// the simulator (which, for the hybrid model, is itself a
+/// deterministic function of the condition). The profile and
+/// simulation options are fixed for a model, and each model owns its
+/// memo, so they need no place in the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MemoKey {
-    context_fp: u64,
     utilization: u64,
     arrival_kind: (u8, u64),
     timeout: u64,
@@ -146,18 +127,10 @@ struct MemoKey {
 }
 
 impl MemoKey {
-    fn new(cond: &Condition, speedup: f64, context_fp: u64) -> MemoKey {
-        let kind = match cond.arrival_kind {
-            DistKind::Exponential => (0, 0),
-            DistKind::Pareto { alpha } => (1, alpha.to_bits()),
-            DistKind::Deterministic => (2, 0),
-            DistKind::Lognormal { cov } => (3, cov.to_bits()),
-            DistKind::Hyperexponential { cov } => (4, cov.to_bits()),
-        };
+    fn new(cond: &Condition, speedup: f64) -> MemoKey {
         MemoKey {
-            context_fp,
             utilization: cond.utilization.to_bits(),
-            arrival_kind: kind,
+            arrival_kind: cond.arrival_kind.key(),
             timeout: cond.timeout_secs.to_bits(),
             budget_frac: cond.budget_frac.to_bits(),
             refill: cond.refill_secs.to_bits(),
@@ -166,76 +139,58 @@ impl MemoKey {
     }
 }
 
-/// FNV-1a fold of everything a model feeds the simulator beyond the
-/// condition and speedup: the profile fields [`SimOptions::config`]
-/// reads (base rate µ, the empirical service table) and the simulation
-/// options that shape the result (query count, warmup, replication
-/// count, base seed). `threads` and `fast_path` are deliberately
-/// excluded — both are bit-invisible by contract (asserted by the
-/// backend oracles).
-fn context_fingerprint(profile: &WorkloadProfile, sim: &SimOptions) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(profile.mu.qph().to_bits());
-    mix(profile.service_samples_secs.len() as u64);
-    for &s in &profile.service_samples_secs {
-        mix(s.to_bits());
-    }
-    mix(sim.sim_queries as u64);
-    mix(sim.warmup as u64);
-    mix(sim.replications as u64);
-    mix(sim.seed);
-    h
-}
-
 /// Entry cap of the memo. Inserts beyond it are dropped (the caller
 /// keeps its computed value), so a pathological workload degrades to
 /// re-simulating, never to unbounded growth. An annealing search
 /// revisits a few dozen distinct conditions at most.
 const MEMO_CAP: usize = 131_072;
 
-/// Memo of fast-path predictions, held in a [`CappedMap`].
+/// The simulator half of [`NoMlModel`] and [`HybridModel`]: the
+/// profile and options a prediction simulates with, plus the model's
+/// own CRN trace cache and prediction memo (a [`CappedMap`]).
 ///
-/// Sound because a fast-path prediction is a *pure* function of
-/// (model context, condition, speedup): common-random-number traces
-/// pin the randomness to the replication seeds, so re-evaluating a
-/// condition — e.g. an annealing proposal clamped to the same bound
-/// twice — reproduces the identical bits. Returning the memoized value
-/// is therefore observationally indistinguishable from re-simulating,
-/// just ~3 simulation runs cheaper. The context fingerprint in
-/// [`MemoKey`] extends that guarantee across models, so the
-/// process-global [`PredictionMemo::shared`] instance is safe.
-/// Reference-path (`fast_path = false`) predictions bypass the memo so
-/// benchmarks measure real work.
+/// The memo is sound because a fast-path prediction is a *pure*
+/// function of (condition, speedup) for a fixed profile and options:
+/// common-random-number traces pin the randomness to the replication
+/// seeds, so re-evaluating a condition — e.g. an annealing proposal
+/// clamped to the same bound twice — reproduces the identical bits.
+/// Returning the memoized value is therefore observationally
+/// indistinguishable from re-simulating, just ~3 simulation runs
+/// cheaper. Reference-path (`fast_path = false`) predictions bypass the
+/// memo so benchmarks measure real work.
 ///
-/// Clones share storage (`Arc`), mirroring [`TraceCache`].
-#[derive(Clone)]
-struct PredictionMemo {
-    inner: Arc<CappedMap<MemoKey, f64>>,
+/// Both caches sit behind an `Arc`, so a clone shares its original's.
+#[derive(Debug, Clone)]
+struct SimBridge {
+    profile: WorkloadProfile,
+    sim: SimOptions,
+    traces: TraceCache,
+    memo: Arc<CappedMap<MemoKey, f64>>,
 }
 
-impl Default for PredictionMemo {
-    fn default() -> Self {
-        PredictionMemo {
-            inner: Arc::new(CappedMap::new(MEMO_CAP)),
+impl SimBridge {
+    fn new(profile: WorkloadProfile, sim: SimOptions) -> SimBridge {
+        SimBridge {
+            profile,
+            sim,
+            traces: TraceCache::new(),
+            memo: Arc::new(CappedMap::new(MEMO_CAP)),
         }
     }
-}
 
-impl PredictionMemo {
-    /// The process-global shared memo (see type docs for why sharing
-    /// across models is sound).
-    fn shared() -> PredictionMemo {
-        static SHARED: OnceLock<PredictionMemo> = OnceLock::new();
-        SHARED.get_or_init(PredictionMemo::default).clone()
-    }
-
-    fn get_or_insert_with(&self, key: MemoKey, compute: impl FnOnce() -> f64) -> f64 {
-        if let Some(v) = self.inner.get(&key) {
+    /// Mean response time under `cond` at `speedup`: the memoized value
+    /// when the fast path has predicted this pair before, otherwise a
+    /// simulation.
+    fn predict(&self, cond: &Condition, speedup: f64) -> f64 {
+        let simulate = || {
+            self.sim
+                .simulate(&self.profile, cond, speedup, &self.traces)
+        };
+        if !self.sim.fast_path {
+            return simulate();
+        }
+        let key = MemoKey::new(cond, speedup);
+        if let Some(v) = self.memo.get(&key) {
             obs::global().memo_hits.incr();
             return v;
         }
@@ -243,15 +198,7 @@ impl PredictionMemo {
         // A racer that computed the same key first stored an identical
         // value (purity); either copy is the answer. A full memo drops
         // the insert and we return our own computation.
-        self.inner.insert(key, compute())
-    }
-}
-
-impl std::fmt::Debug for PredictionMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PredictionMemo")
-            .field("len", &self.inner.len())
-            .finish()
+        self.memo.insert(key, simulate())
     }
 }
 
@@ -272,38 +219,25 @@ pub trait ResponseTimeModel: Send + Sync {
 /// profiled marginal sprint rate.
 #[derive(Debug, Clone)]
 pub struct NoMlModel {
-    profile: WorkloadProfile,
-    sim: SimOptions,
-    traces: TraceCache,
-    memo: PredictionMemo,
-    context_fp: u64,
+    bridge: SimBridge,
 }
 
 impl NoMlModel {
-    /// Builds the model from a profile. Joins the process-global
-    /// shared trace cache and prediction memo (sound: see the private
-    /// `PredictionMemo`); use [`NoMlModel::with_private_caches`] to
-    /// opt out for cold-path measurement.
+    /// Builds the model from a profile, with an empty trace cache and
+    /// prediction memo of its own. A clone shares its original's
+    /// caches.
     pub fn new(profile: WorkloadProfile, sim: SimOptions) -> NoMlModel {
-        let context_fp = context_fingerprint(&profile, &sim);
         NoMlModel {
-            profile,
-            sim,
-            traces: TraceCache::shared(),
-            memo: PredictionMemo::shared(),
-            context_fp,
+            bridge: SimBridge::new(profile, sim),
         }
     }
 
-    /// Detaches the model from the process-global caches, giving it
-    /// fresh private ones. Predictions are bit-identical either way;
-    /// only the cost profile changes (benchmarks measuring cold-cache
-    /// work use this).
+    /// The same model with fresh, empty caches, shared with no clone.
+    /// Predictions are bit-identical either way; only the cost profile
+    /// changes (benchmarks measuring cold-cache work use this).
     #[must_use]
-    pub fn with_private_caches(mut self) -> NoMlModel {
-        self.traces = TraceCache::new();
-        self.memo = PredictionMemo::default();
-        self
+    pub fn with_private_caches(self) -> NoMlModel {
+        NoMlModel::new(self.bridge.profile, self.bridge.sim)
     }
 }
 
@@ -313,20 +247,12 @@ impl ResponseTimeModel for NoMlModel {
     }
 
     fn predict_response_secs(&self, cond: &Condition) -> f64 {
-        let speedup = self.profile.marginal_speedup();
-        let simulate = || {
-            self.sim
-                .simulate_cached(&self.profile, cond, speedup, &self.traces)
-        };
-        if !self.sim.fast_path {
-            return simulate();
-        }
-        self.memo
-            .get_or_insert_with(MemoKey::new(cond, speedup, self.context_fp), simulate)
+        self.bridge
+            .predict(cond, self.bridge.profile.marginal_speedup())
     }
 
     fn profile(&self) -> &WorkloadProfile {
-        &self.profile
+        &self.bridge.profile
     }
 }
 
@@ -334,53 +260,39 @@ impl ResponseTimeModel for NoMlModel {
 /// timeout-aware simulation. The paper's approach.
 #[derive(Debug, Clone)]
 pub struct HybridModel {
-    profile: WorkloadProfile,
+    bridge: SimBridge,
     forest: RandomForest,
-    sim: SimOptions,
-    traces: TraceCache,
-    memo: PredictionMemo,
-    context_fp: u64,
 }
 
 impl HybridModel {
     /// Builds the model from a profile and a forest trained on
-    /// calibrated effective sprint rates (see [`crate::train`]).
-    /// Joins the process-global shared trace cache and prediction memo
-    /// (sound: the memo key folds in the speedup the forest produces,
-    /// so two models sharing a profile but not a forest can never
-    /// collide — see the private `PredictionMemo`); use
-    /// [`HybridModel::with_private_caches`] to opt out.
+    /// calibrated effective sprint rates (see [`crate::train`]), with
+    /// an empty trace cache and prediction memo of its own. A clone
+    /// shares its original's caches.
     pub fn new(profile: WorkloadProfile, forest: RandomForest, sim: SimOptions) -> HybridModel {
-        let context_fp = context_fingerprint(&profile, &sim);
         HybridModel {
-            profile,
+            bridge: SimBridge::new(profile, sim),
             forest,
-            sim,
-            traces: TraceCache::shared(),
-            memo: PredictionMemo::shared(),
-            context_fp,
         }
     }
 
-    /// Detaches the model from the process-global caches, giving it
-    /// fresh private ones. Predictions are bit-identical either way;
-    /// only the cost profile changes (benchmarks measuring cold-cache
-    /// work use this).
+    /// The same model with fresh, empty caches, shared with no clone.
+    /// Predictions are bit-identical either way; only the cost profile
+    /// changes (benchmarks measuring cold-cache work use this).
     #[must_use]
-    pub fn with_private_caches(mut self) -> HybridModel {
-        self.traces = TraceCache::new();
-        self.memo = PredictionMemo::default();
-        self
+    pub fn with_private_caches(self) -> HybridModel {
+        HybridModel::new(self.bridge.profile, self.forest, self.bridge.sim)
     }
 
     /// Effective sprint rate (qph) inferred for a condition.
     pub fn effective_rate_qph(&self, cond: &Condition) -> f64 {
-        let features = cond.features(self.profile.mu, self.profile.mu_m);
+        let profile = &self.bridge.profile;
+        let features = cond.features(profile.mu, profile.mu_m);
         self.forest
             .predict(&features)
             // The effective rate may dip below µ (negative runtime
             // correction) but never wildly outside the physical band.
-            .clamp(self.profile.mu.qph() * 0.6, self.profile.mu_m.qph() * 1.5)
+            .clamp(profile.mu.qph() * 0.6, profile.mu_m.qph() * 1.5)
     }
 
     /// The forest the model was built with.
@@ -396,20 +308,12 @@ impl ResponseTimeModel for HybridModel {
 
     fn predict_response_secs(&self, cond: &Condition) -> f64 {
         let mu_e = self.effective_rate_qph(cond);
-        let speedup = mu_e / self.profile.mu.qph();
-        let simulate = || {
-            self.sim
-                .simulate_cached(&self.profile, cond, speedup, &self.traces)
-        };
-        if !self.sim.fast_path {
-            return simulate();
-        }
-        self.memo
-            .get_or_insert_with(MemoKey::new(cond, speedup, self.context_fp), simulate)
+        self.bridge
+            .predict(cond, mu_e / self.bridge.profile.mu.qph())
     }
 
     fn profile(&self) -> &WorkloadProfile {
-        &self.profile
+        &self.bridge.profile
     }
 }
 
@@ -546,11 +450,16 @@ mod tests {
         let c = cond(0.7);
         let speedup = p.marginal_speedup();
         let cache = TraceCache::new();
-        let a = fast.simulate(&p, &c, speedup);
-        let b = slow.simulate(&p, &c, speedup);
-        let d = fast.simulate_cached(&p, &c, speedup, &cache);
-        assert_eq!(a.to_bits(), b.to_bits(), "fast vs reference");
-        assert_eq!(a.to_bits(), d.to_bits(), "fast vs traced");
+        let live = qsim::predict_mean_response(
+            &fast.config(&p, &c, speedup),
+            fast.replications,
+            fast.threads,
+        )
+        .unwrap();
+        let a = fast.simulate(&p, &c, speedup, &cache);
+        let b = slow.simulate(&p, &c, speedup, &cache);
+        assert_eq!(a.to_bits(), b.to_bits(), "traced vs reference");
+        assert_eq!(a.to_bits(), live.to_bits(), "traced vs live");
     }
 
     #[test]

@@ -164,18 +164,6 @@ pub enum DegradationLevel {
 }
 
 impl DegradationLevel {
-    /// Maps the ladder onto the crate-neutral [`simcore::HealthSignal`]
-    /// consumed by the testbed supervisor's admission ladder: a degraded
-    /// model tightens admission watermarks, an open breaker forbids
-    /// sprint engages entirely.
-    pub fn signal(self) -> simcore::HealthSignal {
-        match self {
-            DegradationLevel::FullModel => simcore::HealthSignal::Healthy,
-            DegradationLevel::StaleModel => simcore::HealthSignal::Degraded,
-            DegradationLevel::NoSprint => simcore::HealthSignal::Failed,
-        }
-    }
-
     /// Maps the ladder onto the flight recorder's breaker taxonomy so
     /// transitions can be logged as [`obs::EventKind::BreakerTransition`].
     pub fn breaker_level(self) -> obs::BreakerLevel {
@@ -581,19 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_ladder_maps_onto_health_signal() {
-        use simcore::HealthSignal;
-        assert_eq!(DegradationLevel::FullModel.signal(), HealthSignal::Healthy);
-        assert_eq!(
-            DegradationLevel::StaleModel.signal(),
-            HealthSignal::Degraded
-        );
-        assert_eq!(DegradationLevel::NoSprint.signal(), HealthSignal::Failed);
-        assert!(DegradationLevel::NoSprint.signal().is_failed());
-        assert!(!DegradationLevel::StaleModel.signal().is_failed());
-    }
-
-    #[test]
     fn healthy_predictions_stay_full_model() {
         let mut m = monitor();
         for i in 0..50 {
@@ -725,7 +700,9 @@ mod tests {
         // Synthesize "observed" response times from a known effective
         // rate, then trip the breaker with predictions from a badly
         // miscalibrated model.
-        let true_rt = opts.sim.simulate(&profile, &cond, 63.0 / 50.0);
+        let true_rt = opts
+            .sim
+            .simulate(&profile, &cond, 63.0 / 50.0, &qsim::TraceCache::new());
         let mut m = monitor();
         for _ in 0..20 {
             m.observe(true_rt * 3.0, true_rt); // Model 3x off: trips.

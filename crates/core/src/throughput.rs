@@ -112,9 +112,9 @@ pub fn measure_throughput_with(
 /// legs of [`measure_throughput_with`] measure first-touch cost
 /// instead.
 ///
-/// The model runs on private caches: the timeouts repeat from one
-/// call to the next, so on the process-wide memo a second call would
-/// time memo hits instead of simulations.
+/// Each call builds its own model, whose trace cache and memo no other
+/// call sees: the timeouts repeat from one call to the next, so a memo
+/// kept between calls would time memo hits instead of simulations.
 ///
 /// Min-of-`reps` wall-clock over identical passes filters scheduler
 /// noise (single measurement runs swing tens of percent on a busy
@@ -143,7 +143,7 @@ pub fn measure_model_throughput(
         threads: 1,
         ..SimOptions::default()
     };
-    let model = NoMlModel::new(profile.clone(), sim).with_private_caches();
+    let model = NoMlModel::new(profile.clone(), sim);
     // Warm the trace cache: materialize the one CRN trace every timed
     // prediction will replay.
     let _ = model.predict_response_secs(cond);

@@ -30,7 +30,6 @@ use std::fmt;
 use faults::FaultCounters;
 use obs::{CauseReason, EventKind, FlightRecorder, RunTelemetry, SpanKind, SpanOutcome, TraceCtx};
 use reactor::{Delivery, Journal, Reactor};
-use simcore::json::Json;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::SprintError;
@@ -488,64 +487,6 @@ impl FleetResult {
     /// Whether all four fleet invariants held.
     pub fn invariants_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Serializes the result summary (telemetry elided) to JSON.
-    pub fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-        };
-        obj(vec![
-            ("nodes", Json::Num(f64::from(self.nodes))),
-            ("served", Json::Num(self.served as f64)),
-            ("horizon_secs", Json::Num(self.horizon_secs)),
-            ("mean_response_secs", Json::Num(self.mean_response_secs)),
-            ("sprint_fraction", Json::Num(self.sprint_fraction)),
-            ("budget_power", Json::Num(f64::from(self.budget_power))),
-            (
-                "peak_held_power",
-                Json::Num(f64::from(self.peak_held_power)),
-            ),
-            ("budget_utilization", Json::Num(self.budget_utilization)),
-            ("forced_unsprints", Json::Num(self.forced_unsprints as f64)),
-            ("grants", Json::Num(self.stats.grants as f64)),
-            ("renewals", Json::Num(self.stats.renewals as f64)),
-            ("denials", Json::Num(self.stats.denials as f64)),
-            ("expiries", Json::Num(self.stats.expiries as f64)),
-            ("releases", Json::Num(self.stats.releases as f64)),
-            ("retries", Json::Num(self.stats.retries as f64)),
-            ("elections", Json::Num(self.stats.elections as f64)),
-            ("step_downs", Json::Num(self.stats.step_downs as f64)),
-            ("max_epoch", Json::Num(self.stats.max_epoch as f64)),
-            (
-                "degradation",
-                obj(vec![
-                    (
-                        "sprintable",
-                        Json::Num(f64::from(self.degradation.sprintable)),
-                    ),
-                    ("stale", Json::Num(f64::from(self.degradation.stale))),
-                    (
-                        "no_sprint",
-                        Json::Num(f64::from(self.degradation.no_sprint)),
-                    ),
-                ]),
-            ),
-            (
-                "violations",
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| {
-                            obj(vec![
-                                ("invariant", Json::Str(v.invariant.into())),
-                                ("details", Json::Str(v.details.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 

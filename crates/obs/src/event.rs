@@ -347,121 +347,7 @@ impl EventKind {
         )
     }
 
-    /// Human-readable detail string for text timelines.
-    pub fn detail(&self) -> String {
-        match self {
-            EventKind::SprintEngaged { slot, stuck } => {
-                if *stuck {
-                    format!("slot {slot} (stuck)")
-                } else {
-                    format!("slot {slot}")
-                }
-            }
-            EventKind::SprintEngageFailed { slot } => format!("slot {slot}"),
-            EventKind::SprintEnded { slot, reason } => {
-                format!("slot {slot}: {}", reason.name())
-            }
-            EventKind::WatchdogFired { slot } => format!("slot {slot}"),
-            EventKind::SlotCrashed { slot, query } => format!("slot {slot}, query {query}"),
-            EventKind::SlotRestartScheduled { slot, delay_micros } => {
-                format!("slot {slot}, backoff {:.3}s", *delay_micros as f64 / 1e6)
-            }
-            EventKind::SlotUp { slot } => format!("slot {slot}"),
-            EventKind::SlotQuarantined { slot } => format!("slot {slot}"),
-            EventKind::QueryShed { query, queue_depth } => {
-                format!("query {query}, depth {queue_depth}")
-            }
-            EventKind::QueryRejected { query, queue_depth } => {
-                format!("query {query}, depth {queue_depth}")
-            }
-            EventKind::AdmissionModeChanged { from, to } => {
-                format!("{} -> {}", from.name(), to.name())
-            }
-            EventKind::QueueDepth { depth } => format!("depth {depth}"),
-            EventKind::BreakerTransition { from, to } => {
-                format!("{} -> {}", from.name(), to.name())
-            }
-            EventKind::ThermalEmergency { unsprinted } => {
-                format!("{unsprinted} slot(s) unsprinted")
-            }
-            EventKind::MessageDelayed {
-                from,
-                to,
-                delay_micros,
-            } => {
-                format!(
-                    "peer {from} -> {to}, delay {:.3}s",
-                    *delay_micros as f64 / 1e6
-                )
-            }
-            EventKind::MessageDropped {
-                from,
-                to,
-                partitioned,
-            } => {
-                if *partitioned {
-                    format!("peer {from} -> {to} (partitioned)")
-                } else {
-                    format!("peer {from} -> {to}")
-                }
-            }
-            EventKind::MessageDuplicated {
-                from,
-                to,
-                delay_micros,
-            } => {
-                format!(
-                    "peer {from} -> {to}, echo after {:.3}s",
-                    *delay_micros as f64 / 1e6
-                )
-            }
-            EventKind::LeaseGranted { node, epoch, power } => {
-                format!("node {node}, epoch {epoch}, power {power}")
-            }
-            EventKind::LeaseExpired { node, epoch } => format!("node {node}, epoch {epoch}"),
-            EventKind::LeaseReleased { node, epoch } => format!("node {node}, epoch {epoch}"),
-            EventKind::CoordinatorCrashed { coordinator } => {
-                format!("coordinator {coordinator}")
-            }
-            EventKind::CoordinatorElected { coordinator, epoch } => {
-                format!("coordinator {coordinator}, epoch {epoch}")
-            }
-            EventKind::FleetDegradationSample {
-                sprintable,
-                stale,
-                no_sprint,
-            } => {
-                format!("{sprintable} sprintable / {stale} stale / {no_sprint} no-sprint")
-            }
-            EventKind::SpanOpened {
-                span,
-                parent,
-                kind,
-                node,
-            } => {
-                if *parent == 0 {
-                    format!("#{span} {} node {node}", kind.name())
-                } else {
-                    format!("#{span} {} node {node}, parent #{parent}", kind.name())
-                }
-            }
-            EventKind::SpanClosed { span, outcome } => {
-                format!("#{span}: {}", outcome.name())
-            }
-            EventKind::CauseLinked {
-                effect,
-                cause,
-                reason,
-            } => {
-                if *cause == 0 {
-                    format!("#{effect} <- {}", reason.name())
-                } else {
-                    format!("#{effect} <- {} <- #{cause}", reason.name())
-                }
-            }
-        }
-    }
-
+    /// The event's fields in the order [`Event::to_json`] writes them.
     fn fields(&self) -> Vec<(&'static str, Json)> {
         let n = |v: u64| Json::Num(v as f64);
         match *self {
@@ -610,16 +496,27 @@ impl Event {
 }
 
 /// Renders events as an aligned text timeline (`t`, `seq`, `event`,
-/// `detail`). Callers slice to taste — e.g. the first 16 events for a
-/// run prologue or the last 32 of a violating chaos cell.
+/// `detail`), the detail being the event's JSON fields as `key=value`
+/// pairs (`slot=0 reason=budget-dry`). Callers slice to taste — e.g.
+/// the first 16 events for a run prologue or the last 32 of a
+/// violating chaos cell.
 pub fn render_timeline(events: &[Event]) -> String {
     let mut t = TextTable::new(vec!["t", "seq", "event", "detail"]);
     for e in events {
+        let detail: Vec<String> = e
+            .kind
+            .fields()
+            .into_iter()
+            .map(|(k, v)| match v {
+                Json::Str(s) => format!("{k}={s}"),
+                v => format!("{k}={}", v.to_string_pretty()),
+            })
+            .collect();
         t.row(vec![
             format!("{:.3}s", e.at.as_secs_f64()),
             e.seq.to_string(),
             e.kind.name().to_string(),
-            e.kind.detail(),
+            detail.join(" "),
         ]);
     }
     t.render()
@@ -657,15 +554,25 @@ mod tests {
 
     #[test]
     fn timeline_renders_every_row() {
-        let events: Vec<Event> = (0..4)
+        let mut events: Vec<Event> = (0..4)
             .map(|i| Event {
                 at: SimTime::from_secs(i),
                 seq: i,
                 kind: EventKind::QueueDepth { depth: i as u32 },
             })
             .collect();
+        events.push(Event {
+            at: SimTime::from_secs(4),
+            seq: 4,
+            kind: EventKind::SprintEnded {
+                slot: 1,
+                reason: UnsprintReason::BudgetDry,
+            },
+        });
         let text = render_timeline(&events);
-        assert_eq!(text.lines().count(), 2 + 4);
+        assert_eq!(text.lines().count(), 2 + 5);
         assert!(text.contains("queue-depth"));
+        assert!(text.contains("depth=3"));
+        assert!(text.contains("slot=1 reason=budget-dry"));
     }
 }

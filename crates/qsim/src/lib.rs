@@ -48,8 +48,8 @@
 //! [`Qsim::run`] takes at one slot (the binary-heap event calendar
 //! serves every other slot count), common-random-number trace replay
 //! ([`trace`]), and the capped memo map ([`shared::CappedMap`]) behind
-//! the trace cache and the sprint-core prediction memo. Batches and
-//! replications fan out over [`simcore::par::map`].
+//! the trace cache and the sprint-core prediction memo, one of each per
+//! model. Batches and replications fan out over [`simcore::par::map`].
 
 pub mod cloning;
 pub mod config;

@@ -8,9 +8,9 @@
 //!   that is already present returns the stored value. Every key type
 //!   used with the map fully determines its value (the trace key
 //!   fingerprints the arrival process, service distribution and seed;
-//!   the memo key fingerprints the model context on top of the
-//!   condition), so a second value for a key would be bit-identical to
-//!   the first anyway.
+//!   the memo key holds the condition and speedup, and each memo
+//!   belongs to one model, whose profile and options are fixed), so a
+//!   second value for a key would be bit-identical to the first anyway.
 //! - **Capped, never evicting.** Once the map holds `cap` entries an
 //!   insert of a new key is dropped and the caller keeps its own
 //!   value. A full cache degrades to "compute every time", never to

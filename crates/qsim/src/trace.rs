@@ -22,11 +22,11 @@
 use crate::config::QsimConfig;
 use crate::shared::CappedMap;
 use crate::sim::Inputs;
-use simcore::dist::{Dist, DistKind};
+use simcore::dist::Dist;
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Pre-drawn inputs for one simulation run: `num_queries` arrival gaps
 /// and service demands, in draw order.
@@ -119,16 +119,6 @@ struct TraceKey {
     service_fp: u64,
 }
 
-fn kind_key(kind: DistKind) -> (u8, u64) {
-    match kind {
-        DistKind::Exponential => (0, 0),
-        DistKind::Pareto { alpha } => (1, alpha.to_bits()),
-        DistKind::Deterministic => (2, 0),
-        DistKind::Lognormal { cov } => (3, cov.to_bits()),
-        DistKind::Hyperexponential { cov } => (4, cov.to_bits()),
-    }
-}
-
 /// FNV-1a fold of the fields that determine service draws.
 pub(crate) fn service_fingerprint(service: &Dist) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -141,7 +131,7 @@ pub(crate) fn service_fingerprint(service: &Dist) -> u64 {
     };
     match service {
         Dist::Parametric { kind, mean } => {
-            let (tag, param) = kind_key(*kind);
+            let (tag, param) = kind.key();
             mix(1);
             mix(tag as u64);
             mix(param);
@@ -165,17 +155,15 @@ pub(crate) fn service_fingerprint(service: &Dist) -> u64 {
 /// guard, not a tuning knob.
 const TRACE_CACHE_CAP: usize = 8_192;
 
-/// A shareable, thread-safe memo of materialized traces, held in a
+/// A thread-safe memo of materialized traces, held in a
 /// [`CappedMap`].
 ///
 /// Clones share the underlying cache (it is an `Arc`), so a model can
-/// hand the same cache to every prediction it makes. The key
+/// hand the same cache to every prediction it makes, and its
+/// replication workers look traces up in it side by side. The key
 /// fingerprints *everything* that determines the drawn values (seed,
-/// query count, arrival process, service distribution), so sharing a
-/// cache across profiles — including the process-global
-/// [`TraceCache::shared`] instance — is sound: a hit on a trace
-/// another model materialized is bit-identical to a local
-/// materialization.
+/// query count, arrival process, service distribution), so a hit is
+/// bit-identical to a fresh materialization.
 #[derive(Clone)]
 pub struct TraceCache {
     inner: Arc<CappedMap<TraceKey, Arc<SimTrace>>>,
@@ -190,18 +178,9 @@ impl Default for TraceCache {
 }
 
 impl TraceCache {
-    /// Creates an empty private cache.
+    /// Creates an empty cache.
     pub fn new() -> TraceCache {
         TraceCache::default()
-    }
-
-    /// The process-global shared cache. All models built with default
-    /// options share this instance, so repeated model constructions
-    /// over the same profile reuse each other's materializations
-    /// instead of redrawing identical traces.
-    pub fn shared() -> TraceCache {
-        static SHARED: OnceLock<TraceCache> = OnceLock::new();
-        SHARED.get_or_init(TraceCache::new).clone()
     }
 
     /// Returns the trace a live run of `cfg.with_seed(seed)` would
@@ -223,7 +202,7 @@ impl TraceCache {
             seed,
             num_queries: cfg.num_queries,
             arrival_rate_bits: cfg.arrival_rate.qph().to_bits(),
-            arrival_kind: kind_key(cfg.arrival_kind),
+            arrival_kind: cfg.arrival_kind.key(),
             service_fp,
         };
         if let Some(t) = self.inner.get(&key) {

@@ -43,6 +43,22 @@ pub enum DistKind {
     },
 }
 
+impl DistKind {
+    /// A hashable encoding of the shape: the variant's tag and the bits
+    /// of its parameter (0 when it has none). Two kinds share a key
+    /// exactly when they have the same variant and bit-identical
+    /// parameters, so they draw identical samples from one RNG stream.
+    pub fn key(self) -> (u8, u64) {
+        match self {
+            DistKind::Exponential => (0, 0),
+            DistKind::Pareto { alpha } => (1, alpha.to_bits()),
+            DistKind::Deterministic => (2, 0),
+            DistKind::Lognormal { cov } => (3, cov.to_bits()),
+            DistKind::Hyperexponential { cov } => (4, cov.to_bits()),
+        }
+    }
+}
+
 /// A sampling distribution over durations with a configured mean.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Dist {

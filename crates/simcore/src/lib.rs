@@ -10,7 +10,8 @@
 //!   ([`SimRng`]) so every experiment is reproducible from a single seed.
 //! - [`dist`]: the arrival/service distributions the paper evaluates
 //!   (exponential, Pareto, deterministic) plus empirical resampling of
-//!   profiled service times.
+//!   profiled service times, and the one hashable encoding of a shape
+//!   ([`DistKind::key`]) that cache keys use.
 //! - [`event`]: a generic discrete-event calendar with stable FIFO
 //!   ordering for simultaneous events.
 //! - [`stats`]: streaming moments and percentile estimation used
@@ -18,8 +19,6 @@
 //! - [`table`]: plain-text table rendering for the experiment binaries.
 //! - [`error`]: the workspace-wide typed error ([`SprintError`]) returned
 //!   by config validation across the stack.
-//! - [`health`]: the shared [`HealthSignal`] that the model-health
-//!   breaker and the testbed supervisor use to coordinate degradation.
 //! - [`json`]: a minimal JSON reader/writer used for offline persistence.
 //! - [`par`]: the ordered parallel map over scoped threads behind every
 //!   fan-out in the workspace.
@@ -51,7 +50,6 @@ pub mod budget;
 pub mod dist;
 pub mod error;
 pub mod event;
-pub mod health;
 pub mod json;
 pub mod par;
 pub mod rng;
@@ -63,7 +61,6 @@ pub use budget::Budget;
 pub use dist::{Dist, DistKind};
 pub use error::SprintError;
 pub use event::EventQueue;
-pub use health::HealthSignal;
 pub use json::Json;
 pub use rng::SimRng;
 pub use stats::StreamingStats;

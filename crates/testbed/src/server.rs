@@ -227,10 +227,10 @@ pub struct Server<'m> {
     /// pre-supervision behaviour, bit for bit).
     supervisor: Option<Supervisor>,
     /// External sprint permit (fleet lease gate). `true` by default;
-    /// when revoked, new sprint engages are forbidden exactly as if the
-    /// model-health breaker had tripped. Already-running sprints are
-    /// not disengaged by the flag alone — callers pair a revocation
-    /// with [`Server::force_unsprint_all`] when fail-safe demands it.
+    /// when revoked, new sprint engages are forbidden. Already-running
+    /// sprints are not disengaged by the flag alone — callers pair a
+    /// revocation with [`Server::force_unsprint_all`] when fail-safe
+    /// demands it.
     sprint_permit: bool,
     /// Whether [`Server::prime`] has scheduled the initial events.
     primed: bool,
@@ -939,18 +939,6 @@ impl<'m> Server<'m> {
         }
     }
 
-    /// Whether sprint engages are permitted at all: the supervisor's
-    /// model-health signal must allow them *and* the external sprint
-    /// permit (the fleet lease gate) must be held.
-    fn supervision_sprint_allowed(&self) -> bool {
-        self.sprint_permit
-            && self
-                .supervisor
-                .as_ref()
-                .map(|s| s.sprint_allowed())
-                .unwrap_or(true)
-    }
-
     /// The budget level the sprint controller acts on, in seconds.
     ///
     /// The fresh (possibly drifted) sensor reading travels from the
@@ -1060,7 +1048,7 @@ impl<'m> Server<'m> {
             QueryState::Running(slot) => {
                 self.queries[id as usize].timed_out = true;
                 self.budget.update(now);
-                let can_sprint = self.sensed_available(now) && self.supervision_sprint_allowed();
+                let can_sprint = self.sensed_available(now) && self.sprint_permit;
                 let toggle = self.mech.toggle_overhead();
                 let slot_ref = occupied(&mut self.slots, slot, "Server::on_timeout")?;
                 match slot_ref.engine.mode() {
@@ -1110,8 +1098,7 @@ impl<'m> Server<'m> {
         let stuck = s.stuck;
         match mode {
             ExecMode::Stalled { until, then_sprint } if now >= until => {
-                let wants_sprint =
-                    then_sprint && self.sensed_available(now) && self.supervision_sprint_allowed();
+                let wants_sprint = then_sprint && self.sensed_available(now) && self.sprint_permit;
                 // The injector only sees engages that would otherwise
                 // succeed; it can fail them or latch them stuck on.
                 let outcome = if !wants_sprint {
@@ -1542,7 +1529,7 @@ impl<'m> Server<'m> {
         let overhead = DISPATCH_BASE_SECS
             + DISPATCH_PER_QUEUED_SECS * self.queue.len() as f64
             + std::mem::take(&mut self.manager_debt_secs);
-        let sprint_allowed = self.supervision_sprint_allowed();
+        let sprint_allowed = self.sprint_permit;
         let info = &mut self.queries[id as usize];
         info.state = QueryState::Running(slot);
         info.dispatch = now;

@@ -16,10 +16,7 @@
 //! 3. **Admission control.** Arrivals pass a queue-depth ladder that
 //!    degrades gracefully: past the shed watermark every other arrival
 //!    is shed; past the reject watermark the server rejects everything
-//!    and drains down to the drain watermark before recovering. The
-//!    model-health breaker's [`HealthSignal`] folds into the same
-//!    ladder: a degraded model tightens the watermarks, a failed model
-//!    forbids sprinting entirely.
+//!    and drains down to the drain watermark before recovering.
 //!
 //! Every intervention is counted in [`RecoveryCounters`], reported in
 //! run metrics next to the fault counters, so the chaos harness can
@@ -27,7 +24,7 @@
 //! functions of observed state — the supervisor draws no randomness,
 //! so supervised runs stay bit-identical across replays.
 
-use simcore::{HealthSignal, SprintError};
+use simcore::SprintError;
 
 /// Tunables for the testbed supervisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,10 +48,6 @@ pub struct SupervisorConfig {
     pub reject_watermark: usize,
     /// Queue depth at which drain mode exits back to normal admission.
     pub drain_watermark: usize,
-    /// Verdict from the model-health breaker, folded into the ladder:
-    /// `Degraded` halves the shed/reject watermarks, `Failed`
-    /// additionally forbids sprint engages.
-    pub model_health: HealthSignal,
 }
 
 impl Default for SupervisorConfig {
@@ -67,7 +60,6 @@ impl Default for SupervisorConfig {
             shed_watermark: 8,
             reject_watermark: 16,
             drain_watermark: 4,
-            model_health: HealthSignal::Healthy,
         }
     }
 }
@@ -249,23 +241,6 @@ impl Supervisor {
         self.counters
     }
 
-    /// Watermark adjusted for model health: a degraded or failed model
-    /// halves the threshold (floored at 1) so backpressure kicks in
-    /// earlier when predictions are suspect.
-    fn effective(&self, watermark: usize) -> usize {
-        match self.cfg.model_health {
-            HealthSignal::Healthy => watermark,
-            HealthSignal::Degraded | HealthSignal::Failed => (watermark / 2).max(1),
-        }
-    }
-
-    /// Whether sprint engages are allowed at all. A failed model health
-    /// signal forbids sprinting — the breaker's `NoSprint` rung and the
-    /// supervisor agree on one decision.
-    pub fn sprint_allowed(&self) -> bool {
-        !self.cfg.model_health.is_failed()
-    }
-
     /// Seconds a sprint may stay continuously engaged before the
     /// watchdog forces it off.
     pub fn watchdog_secs(&self) -> f64 {
@@ -299,14 +274,12 @@ impl Supervisor {
     /// Runs one arrival through the admission ladder at queue depth
     /// `queue_len`, transitioning modes with hysteresis.
     pub fn admit(&mut self, queue_len: usize, now_secs: f64) -> AdmitOutcome {
-        let shed_w = self.effective(self.cfg.shed_watermark);
-        let reject_w = self.effective(self.cfg.reject_watermark);
         let out = match self.mode {
             DegradedMode::Normal => {
-                if queue_len >= reject_w {
+                if queue_len >= self.cfg.reject_watermark {
                     self.enter(DegradedMode::Draining, now_secs);
                     AdmitOutcome::Reject
-                } else if queue_len >= shed_w {
+                } else if queue_len >= self.cfg.shed_watermark {
                     self.enter(DegradedMode::Shedding, now_secs);
                     // Parity 1 sheds the entering arrival, admits the
                     // next — a deterministic every-other cadence with
@@ -318,10 +291,10 @@ impl Supervisor {
                 }
             }
             DegradedMode::Shedding => {
-                if queue_len >= reject_w {
+                if queue_len >= self.cfg.reject_watermark {
                     self.enter(DegradedMode::Draining, now_secs);
                     AdmitOutcome::Reject
-                } else if queue_len < shed_w {
+                } else if queue_len < self.cfg.shed_watermark {
                     self.enter(DegradedMode::Normal, now_secs);
                     AdmitOutcome::Admit
                 } else {
@@ -472,27 +445,6 @@ mod tests {
         assert_eq!(c.shed_queries, 2);
         assert_eq!(c.rejected_queries, 3);
         assert!((c.degraded_secs - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degraded_model_tightens_watermarks_and_failed_forbids_sprints() {
-        let cfg = SupervisorConfig {
-            shed_watermark: 8,
-            reject_watermark: 16,
-            drain_watermark: 2,
-            model_health: HealthSignal::Degraded,
-            ..SupervisorConfig::default()
-        };
-        let mut s = sup(cfg, 1);
-        assert!(s.sprint_allowed());
-        // Effective shed watermark is 4, not 8.
-        assert_eq!(s.admit(4, 0.0), AdmitOutcome::Shed);
-
-        let failed = SupervisorConfig {
-            model_health: HealthSignal::Failed,
-            ..SupervisorConfig::default()
-        };
-        assert!(!sup(failed, 1).sprint_allowed());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use model_sprint::prelude::*;
 use model_sprint::profiler::Condition;
+use model_sprint::qsim::TraceCache;
 use model_sprint::simcore::dist::DistKind;
 use model_sprint::sprint_core::ArrivalRateEstimator;
 use model_sprint::testbed::trace;
@@ -105,10 +106,11 @@ fn main() -> Result<(), model_sprint::simcore::SprintError> {
         replications: 5,
         ..SimOptions::default()
     };
-    let as_is = sim.simulate(&profile, &spike_cond, profile.marginal_speedup());
+    let traces = TraceCache::new();
+    let as_is = sim.simulate(&profile, &spike_cond, profile.marginal_speedup(), &traces);
     let mut doubled = spike_cond;
     doubled.budget_frac *= 2.0;
-    let better = sim.simulate(&profile, &doubled, profile.marginal_speedup());
+    let better = sim.simulate(&profile, &doubled, profile.marginal_speedup(), &traces);
     println!(
         "\nwhat-if at spike load: budget 240 s -> {as_is:.0} s mean RT; \
          budget 480 s -> {better:.0} s ({:+.0}%)",

@@ -9,6 +9,7 @@
 
 use model_sprint::prelude::*;
 use model_sprint::profiler::Condition;
+use model_sprint::qsim::TraceCache;
 use model_sprint::simcore::dist::DistKind;
 
 fn main() -> Result<(), model_sprint::simcore::SprintError> {
@@ -50,7 +51,12 @@ fn main() -> Result<(), model_sprint::simcore::SprintError> {
         let _ = better; // Profiling a hypothetical machine is exactly
                         // what the simulator replaces.
         let sim = SimOptions::default();
-        sim.simulate(&profile, &spike, profile.mu_m.qph() / profile.mu.qph())
+        sim.simulate(
+            &profile,
+            &spike,
+            profile.mu_m.qph() / profile.mu.qph(),
+            &TraceCache::new(),
+        )
     };
     println!(
         "what if the sprint rate were 1.3X faster?  {upgraded:.0} s ({:+.0}%)",

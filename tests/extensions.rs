@@ -3,6 +3,7 @@
 //! exercised together, end to end.
 
 use model_sprint::prelude::*;
+use model_sprint::qsim::TraceCache;
 use model_sprint::simcore::dist::{Dist, DistKind};
 use model_sprint::testbed::{trace, ArrivalSpec, BudgetSpec, Server, ServerConfig};
 
@@ -151,10 +152,11 @@ fn what_if_budget_doubling_helps_under_binding_budget() {
         ..SimOptions::default()
     };
     let speedup = profile.mu_m.qph() / profile.mu.qph();
-    let tight = sim.simulate(&profile, &cond, speedup);
+    let traces = TraceCache::new();
+    let tight = sim.simulate(&profile, &cond, speedup, &traces);
     let mut doubled = cond;
     doubled.budget_frac *= 2.0;
-    let loose = sim.simulate(&profile, &doubled, speedup);
+    let loose = sim.simulate(&profile, &doubled, speedup, &traces);
     assert!(
         loose < tight * 0.95,
         "doubling a binding budget should help: {loose:.0} !< {tight:.0}"

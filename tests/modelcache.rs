@@ -1,8 +1,9 @@
-//! Cache-sharing tests: the process-wide CRN trace cache and
-//! prediction memo behind [`model_sprint::sprint_core::NoMlModel`]
-//! must be bit-invisible in results at any replication thread count,
-//! and must actually raise the cache hit rate over per-model private
-//! caches.
+//! Per-model cache tests: each [`model_sprint::sprint_core::NoMlModel`]
+//! owns its CRN trace cache and prediction memo. A repeated prediction
+//! on one model is a memo hit, a clone shares its original's caches,
+//! `with_private_caches()` starts cold, two separately built models
+//! share nothing, and the caches are bit-invisible in results at any
+//! replication thread count.
 //!
 //! These tests live in their own integration binary because they read
 //! the process-wide obs counters; sharing a binary with unrelated
@@ -19,7 +20,7 @@ use model_sprint::sprint_core::{NoMlModel, ResponseTimeModel, SimOptions};
 use model_sprint::workloads::{QueryMix, WorkloadKind};
 
 /// Serializes the tests in this binary: all of them touch the global
-/// metrics registry and the shared caches.
+/// metrics registry.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn profile() -> WorkloadProfile {
@@ -75,55 +76,85 @@ fn predictions_are_bit_identical_across_pool_sizes() {
     assert_eq!(one, predict_all(8), "8 threads diverged from 1 thread");
 }
 
-/// Shared caches must beat the per-model private baseline: a second
-/// model over the same conditions resolves whole predictions from the
-/// shared memo (no private-cache run ever memo-hits across models) and
-/// re-materializes fewer CRN traces.
+/// What one step did to the caches, read from the obs counters.
+#[derive(Debug, PartialEq)]
+struct CacheCounts {
+    memo_hits: u64,
+    memo_misses: u64,
+    trace_misses: u64,
+}
+
+/// Runs `step` with the counters enabled and returns what it counted.
+/// Callers hold [`GATE`].
+fn counted(step: impl FnOnce()) -> CacheCounts {
+    obs::set_enabled(true);
+    obs::global().reset();
+    step();
+    let m = obs::global();
+    let counts = CacheCounts {
+        memo_hits: m.memo_hits.get(),
+        memo_misses: m.memo_misses.get(),
+        trace_misses: m.trace_cache_misses.get(),
+    };
+    obs::set_enabled(false);
+    counts
+}
+
+/// A prediction the model has made before, on the model itself, on a
+/// clone, and on a model that may not see the first one's caches.
+fn repeat_on(model: &NoMlModel, again: &NoMlModel) -> CacheCounts {
+    model.predict_response_secs(&cond(80.0));
+    counted(|| {
+        again.predict_response_secs(&cond(80.0));
+    })
+}
+
+const HIT: CacheCounts = CacheCounts {
+    memo_hits: 1,
+    memo_misses: 0,
+    trace_misses: 0,
+};
+
+/// Two replications, each materializing its own trace.
+const COLD: CacheCounts = CacheCounts {
+    memo_hits: 0,
+    memo_misses: 1,
+    trace_misses: 2,
+};
+
 #[test]
-fn shared_caches_raise_hit_rate_over_private_baseline() {
+fn a_repeated_prediction_on_one_model_is_a_memo_hit() {
     let _gate = GATE.lock().unwrap();
-    let conds: Vec<Condition> = (0..4).map(|i| cond(55.0 + 15.0 * f64::from(i))).collect();
-    // Distinct seed from every other test in this binary so the
-    // process-wide shared caches start cold for this workload.
-    let opts = SimOptions {
-        seed: 0x5AFE_CAFE,
-        ..sim_options(1)
-    };
-    let run = |shared: bool| -> (u64, u64) {
-        obs::set_enabled(true);
-        obs::global().reset();
-        for _ in 0..2 {
-            let model = if shared {
-                NoMlModel::new(profile(), opts)
-            } else {
-                NoMlModel::new(profile(), opts).with_private_caches()
-            };
-            for c in &conds {
-                model.predict_response_secs(c);
-            }
-        }
-        let m = obs::global();
-        let out = (m.memo_hits.get(), m.trace_cache_misses.get());
-        obs::set_enabled(false);
-        out
-    };
-    let (private_memo_hits, private_trace_misses) = run(false);
-    let (shared_memo_hits, shared_trace_misses) = run(true);
-    assert!(
-        shared_memo_hits > private_memo_hits,
-        "shared memo hits {shared_memo_hits} must strictly exceed the per-model \
-         baseline {private_memo_hits}"
-    );
-    assert!(
-        shared_trace_misses < private_trace_misses,
-        "shared caches must re-materialize fewer traces: {shared_trace_misses} \
-         vs private {private_trace_misses}"
-    );
+    let model = NoMlModel::new(profile(), sim_options(1));
+    assert_eq!(repeat_on(&model, &model), HIT);
+}
+
+#[test]
+fn a_clone_shares_its_originals_caches() {
+    let _gate = GATE.lock().unwrap();
+    let model = NoMlModel::new(profile(), sim_options(1));
+    assert_eq!(repeat_on(&model, &model.clone()), HIT);
+}
+
+#[test]
+fn with_private_caches_starts_cold() {
+    let _gate = GATE.lock().unwrap();
+    let model = NoMlModel::new(profile(), sim_options(1));
+    let private = model.clone().with_private_caches();
+    assert_eq!(repeat_on(&model, &private), COLD);
+}
+
+#[test]
+fn models_built_from_one_profile_share_no_entry() {
+    let _gate = GATE.lock().unwrap();
+    let first = NoMlModel::new(profile(), sim_options(1));
+    let second = NoMlModel::new(profile(), sim_options(1));
+    assert_eq!(repeat_on(&first, &second), COLD);
 }
 
 /// The warm throughput measurement must simulate as much on a repeat
 /// call as on the first: its timeouts repeat from call to call, so a
-/// measurement sharing the process-wide memo would time memo hits the
+/// measurement whose memo outlived the call would time memo hits the
 /// second time round (a re-measurement that cannot fail).
 #[test]
 fn warm_throughput_remeasurement_runs_the_simulator_again() {
